@@ -48,47 +48,21 @@ Time earliest_completion_of_set(const Application& app, const std::vector<Time>&
 
 namespace {
 
-/// Read-only SoA snapshot of everything the recurrences read: the scalar
-/// task attributes as contiguous arrays (a Task is a wide struct -- name,
-/// resource vector -- so walking Task objects in the merge loop thrashes
-/// cache lines for three ints) and the per-edge message sizes as CSR arrays
-/// aligned with the DAG adjacency lists (Application::message is a std::map
-/// lookup; the old code paid it once per SORT COMPARISON).
+/// Read-only SoA snapshot of the scalar task attributes the recurrences
+/// read, as contiguous arrays (a Task is a wide struct -- name, resource
+/// vector -- so walking Task objects in the merge loop thrashes cache lines
+/// for three ints). Edge messages need no copy: the Application already
+/// stores them aligned with the adjacency lists.
 struct FlatModel {
   std::vector<Time> comp, release, deadline;
-  std::vector<std::size_t> succ_off, pred_off;  ///< n+1 CSR offsets
-  std::vector<Time> succ_msg, pred_msg;         ///< aligned with adjacency order
 };
 
 FlatModel flatten(const Application& app) {
-  const std::size_t n = app.num_tasks();
   FlatModel m;
-  m.comp.resize(n);
-  m.release.resize(n);
-  m.deadline.resize(n);
-  m.succ_off.resize(n + 1, 0);
-  m.pred_off.resize(n + 1, 0);
-  for (TaskId i = 0; i < n; ++i) {
-    const Task& t = app.task(i);
-    m.comp[i] = t.comp;
-    m.release[i] = t.release;
-    m.deadline[i] = t.deadline;
-    m.succ_off[i + 1] = m.succ_off[i] + app.successors(i).size();
-    m.pred_off[i + 1] = m.pred_off[i] + app.predecessors(i).size();
-  }
-  m.succ_msg.resize(m.succ_off[n]);
-  m.pred_msg.resize(m.pred_off[n]);
-  // One ordered pass over the edge map (vs one map lookup per adjacency
-  // entry); the adjacency lists are short, so locating each edge's slot by
-  // linear scan is a handful of contiguous int compares.
-  for (const auto& [key, msg] : app.messages()) {
-    const auto [from, to] = key;
-    const auto& succ = app.successors(from);
-    const auto& pred = app.predecessors(to);
-    const auto si = std::find(succ.begin(), succ.end(), to) - succ.begin();
-    const auto pi = std::find(pred.begin(), pred.end(), from) - pred.begin();
-    m.succ_msg[m.succ_off[from] + static_cast<std::size_t>(si)] = msg;
-    m.pred_msg[m.pred_off[to] + static_cast<std::size_t>(pi)] = msg;
+  for (const Task& t : app.tasks()) {
+    m.comp.push_back(t.comp);
+    m.release.push_back(t.release);
+    m.deadline.push_back(t.deadline);
   }
   return m;
 }
@@ -120,6 +94,7 @@ struct SweepScratch {
 void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
                   std::vector<Time>& lct, std::vector<std::vector<TaskId>>& merged_succ) {
   const auto& succ = app.successors(i);
+  const auto msg = app.successor_messages(i);
   if (succ.empty()) {  // step 1
     lct[i] = m.deadline[i];
     return;
@@ -131,7 +106,7 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   Time l0 = m.deadline[i];
   for (std::size_t k = 0; k < succ.size(); ++k) {
     const TaskId j = succ[k];
-    const Time lms = lct[j] - m.comp[j] - m.succ_msg[m.succ_off[i] + k];
+    const Time lms = lct[j] - m.comp[j] - msg[k];
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({lms, j});
@@ -201,6 +176,7 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
 void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
                   std::vector<Time>& est, std::vector<std::vector<TaskId>>& merged_pred) {
   const auto& pred = app.predecessors(i);
+  const auto msg = app.predecessor_messages(i);
   if (pred.empty()) {  // step 1
     est[i] = m.release[i];
     return;
@@ -210,7 +186,7 @@ void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   Time e0 = m.release[i];  // step 2
   for (std::size_t k = 0; k < pred.size(); ++k) {
     const TaskId j = pred[k];
-    const Time emr = est[j] + m.comp[j] + m.pred_msg[m.pred_off[i] + k];
+    const Time emr = est[j] + m.comp[j] + msg[k];
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({emr, j});

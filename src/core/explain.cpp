@@ -17,12 +17,13 @@ std::vector<TaskId> binding_est_chain(const Application& app, const TaskWindows&
   for (std::size_t guard = 0; guard <= app.num_tasks(); ++guard) {
     TaskId binding = kInvalidTask;
     Time best = app.task(cur).release;
-    for (TaskId j : app.predecessors(cur)) {
+    for (std::size_t k = 0; k < app.predecessors(cur).size(); ++k) {
+      const TaskId j = app.predecessors(cur)[k];
       const bool merged =
           std::find(w.merged_pred[cur].begin(), w.merged_pred[cur].end(), j) !=
           w.merged_pred[cur].end();
       const Time contribution =
-          w.est[j] + app.task(j).comp + (merged ? 0 : app.message(j, cur));
+          w.est[j] + app.task(j).comp + (merged ? 0 : app.predecessor_messages(cur)[k]);
       if (contribution > best) {
         best = contribution;
         binding = j;
@@ -43,12 +44,13 @@ std::vector<TaskId> binding_lct_chain(const Application& app, const TaskWindows&
   for (std::size_t guard = 0; guard <= app.num_tasks(); ++guard) {
     TaskId binding = kInvalidTask;
     Time best = app.task(cur).deadline;
-    for (TaskId j : app.successors(cur)) {
+    for (std::size_t k = 0; k < app.successors(cur).size(); ++k) {
+      const TaskId j = app.successors(cur)[k];
       const bool merged =
           std::find(w.merged_succ[cur].begin(), w.merged_succ[cur].end(), j) !=
           w.merged_succ[cur].end();
       const Time contribution =
-          w.lct[j] - app.task(j).comp - (merged ? 0 : app.message(cur, j));
+          w.lct[j] - app.task(j).comp - (merged ? 0 : app.successor_messages(cur)[k]);
       if (contribution < best) {
         best = contribution;
         binding = j;

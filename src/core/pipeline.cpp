@@ -33,12 +33,14 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level) {
       // (first-error) job on that path.
       return false;
     case LintLevel::kReport: {
-      // Same refusal set as validate(): structural (RTLB-E0xx) errors only.
-      // Semantic errors (window collapse, uncoverable tasks) are recorded
-      // but analyzed, as the historical pipeline did.
+      // validate()'s refusal set -- structural (RTLB-E0xx) errors -- plus a
+      // proved window overflow (RTLB-E310): computing those windows would
+      // be signed-overflow UB. Other semantic errors (window collapse,
+      // uncoverable tasks) are recorded but analyzed.
       bool refused = false;
       for (const Diagnostic& d : result.diagnostics) {
-        refused |= d.severity == Severity::kError && d.code.starts_with("RTLB-E0");
+        refused |= d.severity == Severity::kError &&
+                   (d.code.starts_with("RTLB-E0") || d.code == "RTLB-E310");
       }
       return refused;
     }
@@ -80,7 +82,9 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   // time on it. A cache may serve the whole LintResult from per-pass slices
   // (AnalysisSession keys each pass on its dirty flags); the refusal policy
   // runs on the served result exactly as on a fresh one, so refusals always
-  // reflect the current model.
+  // reflect the current model. A fresh lint hands over the windows it
+  // computed when they are the ones kWindows would compute (same oracle).
+  std::optional<TaskWindows> lint_windows;
   {
     ScopedSpan span(trace, stage_name(Stage::kLintGate));
     if (options.lint_level == LintLevel::kOff) {
@@ -89,10 +93,12 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
     } else {
       std::optional<LintResult> served = cache.serve_lint(app, platform);
       const bool from_cache = served.has_value();
-      LintResult fresh = from_cache ? std::move(*served) : lint(app, platform);
+      LintResult fresh =
+          from_cache ? std::move(*served) : lint(app, platform, nullptr, {}, &lint_windows);
       if (lint_gate_refuses(fresh, options.lint_level)) {
         throw LintGateError(std::move(fresh));
       }
+      if (dedicated != (platform != nullptr)) lint_windows.reset();  // other oracle
       span.count("diagnostics", static_cast<std::int64_t>(fresh.diagnostics.size()));
       result.lint = std::move(fresh);
       cache.record(Stage::kLintGate, from_cache);
@@ -112,9 +118,13 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       span.count("reused", 1);
     } else {
       // Same thread knob as the bound engine; the windows are bit-identical
-      // at any worker count, so the cache verdict below is unaffected.
+      // at any worker count, so the lint's windows and the cache verdict
+      // below are unaffected by it.
       const int threads = options.lower_bound.num_threads;
-      if (dedicated) {
+      if (lint_windows) {
+        windows.windows = std::move(*lint_windows);
+        span.count("from_lint", 1);
+      } else if (dedicated) {
         DedicatedMergeOracle oracle(*platform);
         windows.windows = compute_windows(app, oracle, threads);
       } else {

@@ -293,9 +293,20 @@ Application without_task(const Application& app, TaskId victim) {
     if (i == victim) continue;
     remap[i] = out.add_task(app.task(i));
   }
-  for (const auto& [edge, msg] : app.messages()) {
-    const TaskId from = remap[edge.first], to = remap[edge.second];
-    if (from != kInvalidTask && to != kInvalidTask) out.add_edge(from, to, msg);
+  // Re-add edges in (from, to) order, so a reproducer's edge lines do not
+  // depend on the order the original edges were declared in.
+  std::vector<std::pair<TaskId, Time>> out_edges;
+  for (TaskId i = 0; i < app.num_tasks(); ++i) {
+    out_edges.clear();
+    for (std::size_t k = 0; k < app.successors(i).size(); ++k) {
+      out_edges.emplace_back(app.successors(i)[k], app.successor_messages(i)[k]);
+    }
+    std::sort(out_edges.begin(), out_edges.end());
+    for (const auto& [to, msg] : out_edges) {
+      if (remap[i] != kInvalidTask && remap[to] != kInvalidTask) {
+        out.add_edge(remap[i], remap[to], msg);
+      }
+    }
   }
   return out;
 }

@@ -1,6 +1,8 @@
 #include "src/graph/dag.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 namespace rtlb {
 
@@ -50,35 +52,39 @@ std::optional<std::vector<std::uint32_t>> Dag::topological_order() const {
   }
   std::vector<std::uint32_t> order;
   order.reserve(succ_.size());
-  std::vector<std::uint32_t> frontier = sources();
-  // Process in ascending-id order within the frontier for determinism.
+  // Min-heap frontier: the smallest ready id goes next, for determinism.
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> frontier(
+      std::greater<>{}, sources());
   while (!frontier.empty()) {
-    std::sort(frontier.begin(), frontier.end(), std::greater<>{});
-    std::uint32_t v = frontier.back();
-    frontier.pop_back();
+    const std::uint32_t v = frontier.top();
+    frontier.pop();
     order.push_back(v);
     for (std::uint32_t w : succ_[v]) {
-      if (--indeg[w] == 0) frontier.push_back(w);
+      if (--indeg[w] == 0) frontier.push(w);
     }
   }
   if (order.size() != succ_.size()) return std::nullopt;
   return order;
 }
 
-std::vector<std::vector<bool>> Dag::reachability() const {
+ReachRows Dag::reachability() const {
   auto topo = topological_order();
   RTLB_CHECK(topo.has_value(), "reachability on cyclic graph");
-  std::vector<std::vector<bool>> reach(succ_.size(), std::vector<bool>(succ_.size(), false));
+  ReachRows reach{(succ_.size() + 63) / 64, {}};
+  reach.bits.assign(succ_.size() * reach.words, 0);
   for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
-    std::uint32_t v = *it;
-    for (std::uint32_t w : succ_[v]) {
-      reach[v][w] = true;
-      for (std::uint32_t x = 0; x < succ_.size(); ++x) {
-        if (reach[w][x]) reach[v][x] = true;
-      }
+    std::uint64_t* row = &reach.bits[*it * reach.words];
+    for (std::uint32_t w : succ_[*it]) {  // row |= {w} u row(w)
+      row[w / 64] |= 1ULL << (w % 64);
+      for (std::size_t k = 0; k < reach.words; ++k) row[k] |= reach.bits[w * reach.words + k];
     }
   }
   return reach;
+}
+
+bool Dag::redundant_edge(std::uint32_t u, std::uint32_t v, const ReachRows& reach) const {
+  // w == v never counts: reachability is strict and the graph acyclic.
+  return std::any_of(succ_[u].begin(), succ_[u].end(), [&](auto w) { return reach.test(w, v); });
 }
 
 std::vector<Time> Dag::longest_path_to(const std::vector<Time>& vertex_weight) const {
@@ -122,26 +128,6 @@ std::vector<std::uint32_t> Dag::levels() const {
     for (std::uint32_t p : pred_[v]) level[v] = std::max(level[v], level[p] + 1);
   }
   return level;
-}
-
-Dag Dag::transitive_reduction() const {
-  if (!is_acyclic()) throw ModelError("transitive_reduction: graph has a cycle");
-  const auto reach = reachability();
-  Dag out(num_vertices());
-  for (std::uint32_t u = 0; u < succ_.size(); ++u) {
-    for (std::uint32_t v : succ_[u]) {
-      // u -> v is redundant iff some other successor w of u reaches v.
-      bool redundant = false;
-      for (std::uint32_t w : succ_[u]) {
-        if (w != v && reach[w][v]) {
-          redundant = true;
-          break;
-        }
-      }
-      if (!redundant) out.add_edge(u, v);
-    }
-  }
-  return out;
 }
 
 std::string Dag::to_dot(const std::vector<std::string>& labels) const {

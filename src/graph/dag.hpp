@@ -14,6 +14,18 @@
 
 namespace rtlb {
 
+/// Strict reachability as packed bit rows: bit v of row u is set iff a
+/// path u ->+ v exists. A row is `words` = ceil(n/64) words.
+struct ReachRows {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> bits;
+
+  bool test(std::uint32_t u, std::uint32_t v) const {
+    return (bits[u * words + v / 64] >> (v % 64)) & 1U;
+  }
+  bool operator==(const ReachRows&) const = default;
+};
+
 class Dag {
  public:
   Dag() = default;
@@ -39,13 +51,20 @@ class Dag {
   std::vector<std::uint32_t> sources() const;
   std::vector<std::uint32_t> sinks() const;
 
-  /// Kahn topological order, or nullopt if the edge set has a cycle.
+  /// Kahn topological order, smallest ready id first, or nullopt if the
+  /// edge set has a cycle.
   std::optional<std::vector<std::uint32_t>> topological_order() const;
 
   bool is_acyclic() const { return topological_order().has_value(); }
 
-  /// Bit-matrix reachability: reach[u][v] == true iff a path u ->* v exists.
-  std::vector<std::vector<bool>> reachability() const;
+  /// Strict reachability, filled in reverse topological order. Requires
+  /// acyclic.
+  ReachRows reachability() const;
+
+  /// True when edge u -> v is implied by another path (some other successor
+  /// of u reaches v): the transitive reduction is exactly the edges for
+  /// which this is false.
+  bool redundant_edge(std::uint32_t u, std::uint32_t v, const ReachRows& reach) const;
 
   /// Longest weighted path ending at each vertex (vertex weights), i.e. the
   /// classic critical-path level. Requires acyclic; throws otherwise.
@@ -63,10 +82,6 @@ class Dag {
   /// Graphviz dot output, one label per vertex.
   std::string to_dot(const std::vector<std::string>& labels) const;
 
-  /// The transitive reduction: the unique minimal edge set with the same
-  /// reachability (unique for DAGs). Useful for de-cluttering generated
-  /// precedence graphs. Requires acyclic; throws otherwise.
-  Dag transitive_reduction() const;
 
  private:
   std::vector<std::vector<std::uint32_t>> succ_;

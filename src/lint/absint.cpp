@@ -82,9 +82,11 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
     __int128 comp_sum = 0;
     __int128 max_pred_hi = -kAbsIntSaturation;
     __int128 max_msg = 0;
-    for (TaskId j : app.predecessors(i)) {
+    const auto pred_msg = app.predecessor_messages(i);
+    for (std::size_t k = 0; k < pred_msg.size(); ++k) {
+      const TaskId j = app.predecessors(i)[k];
       const __int128 cj = static_cast<__int128>(app.task(j).comp);
-      const __int128 m = static_cast<__int128>(app.message(j, i));
+      const __int128 m = static_cast<__int128>(pred_msg[k]);
       const __int128 lo_contrib =
           abs_sat_add(abs_sat_add(r.est[j].lo, cj), m < 0 ? m : 0);
       if (lo_contrib > v.lo) {
@@ -109,9 +111,11 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
     __int128 comp_sum = 0;
     __int128 min_succ_lo = kAbsIntSaturation;
     __int128 max_msg = 0;
-    for (TaskId j : app.successors(i)) {
+    const auto succ_msg = app.successor_messages(i);
+    for (std::size_t k = 0; k < succ_msg.size(); ++k) {
+      const TaskId j = app.successors(i)[k];
       const __int128 cj = static_cast<__int128>(app.task(j).comp);
-      const __int128 m = static_cast<__int128>(app.message(i, j));
+      const __int128 m = static_cast<__int128>(succ_msg[k]);
       const __int128 hi_contrib =
           abs_sat_add(abs_sat_add(r.lct[j].hi, -cj), m < 0 ? -m : 0);
       if (hi_contrib < v.hi) {

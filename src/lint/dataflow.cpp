@@ -31,14 +31,18 @@ std::string chain_names(const Application& app, const std::vector<TaskId>& chain
 
 /// N421: edges the transitive reduction drops and whose message is free.
 /// (A redundant edge with a non-zero message still contributes a latency
-/// term, so only zero-message redundancy is safe to advise away.)
+/// term, so only zero-message redundancy is safe to advise away.) Decided
+/// on the bitset reachability rows, without building the reduced graph.
 void redundant_edges(const LintContext& ctx, DiagnosticSink& sink) {
   const Application& app = ctx.app;
   if (app.dag().num_edges() == 0) return;
-  const Dag reduced = app.dag().transitive_reduction();
+  const ReachRows reach = app.dag().reachability();
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      if (app.message(i, j) != 0 || reduced.has_edge(i, j)) continue;
+    for (std::size_t k = 0; k < app.successors(i).size(); ++k) {
+      const TaskId j = app.successors(i)[k];
+      if (app.successor_messages(i)[k] != 0 || !app.dag().redundant_edge(i, j, reach)) {
+        continue;
+      }
       Diagnostic d = sink.make("RTLB-N421", edge_subject(app, i, j),
                                "ordering already implied by the remaining edges "
                                "(transitive reduction drops this edge)");
@@ -101,17 +105,23 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
   const AbsIntResult& ai = *ctx.absint;
 
   for (TaskId u = 0; u < app.num_tasks(); ++u) {
-    for (TaskId v : app.successors(u)) {
-      const __int128 m = static_cast<__int128>(app.message(u, v));
+    const auto& succ = app.successors(u);
+    const auto succ_msg = app.successor_messages(u);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId v = succ[k];
+      const __int128 m = static_cast<__int128>(succ_msg[k]);
       if (m <= 0) continue;  // zero messages are N402's finding
 
       // EST side of v: floor over v's OTHER constraints.
       __int128 est_floor = static_cast<__int128>(app.task(v).release);
-      for (TaskId j : app.predecessors(v)) {
+      const auto& pred = app.predecessors(v);
+      const auto pred_msg = app.predecessor_messages(v);
+      for (std::size_t q = 0; q < pred.size(); ++q) {
+        const TaskId j = pred[q];
         if (j == u) continue;
         const __int128 contrib = abs_sat_add(
             abs_sat_add(ai.est[j].lo, static_cast<__int128>(app.task(j).comp)),
-            app.message(j, v) < 0 ? static_cast<__int128>(app.message(j, v)) : 0);
+            pred_msg[q] < 0 ? static_cast<__int128>(pred_msg[q]) : 0);
         est_floor = std::max(est_floor, contrib);
       }
       const __int128 est_term = abs_sat_add(
@@ -120,11 +130,12 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
 
       // LCT side of u: ceiling over u's OTHER constraints.
       __int128 lct_ceil = static_cast<__int128>(app.task(u).deadline);
-      for (TaskId j : app.successors(u)) {
+      for (std::size_t q = 0; q < succ.size(); ++q) {
+        const TaskId j = succ[q];
         if (j == v) continue;
         const __int128 contrib = abs_sat_add(
             abs_sat_add(ai.lct[j].hi, -static_cast<__int128>(app.task(j).comp)),
-            app.message(u, j) < 0 ? -static_cast<__int128>(app.message(u, j)) : 0);
+            succ_msg[q] < 0 ? -static_cast<__int128>(succ_msg[q]) : 0);
         lct_ceil = std::min(lct_ceil, contrib);
       }
       const __int128 lct_term = abs_sat_add(
@@ -133,7 +144,7 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
 
       Diagnostic d = sink.make(
           "RTLB-N423", edge_subject(app, u, v),
-          "message latency (msg " + std::to_string(app.message(u, v)) +
+          "message latency (msg " + std::to_string(succ_msg[k]) +
               ") can never bind: the EST term tops out at " + i128_str(est_term) +
               " against a floor of " + i128_str(est_floor) +
               ", and the send-deadline bottoms out at " + i128_str(lct_term) +

@@ -58,16 +58,19 @@ Linter::Linter() {
 void Linter::register_pass(LintPass pass) { passes_.push_back(std::move(pass)); }
 
 LintResult Linter::run(const Application& app, const DedicatedPlatform* platform,
-                       const SourceMap* lines, const LintOptions& options) const {
+                       const SourceMap* lines, const LintOptions& options,
+                       std::optional<TaskWindows>* windows_out) const {
   LintPassSlices scratch;  // empty dirty mask = recompute everything
-  return run_with_reuse(app, platform, lines, scratch, {}, nullptr, nullptr, options);
+  return run_with_reuse(app, platform, lines, scratch, {}, nullptr, nullptr, options,
+                        windows_out);
 }
 
 LintResult Linter::run_with_reuse(const Application& app, const DedicatedPlatform* platform,
                                   const SourceMap* lines, LintPassSlices& slices,
                                   const std::vector<bool>& dirty,
                                   std::uint64_t* pass_hits, std::uint64_t* pass_misses,
-                                  const LintOptions& options) const {
+                                  const LintOptions& options,
+                                  std::optional<TaskWindows>* windows_out) const {
   // Slices recorded under non-default options are not reusable (werror
   // rewrites severities in place, max_errors truncates across passes), so
   // such runs neither serve nor commit slices.
@@ -152,6 +155,7 @@ LintResult Linter::run_with_reuse(const Application& app, const DedicatedPlatfor
       if (sink.capped()) break;
       run_pass(k);
     }
+    if (windows_out != nullptr && ctx.windows != nullptr) *windows_out = std::move(windows);
   }
 
   if (reusable) {
@@ -175,8 +179,9 @@ const Linter& default_linter() {
 }
 
 LintResult lint(const Application& app, const DedicatedPlatform* platform,
-                const SourceMap* lines, const LintOptions& options) {
-  return default_linter().run(app, platform, lines, options);
+                const SourceMap* lines, const LintOptions& options,
+                std::optional<TaskWindows>* windows_out) {
+  return default_linter().run(app, platform, lines, options, windows_out);
 }
 
 namespace {

@@ -136,8 +136,13 @@ class Linter {
 
   const std::vector<LintPass>& passes() const { return passes_; }
 
+  /// `windows_out` (may be null) receives the EST/LCT windows the model
+  /// passes read, so a caller need not compute them again. They use the
+  /// dedicated merge oracle iff `platform` is given, and are set only when
+  /// the passes ran and absint proved windows_safe().
   LintResult run(const Application& app, const DedicatedPlatform* platform = nullptr,
-                 const SourceMap* lines = nullptr, const LintOptions& options = {}) const;
+                 const SourceMap* lines = nullptr, const LintOptions& options = {},
+                 std::optional<TaskWindows>* windows_out = nullptr) const;
 
   /// Incremental run: serve pass k's diagnostics from `slices` when the
   /// caller's `dirty` mask clears it (dirty must have one entry per pass;
@@ -152,7 +157,8 @@ class Linter {
                             const std::vector<bool>& dirty,
                             std::uint64_t* pass_hits = nullptr,
                             std::uint64_t* pass_misses = nullptr,
-                            const LintOptions& options = {}) const;
+                            const LintOptions& options = {},
+                            std::optional<TaskWindows>* windows_out = nullptr) const;
 
  private:
   std::vector<LintPass> passes_;
@@ -162,9 +168,11 @@ class Linter {
 /// incremental reuse (both must agree on the pass registry).
 const Linter& default_linter();
 
-/// One-shot convenience over default_linter().
+/// One-shot convenience over default_linter(); `windows_out` as in
+/// Linter::run.
 LintResult lint(const Application& app, const DedicatedPlatform* platform = nullptr,
-                const SourceMap* lines = nullptr, const LintOptions& options = {});
+                const SourceMap* lines = nullptr, const LintOptions& options = {},
+                std::optional<TaskWindows>* windows_out = nullptr);
 
 /// Thrown by analyze() when the pre-flight gate refuses an instance; carries
 /// the full batch of diagnostics so callers can print them all.

@@ -274,8 +274,9 @@ void numeric_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
     sink.emit(std::move(d));
   }
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      if (app.message(i, j) <= kTimeMax) continue;
+    for (std::size_t k = 0; k < app.successors(i).size(); ++k) {
+      const TaskId j = app.successors(i)[k];
+      if (app.successor_messages(i)[k] <= kTimeMax) continue;
       Diagnostic d = sink.make("RTLB-W302", edge_subject(app, i, j),
                                "message size beyond kTimeMax (" + std::to_string(kTimeMax) +
                                    ")");
@@ -306,8 +307,9 @@ void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
 
   // N402: zero-size messages.
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      if (app.message(i, j) != 0) continue;
+    for (std::size_t k = 0; k < app.successors(i).size(); ++k) {
+      const TaskId j = app.successors(i)[k];
+      if (app.successor_messages(i)[k] != 0) continue;
       Diagnostic d = sink.make("RTLB-N402", edge_subject(app, i, j));
       d.line = ctx.edge_line(i, j);
       sink.emit(std::move(d));

@@ -14,30 +14,45 @@ TaskId Application::add_task(Task task) {
   std::erase(task.resources, task.proc);
   tasks_.push_back(std::move(task));
   dag_.grow_to(tasks_.size());
+  msg_.resize(tasks_.size());
   return static_cast<TaskId>(tasks_.size() - 1);
 }
 
 void Application::add_edge(TaskId from, TaskId to, Time msg_size) {
   RTLB_CHECK(from < tasks_.size() && to < tasks_.size(), "edge endpoint out of range");
   if (msg_size < 0) throw ModelError("negative message size");
-  dag_.add_edge(from, to);
-  messages_[{from, to}] = msg_size;
+  dag_.add_edge(from, to);  // appends to both adjacency lists
+  msg_[from].insert(msg_[from].end() - std::ssize(predecessors(from)), msg_size);
+  msg_[to].push_back(msg_size);
 }
 
+namespace {
+
+/// Position of `x` in an adjacency list; list.size() when absent.
+std::size_t slot(const std::vector<std::uint32_t>& list, std::uint32_t x) {
+  return static_cast<std::size_t>(std::find(list.begin(), list.end(), x) - list.begin());
+}
+
+}  // namespace
+
 Time Application::message(TaskId from, TaskId to) const {
-  auto it = messages_.find({from, to});
-  RTLB_CHECK(it != messages_.end(), "message queried for a missing edge");
-  return it->second;
+  RTLB_CHECK(from < tasks_.size() && to < tasks_.size(), "edge endpoint out of range");
+  const auto& succ = successors(from);
+  const auto& pred = predecessors(to);
+  const bool by_succ = succ.size() <= pred.size();
+  const std::size_t k = by_succ ? slot(succ, to) : slot(pred, from);
+  RTLB_CHECK(k < (by_succ ? succ.size() : pred.size()), "message queried for a missing edge");
+  return by_succ ? msg_[from][k] : msg_[to][successors(to).size() + k];
 }
 
 void Application::set_message(TaskId from, TaskId to, Time msg_size) {
-  auto it = messages_.find({from, to});
-  if (it == messages_.end()) {
+  if (from >= tasks_.size() || to >= tasks_.size() || !dag_.has_edge(from, to)) {
     throw ModelError("set_message: no edge " + std::to_string(from) + " -> " +
                      std::to_string(to));
   }
   if (msg_size < 0) throw ModelError("negative message size");
-  it->second = msg_size;
+  msg_[from][slot(successors(from), to)] = msg_size;
+  msg_[to][successors(to).size() + slot(predecessors(to), from)] = msg_size;
 }
 
 std::vector<ResourceId> Application::resource_set() const {

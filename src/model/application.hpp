@@ -2,8 +2,8 @@
 // with message sizes on edges.
 #pragma once
 
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,13 +39,19 @@ class Application {
   const std::vector<std::uint32_t>& predecessors(TaskId i) const { return dag_.predecessors(i); }
   const std::vector<std::uint32_t>& successors(TaskId i) const { return dag_.successors(i); }
 
-  /// m_{ji}: message size on edge j -> i. Edge must exist.
-  Time message(TaskId from, TaskId to) const;
+  /// Edge messages aligned with the adjacency lists: successor_messages(i)[k]
+  /// is m_{i, successors(i)[k]}, predecessor_messages(i)[k] is
+  /// m_{predecessors(i)[k], i}. Hot loops walking adjacency read these.
+  std::span<const Time> successor_messages(TaskId i) const {
+    return {msg_[i].data(), successors(i).size()};
+  }
+  std::span<const Time> predecessor_messages(TaskId i) const {
+    return {msg_[i].data() + successors(i).size(), predecessors(i).size()};
+  }
 
-  /// Every edge message, ordered by (from, to) -- one entry per DAG edge.
-  /// For whole-graph snapshots (the windows engine's flat model): one pass
-  /// here instead of one message() lookup per edge.
-  const std::map<std::pair<TaskId, TaskId>, Time>& messages() const { return messages_; }
+  /// m_{ji}: message size on edge j -> i. Edge must exist. A scan of the
+  /// shorter adjacency list, for cold callers.
+  Time message(TaskId from, TaskId to) const;
 
   /// Resize the message on an EXISTING edge (ModelError otherwise) -- the
   /// delta the sensitivity sweeps and AnalysisSession apply; the DAG shape
@@ -77,7 +83,9 @@ class Application {
   const ResourceCatalog* catalog_;
   std::vector<Task> tasks_;
   Dag dag_;
-  std::map<std::pair<TaskId, TaskId>, Time> messages_;
+  /// msg_[i]: task i's successor messages, then its predecessor messages
+  /// (one allocation per task, not one per direction).
+  std::vector<std::vector<Time>> msg_;
 };
 
 }  // namespace rtlb

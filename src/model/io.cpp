@@ -222,9 +222,9 @@ std::string serialize_instance(const Application& app, const DedicatedPlatform& 
     out << "\n";
   }
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      out << "edge " << app.task(i).name << " " << app.task(j).name << " msg "
-          << app.message(i, j) << "\n";
+    for (std::size_t k = 0; k < app.successors(i).size(); ++k) {
+      out << "edge " << app.task(i).name << " " << app.task(app.successors(i)[k]).name
+          << " msg " << app.successor_messages(i)[k] << "\n";
     }
   }
   for (const NodeType& n : platform.node_types()) {

@@ -130,13 +130,11 @@ class Checker {
     return start;
   }
 
-  I128 emr(TaskId j, TaskId i) const {  // earliest message receipt j -> i
-    return static_cast<I128>(est_[j]) + app_.task(j).comp + app_.message(j, i);
-  }
-
-  I128 lms(TaskId i, TaskId j) const {  // latest message send i -> j
-    return static_cast<I128>(lct_[j]) - app_.task(j).comp - app_.message(i, j);
-  }
+  /// A Figure 2/3 candidate: its lms/emr term, computed once, and the task.
+  struct Keyed {
+    I128 key;
+    TaskId id;
+  };
 
   // ---- Theorems 3/4 over the certificate windows -------------------------
 
@@ -221,23 +219,29 @@ class Checker {
     }
 
     // Candidate order of Figure 3: individually mergeable predecessors by
-    // decreasing emr, ties by id.
-    std::vector<TaskId> mp;
+    // decreasing emr (earliest message receipt j -> i), ties by id.
+    std::vector<Keyed> mp;
     I128 e0 = app_.task(i).release;
-    for (TaskId j : pred) {
+    const auto pred_msg = app_.predecessor_messages(i);
+    for (std::size_t k = 0; k < pred.size(); ++k) {
+      const TaskId j = pred[k];
+      const I128 emr = static_cast<I128>(est_[j]) + app_.task(j).comp + pred_msg[k];
       const TaskId pair[] = {i, j};
       if (merge_ok(pair)) {
-        mp.push_back(j);
+        mp.push_back({emr, j});
       } else {
-        e0 = std::max(e0, emr(j, i));
+        e0 = std::max(e0, emr);
       }
     }
-    std::sort(mp.begin(), mp.end(), [&](TaskId a, TaskId b) {
-      const I128 ea = emr(a, i);
-      const I128 eb = emr(b, i);
-      if (ea != eb) return ea > eb;
-      return a < b;
+    std::sort(mp.begin(), mp.end(), [](const Keyed& a, const Keyed& b) {
+      if (a.key != b.key) return a.key > b.key;
+      return a.id < b.id;
     });
+    // unmerged[k] = e0 folded with every emr not in the prefix P_k.
+    std::vector<I128> unmerged(mp.size() + 1, e0);
+    for (std::size_t k = mp.size(); k-- > 0;) {
+      unmerged[k] = std::max(unmerged[k + 1], mp[k].key);
+    }
 
     // Eq. 4.5 over every mergeable prefix P_k (mergeability is subset-closed
     // for both oracles, so prefixes past the first non-mergeable one are out).
@@ -246,11 +250,10 @@ class Checker {
     std::vector<TaskId> prefix{i};  // includes i for the oracle
     for (std::size_t k = 0; k <= mp.size(); ++k) {
       if (k > 0) {
-        prefix.push_back(mp[k - 1]);
+        prefix.push_back(mp[k - 1].id);
         if (!merge_ok(prefix)) break;
       }
-      I128 value = e0;
-      for (std::size_t m = k; m < mp.size(); ++m) value = std::max(value, emr(mp[m], i));
+      I128 value = unmerged[k];
       if (k > 0) value = std::max(value, ect(std::span(prefix).subspan(1)));
       if (!found || value < best) {
         best = value;
@@ -284,9 +287,9 @@ class Checker {
       return;
     }
     I128 attained = e0;
-    for (TaskId j : mp) {
-      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), j)) {
-        attained = std::max(attained, emr(j, i));
+    for (const Keyed& c : mp) {
+      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), c.id)) {
+        attained = std::max(attained, c.key);
       }
     }
     if (!merged.empty()) attained = std::max(attained, ect(merged));
@@ -315,33 +318,39 @@ class Checker {
       return;
     }
 
-    std::vector<TaskId> ms;
+    // Mirror: mergeable successors by increasing lms (latest message send
+    // i -> j), ties by id.
+    std::vector<Keyed> ms;
     I128 l0 = app_.task(i).deadline;
-    for (TaskId j : succ) {
+    const auto succ_msg = app_.successor_messages(i);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId j = succ[k];
+      const I128 lms = static_cast<I128>(lct_[j]) - app_.task(j).comp - succ_msg[k];
       const TaskId pair[] = {i, j};
       if (merge_ok(pair)) {
-        ms.push_back(j);
+        ms.push_back({lms, j});
       } else {
-        l0 = std::min(l0, lms(i, j));
+        l0 = std::min(l0, lms);
       }
     }
-    std::sort(ms.begin(), ms.end(), [&](TaskId a, TaskId b) {
-      const I128 la = lms(i, a);
-      const I128 lb = lms(i, b);
-      if (la != lb) return la < lb;
-      return a < b;
+    std::sort(ms.begin(), ms.end(), [](const Keyed& a, const Keyed& b) {
+      if (a.key != b.key) return a.key < b.key;
+      return a.id < b.id;
     });
+    std::vector<I128> unmerged(ms.size() + 1, l0);
+    for (std::size_t k = ms.size(); k-- > 0;) {
+      unmerged[k] = std::min(unmerged[k + 1], ms[k].key);
+    }
 
     bool found = false;
     I128 best = 0;
     std::vector<TaskId> prefix{i};
     for (std::size_t k = 0; k <= ms.size(); ++k) {
       if (k > 0) {
-        prefix.push_back(ms[k - 1]);
+        prefix.push_back(ms[k - 1].id);
         if (!merge_ok(prefix)) break;
       }
-      I128 value = l0;
-      for (std::size_t m = k; m < ms.size(); ++m) value = std::min(value, lms(i, ms[m]));
+      I128 value = unmerged[k];
       if (k > 0) value = std::min(value, lst(std::span(prefix).subspan(1)));
       if (!found || value > best) {
         best = value;
@@ -373,9 +382,9 @@ class Checker {
       return;
     }
     I128 attained = l0;
-    for (TaskId j : ms) {
-      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), j)) {
-        attained = std::min(attained, lms(i, j));
+    for (const Keyed& c : ms) {
+      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), c.id)) {
+        attained = std::min(attained, c.key);
       }
     }
     if (!merged.empty()) attained = std::min(attained, lst(merged));

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "src/core/analysis.hpp"
 #include "src/model/io.hpp"
 #include "src/workload/paper_example.hpp"
+#include "src/workload/workload.hpp"
 
 namespace rtlb {
 namespace {
@@ -74,6 +76,39 @@ TEST(Io, ShippedInstanceFilesParseAndAnalyze) {
       EXPECT_TRUE(ded.dedicated_cost->feasible) << name;
     }
   }
+#else
+  GTEST_SKIP() << "RTLB_SOURCE_DIR not defined";
+#endif
+}
+
+// serialize -> parse -> serialize is a byte-identical fixed point on every
+// shipped instance (recurrent files after lowering), so edge messages keep
+// their adjacency order and values through the model.
+TEST(Io, ShippedInstancesSerializeToAFixedPoint) {
+#ifdef RTLB_SOURCE_DIR
+  const std::filesystem::path root = std::string(RTLB_SOURCE_DIR) + "/examples/instances";
+  int checked = 0;
+  for (const auto& dir : {root, root / "bad"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".rtlb") continue;
+      std::ifstream in(entry.path());
+      ProblemInstance inst;
+      try {
+        inst = parse_instance(in, ParseOptions{.validate = false});
+        if (!inst.workload.empty()) lower_instance(inst);
+      } catch (const ModelError& e) {
+        // Only the bad corpus may lack a model to serialize.
+        EXPECT_NE(dir, root) << entry.path() << ": " << e.what();
+        continue;
+      }
+      const std::string text = serialize_instance(*inst.app, inst.platform);
+      const ProblemInstance again =
+          parse_instance_string(text, ParseOptions{.validate = false});
+      EXPECT_EQ(serialize_instance(*again.app, again.platform), text) << entry.path();
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 15);
 #else
   GTEST_SKIP() << "RTLB_SOURCE_DIR not defined";
 #endif

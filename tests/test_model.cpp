@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "src/common/random.hpp"
+#include "src/graph/generators.hpp"
 #include "src/model/application.hpp"
 #include "src/model/platform.hpp"
 
@@ -204,6 +208,60 @@ TEST_F(ApplicationTest, TaskUsesOwnProcType) {
   EXPECT_TRUE(app_.task(a).uses(p1_));
   EXPECT_TRUE(app_.task(a).uses(r_));
   EXPECT_FALSE(app_.task(a).uses(p2_));
+}
+
+// Property: after random DAG construction and random message deltas, every
+// view of the edge messages agrees with a reference map kept here.
+TEST_F(ApplicationTest, AlignedMessagesAgreeWithReferenceMap) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const Dag shape = seed % 2 == 0 ? random_dag(rng, 30, 0.2) : layered_dag(rng, 30, 5, 0.4);
+    Application app(cat_);
+    for (std::size_t v = 0; v < shape.num_vertices(); ++v) {
+      Task t;
+      t.name = "t" + std::to_string(v);
+      t.comp = 1;
+      t.deadline = 1000;
+      t.proc = p1_;
+      app.add_task(std::move(t));
+    }
+    std::map<std::pair<TaskId, TaskId>, Time> reference;
+    std::vector<std::pair<TaskId, TaskId>> edges;
+    for (TaskId u = 0; u < shape.num_vertices(); ++u) {
+      for (TaskId v : shape.successors(u)) edges.emplace_back(u, v);
+    }
+    rng.shuffle(edges);  // adjacency order != (from, to) order
+    for (const auto& [u, v] : edges) {
+      const Time m = rng.uniform(0, 9);
+      app.add_edge(u, v, m);
+      reference[{u, v}] = m;
+    }
+    for (int step = 0; step < 200 && !edges.empty(); ++step) {
+      const auto [u, v] = edges[rng.index(edges.size())];
+      const Time m = rng.uniform(0, 50);
+      app.set_message(u, v, m);
+      reference[{u, v}] = m;
+    }
+    EXPECT_THROW(app.set_message(0, 0, 1), ModelError);
+
+    std::size_t seen = 0;
+    for (TaskId i = 0; i < app.num_tasks(); ++i) {
+      const auto succ_msg = app.successor_messages(i);
+      ASSERT_EQ(succ_msg.size(), app.successors(i).size());
+      for (std::size_t k = 0; k < succ_msg.size(); ++k) {
+        const TaskId j = app.successors(i)[k];
+        EXPECT_EQ(succ_msg[k], reference.at({i, j}));
+        EXPECT_EQ(app.message(i, j), reference.at({i, j}));
+        ++seen;
+      }
+      const auto pred_msg = app.predecessor_messages(i);
+      ASSERT_EQ(pred_msg.size(), app.predecessors(i).size());
+      for (std::size_t k = 0; k < pred_msg.size(); ++k) {
+        EXPECT_EQ(pred_msg[k], reference.at({app.predecessors(i)[k], i}));
+      }
+    }
+    EXPECT_EQ(seen, reference.size()) << "seed " << seed;
+  }
 }
 
 }  // namespace

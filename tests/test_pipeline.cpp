@@ -19,6 +19,7 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/report.hpp"
 #include "src/core/session.hpp"
+#include "src/model/io.hpp"
 #include "src/obs/trace.hpp"
 #include "src/verify/certificate.hpp"
 #include "src/workload/paper_example.hpp"
@@ -242,6 +243,7 @@ TEST(LintGate, RefusalPoliciesMatchTheDocumentedSets) {
   }
   const LintResult structural = error("RTLB-E001");
   const LintResult semantic = error("RTLB-E101");
+  const LintResult overflow = error("RTLB-E310");
 
   // kOff never refuses here: validate() owns structural safety on that path.
   EXPECT_FALSE(lint_gate_refuses(structural, LintLevel::kOff));
@@ -249,12 +251,70 @@ TEST(LintGate, RefusalPoliciesMatchTheDocumentedSets) {
   EXPECT_TRUE(lint_gate_refuses(structural, LintLevel::kReport));
   EXPECT_FALSE(lint_gate_refuses(semantic, LintLevel::kReport));
   EXPECT_FALSE(lint_gate_refuses(warning_only, LintLevel::kReport));
+  // ...plus a proved window overflow, at every level but kOff.
+  EXPECT_FALSE(lint_gate_refuses(overflow, LintLevel::kOff));
+  EXPECT_TRUE(lint_gate_refuses(overflow, LintLevel::kReport));
+  EXPECT_TRUE(lint_gate_refuses(overflow, LintLevel::kErrors));
   // kErrors refuses any error-severity finding; warnings pass.
   EXPECT_TRUE(lint_gate_refuses(semantic, LintLevel::kErrors));
   EXPECT_FALSE(lint_gate_refuses(warning_only, LintLevel::kErrors));
   // kWarnings refuses warnings too.
   EXPECT_TRUE(lint_gate_refuses(warning_only, LintLevel::kWarnings));
   EXPECT_FALSE(lint_gate_refuses(LintResult{}, LintLevel::kWarnings));
+}
+
+TEST(LintGate, ProvedOverflowNeverReachesTheWindowsStage) {
+  // Each hop adds comp = INT64_MAX/4 along a 7-task chain: absint proves the
+  // window sums overflow (RTLB-E310), so kReport must refuse before kWindows.
+  std::string text = "proctype CPU cost 5\n";
+  for (int k = 0; k < 7; ++k) {
+    text += "task c" + std::to_string(k) +
+            " comp 2305843009213693951 rel 0 deadline 2305843009213693951 proc CPU\n";
+    if (k > 0) {
+      text += "edge c" + std::to_string(k - 1) + " c" + std::to_string(k) + " msg 1\n";
+    }
+  }
+  const ProblemInstance inst = parse_instance_string(text, ParseOptions{.validate = false});
+  AnalysisOptions options;
+  options.lint_level = LintLevel::kReport;
+  Trace trace;
+  options.trace = &trace;
+  EXPECT_THROW(run_pipeline(*inst.app, options), LintGateError);
+  for (const TraceSpan& span : trace.spans()) {
+    EXPECT_NE(span.name, stage_name(Stage::kWindows));
+  }
+}
+
+TEST(LintGate, FreshLintHandsItsWindowsToTheWindowsStage) {
+  // The gate's windows are reused only when they come from the oracle
+  // kWindows would pick; every combination must match the kOff run, which
+  // computes its own windows.
+  for (const Config& cfg : kConfigs) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ProblemInstance inst = corpus_instance(seed);
+      const DedicatedPlatform* platform = cfg.platform ? &inst.platform : nullptr;
+      AnalysisOptions options;
+      options.model = cfg.model;
+      options.emit_certificates = true;
+      const AnalysisResult cold = run_pipeline(*inst.app, options, platform);
+      Trace trace;
+      options.lint_level = LintLevel::kReport;
+      options.trace = &trace;
+      const AnalysisResult gated = run_pipeline(*inst.app, options, platform);
+      EXPECT_EQ(gated.windows, cold.windows) << "seed " << seed;
+      EXPECT_EQ(certificate_json(*gated.certificate).dump(),
+                certificate_json(*cold.certificate).dump())
+          << "seed " << seed;
+      std::int64_t from_lint = 0;
+      for (const TraceSpan& span : trace.spans()) {
+        for (const TraceCounter& c : span.counters) {
+          if (c.name == "from_lint") from_lint += c.value;
+        }
+      }
+      const bool same_oracle = (cfg.model == SystemModel::Dedicated) == cfg.platform;
+      EXPECT_EQ(from_lint, same_oracle ? 1 : 0) << "seed " << seed;
+    }
+  }
 }
 
 TEST(BoundIndex, BinarySearchMatchesLinearScanIncludingMisses) {

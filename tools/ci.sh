@@ -179,6 +179,17 @@ else
   echo "ci.sh: jq not on PATH; skipping the workload bench schema check" >&2
 fi
 
+# Benchmark smoke: perfbench/smoke.py builds the benchmark package against
+# this tree and runs every workload for one second, untraced and traced,
+# checking each output against perfbench/golden.json. An API change that
+# breaks the benchmark build or its golden digests fails this gate instead
+# of a later benchmark run. DEFAULT-ON; RTLB_CI_PERFBENCH=0 skips it loudly.
+if [ "${RTLB_CI_PERFBENCH:-1}" = "0" ]; then
+  echo "ci.sh: perfbench smoke leg SKIPPED (RTLB_CI_PERFBENCH=0) -- benchmark build and golden digests NOT checked" >&2
+else
+  python3 perfbench/smoke.py
+fi
+
 # Committed golden certificate stays in sync with the checker.
 "$BUILD_DIR/tools/rtlb_check" examples/instances/paper.rtlb \
   examples/certificates/paper_dedicated.cert.json
