@@ -78,20 +78,23 @@ ProblemInstance engine_workload(std::size_t background, std::size_t burst,
   return inst;
 }
 
-/// Serial-vs-parallel (and pruned) engine comparison on the workload above;
-/// prints a table and records it as BENCH_lower_bound.json. Every config
-/// must reproduce the serial engine's bound and peak density exactly; the
-/// full ResourceBound (witness and intervals_evaluated included) must be
-/// bit-identical to the serial run WITH THE SAME pruning setting -- that is
-/// the determinism guarantee (pruning itself may legitimately pick a
-/// different equally-dense witness on an exact tie).
-void lower_bound_engine_report() {
-  std::printf("== Lower-bound engine: serial vs parallel vs pruned ==\n");
-  const std::size_t background = 600, burst = 18;
-  ProblemInstance inst = engine_workload(background, burst, 71);
-  SharedMergeOracle oracle;
-  const TaskWindows w = compute_windows(*inst.app, oracle);
 
+/// Serial-vs-parallel (and pruned) engine comparison on one workload:
+/// prints a table and returns the rows for BENCH_lower_bound.json.
+/// Every config must reproduce the serial engine's bound and peak density
+/// exactly; the full ResourceBound (witness and intervals_evaluated
+/// included) must be bit-identical to the serial run WITH THE SAME pruning
+/// setting -- that is the determinism guarantee (pruning itself may
+/// legitimately pick a different equally-dense witness on an exact tie).
+/// Times are best-of-`reps`.
+struct EngineRows {
+  double serial_ms = 0.0;
+  Json configs;
+};
+
+EngineRows engine_configs(const char* title, const Application& app, const TaskWindows& w,
+                    int reps, const char* csv_name) {
+  std::printf("== Lower-bound engine: serial vs parallel vs pruned (%s) ==\n", title);
   struct Config {
     const char* name;
     int threads;
@@ -125,8 +128,8 @@ void lower_bound_engine_report() {
                    c.name, requested, hw);
     }
     std::vector<ResourceBound> bounds;
-    const double ms = benchutil::time_ms(
-        [&] { bounds = all_resource_bounds(*inst.app, w, opts); }, 2);
+    const double ms =
+        benchutil::time_ms([&] { bounds = all_resource_bounds(app, w, opts); }, reps);
     if (reference.empty()) {
       reference = bounds;
       serial_ms = ms;
@@ -151,10 +154,11 @@ void lower_bound_engine_report() {
     // engine, so it must not publish a speedup number at all -- a "54x"
     // headline from a row recorded on fewer hardware threads than workers
     // is noise dressed up as a result. The JSON carries null plus the
-    // reason; the table prints n/a.
+    // reason (the key is always present, null on honest rows, so the key
+    // schema does not depend on the machine); the table prints n/a.
     const double speedup = ms > 0 ? serial_ms / ms : 0.0;
     char ms_s[32], sp_s[32];
-    std::snprintf(ms_s, sizeof ms_s, "%.1f", ms);
+    std::snprintf(ms_s, sizeof ms_s, "%.3f", ms);
     if (degraded) {
       std::snprintf(sp_s, sizeof sp_s, "n/a (degraded)");
     } else {
@@ -174,7 +178,7 @@ void lower_bound_engine_report() {
                std::to_string(requested) + " workers oversubscribe " +
                    std::to_string(hw) + " hardware threads");
     } else {
-      entry.set("speedup_vs_serial", speedup);
+      entry.set("speedup_vs_serial", speedup).set("speedup_excluded_reason", Json());
     }
     entry.set("intervals_evaluated", static_cast<std::int64_t>(intervals))
         .set("bounds_equal_serial", equal)
@@ -182,11 +186,34 @@ void lower_bound_engine_report() {
         .set("degraded", degraded);
     entries.push(std::move(entry));
   }
-  benchutil::export_csv(t, "lower_bound_engine");
+  benchutil::export_csv(t, csv_name);
   std::printf("%s(every config reproduces the serial bound and peak density; configs\n"
               " with the same pruning setting are bit-identical incl. witness and\n"
               " intervals_evaluated -- the thread-count determinism guarantee)\n\n",
               t.to_string().c_str());
+  return {serial_ms, std::move(entries)};
+}
+
+/// BENCH_lower_bound.json: the engine comparison on the contention workload
+/// above, and on the 192-task bench_pipeline instance (seed 61, laxity 1.3,
+/// shared model windows), whose bound stage is the pipeline's largest.
+void lower_bound_engine_report() {
+  const int reps = benchutil::rep_count(5);
+  const std::size_t background = 600, burst = 18;
+  ProblemInstance inst = engine_workload(background, burst, 71);
+  SharedMergeOracle oracle;
+  const TaskWindows w = compute_windows(*inst.app, oracle);
+  EngineRows contention =
+      engine_configs("contention workload", *inst.app, w, reps, "lower_bound_engine");
+
+  WorkloadParams params;
+  params.seed = 61;
+  params.num_tasks = 192;
+  params.laxity = 1.3;
+  ProblemInstance pipeline = generate_workload(params);
+  const TaskWindows pw = compute_windows(*pipeline.app, oracle);
+  EngineRows pipeline_rows = engine_configs("192-task bench_pipeline instance", *pipeline.app,
+                                         pw, reps, "lower_bound_engine_pipeline");
 
   Json root = Json::object();
   Json workload = Json::object();
@@ -194,12 +221,23 @@ void lower_bound_engine_report() {
       .set("background_tasks", static_cast<std::int64_t>(background))
       .set("burst_tasks", static_cast<std::int64_t>(burst))
       .set("resources", static_cast<std::int64_t>(inst.catalog->size()));
+  Json pipeline_workload = Json::object();
+  pipeline_workload.set("tasks", static_cast<std::int64_t>(pipeline.app->num_tasks()))
+      .set("seed", static_cast<std::int64_t>(params.seed))
+      .set("laxity", params.laxity)
+      .set("resources", static_cast<std::int64_t>(pipeline.catalog->size()));
+  Json pipeline_entry = Json::object();
+  pipeline_entry.set("workload", std::move(pipeline_workload))
+      .set("serial_ms", pipeline_rows.serial_ms)
+      .set("configs", std::move(pipeline_rows.configs));
   root.set("bench", "bench_contention lower-bound engine comparison")
+      .set("reps", static_cast<std::int64_t>(reps))
       .set("workload", std::move(workload))
       .set("hardware_concurrency",
            static_cast<std::int64_t>(std::jthread::hardware_concurrency()))
-      .set("serial_ms", serial_ms)
-      .set("configs", std::move(entries));
+      .set("serial_ms", contention.serial_ms)
+      .set("configs", std::move(contention.configs))
+      .set("pipeline_instance", std::move(pipeline_entry));
   benchutil::export_json(root, "BENCH_lower_bound");
 }
 

@@ -20,7 +20,6 @@
 // leg stays cheap while the schema stays intact).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -30,14 +29,6 @@
 using namespace rtlb;
 
 namespace {
-
-int rep_count() {
-  if (const char* env = std::getenv("RTLB_BENCH_REPS")) {
-    const int reps = std::atoi(env);
-    if (reps > 0) return reps;
-  }
-  return 5;
-}
 
 ScenarioSpec bench_spec(std::size_t instances_per_cell) {
   ScenarioSpec spec = ScenarioSpec::from_text(R"({
@@ -62,7 +53,7 @@ struct Row {
 };
 
 void fleet_throughput_report() {
-  const int reps = rep_count();
+  const int reps = benchutil::rep_count(5);
   // Full reps measure 24 cells x 25 = 600 instances per rep; CI smoke
   // (reps == 1) scales down to 120 so the leg costs a couple of seconds.
   const std::size_t per_cell = reps > 1 ? 25 : 5;

@@ -67,14 +67,6 @@ double time_once_ms(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-int rep_count() {
-  if (const char* env = std::getenv("RTLB_BENCH_REPS")) {
-    const int reps = std::atoi(env);
-    if (reps > 0) return reps;
-  }
-  return 9;
-}
-
 /// True (with a stderr warning) when the options ask for more workers than
 /// the machine has -- the timings then measure oversubscription.
 bool check_degraded(int num_threads) {
@@ -98,7 +90,7 @@ void run_report() {
   AnalysisOptions options;
   options.lower_bound.enable_pruning = true;
 
-  const int reps = rep_count();
+  const int reps = benchutil::rep_count(9);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const bool degraded = check_degraded(options.lower_bound.num_threads);
 

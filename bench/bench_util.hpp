@@ -41,6 +41,16 @@ inline void export_json(const Json& root, const char* name) {
   std::printf("[json] wrote %s\n", path.c_str());
 }
 
+/// Repetitions per measurement: RTLB_BENCH_REPS when set to a positive
+/// integer (the CI smoke legs use 1), else `fallback`.
+inline int rep_count(int fallback) {
+  if (const char* env = std::getenv("RTLB_BENCH_REPS")) {
+    const int reps = std::atoi(env);
+    if (reps > 0) return reps;
+  }
+  return fallback;
+}
+
 /// Best-of-`reps` wall-clock milliseconds of fn().
 template <typename Fn>
 double time_ms(Fn&& fn, int reps = 3) {

@@ -25,7 +25,6 @@
 // is rep-independent so the committed JSON's key paths stay stable.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -37,14 +36,6 @@
 using namespace rtlb;
 
 namespace {
-
-int rep_count() {
-  if (const char* env = std::getenv("RTLB_BENCH_REPS")) {
-    const int reps = std::atoi(env);
-    if (reps > 0) return reps;
-  }
-  return 5;
-}
 
 const char* kind_name(ReleaseKind kind) {
   return kind == ReleaseKind::kSporadic ? "sporadic" : "periodic";
@@ -202,7 +193,7 @@ Json tightness(int /*reps*/) {
 }  // namespace
 
 int main() {
-  const int reps = rep_count();
+  const int reps = benchutil::rep_count(5);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   Json root = Json::object();

@@ -26,15 +26,20 @@ std::vector<std::string> split(std::string_view s, char delim) {
 }
 
 std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
+  std::vector<std::string_view> views;
+  split_ws_views(s, views);
+  return {views.begin(), views.end()};
+}
+
+void split_ws_views(std::string_view s, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     std::size_t start = i;
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    if (i > start) out.push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

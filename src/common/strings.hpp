@@ -16,6 +16,10 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Split on arbitrary whitespace runs; empty fields are dropped.
 std::vector<std::string> split_ws(std::string_view s);
 
+/// split_ws into views of `s`, reusing `out`'s storage: no allocation once
+/// `out` has grown (the instance parser tokenizes every line this way).
+void split_ws_views(std::string_view s, std::vector<std::string_view>& out);
+
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 

@@ -24,8 +24,10 @@ constexpr std::uint64_t kPairsPerUnit = 4096;
 /// faster than serial+prune. Pruned units are therefore sized by the number
 /// of pairs that survive the probe floor (see plan_block_units), which
 /// spreads the real work evenly. The grain is smaller than kPairsPerUnit
-/// because surviving pairs all pay a full Theta evaluation, where nominal
-/// pairs are mostly a single pruned comparison.
+/// because surviving pairs all pay a Theta evaluation (a RowSweep step plus
+/// their row's share of its setup), where nominal pairs are mostly a single
+/// pruned comparison. Unit boundaries reset the unit's own prune incumbent,
+/// so both grains are part of the intervals_evaluated contract.
 constexpr std::uint64_t kSurvivingPairsPerUnit = 256;
 
 /// What one unit (or a block's probe pass) reports back; merged in
@@ -50,10 +52,11 @@ void fold_unit(UnitResult& acc, const UnitResult& r) {
   }
 }
 
-/// One partition block prepared for scanning: its task set, the sorted
-/// unique candidate endpoints {E_i, L_i}, the block's total computation
-/// time (an upper bound on Theta over ANY interval), and -- when pruning is
-/// on -- the probe result that seeds every unit's prune floor.
+/// One partition block: its task set (add_block) and, once prepare_scan has
+/// run, the sorted unique candidate endpoints {E_i, L_i}, the block's total
+/// computation time (an upper bound on Theta over ANY interval), and --
+/// when pruning is on -- the probe result that seeds every unit's prune
+/// floor.
 struct BlockScan {
   std::vector<TaskId> tasks;
   std::vector<Time> points;
@@ -75,6 +78,14 @@ struct BlockScan {
   std::vector<Time> comp_by_est, est_by_est, lct_by_est;
   std::vector<char> preemptive_by_est;
   Time max_window = 0;  ///< max over tasks of L_i - E_i
+  /// Per task in *_by_est order, the index in `points` of E_i and of L_i,
+  /// and the first index whose point is > L_i - C_i (RowSweep's fixed
+  /// breakpoints).
+  std::vector<std::size_t> k_est, k_lct, k_slack;
+  /// Whether scan rows take RowSweep: the total demand did not saturate
+  /// (so every Theta fits in Time) and no C_i is negative (Psi = C_i < 0
+  /// has no ramp form). Otherwise every pair goes through demand_flat.
+  bool sweep = false;
 };
 
 /// Theta over a block from its flat arrays; value-identical to
@@ -137,6 +148,109 @@ Time demand_flat(const BlockScan& block, Time t1, Time t2) {
   return sum;
 }
 
+/// Theta(t1, ·) along one scan row, from each task's breakpoints instead of
+/// a sum per pair.
+///
+/// Fix t1 and let h_i = C_i - max(0, t1 - E_i). For every t2 > t1,
+/// Theorems 3 and 4 reduce to Psi(i, t1, t2) = [t2 > E_i] *
+/// clamp(t2 - s_i, 0, h_i), with s_i = L_i - h_i for a preemptive task and
+/// s_i = max(L_i - C_i, t1) for a non-preemptive one; the term is 0 for
+/// every t2 when h_i <= 0 or L_i <= t1. Each term is thus a ramp of slope 1
+/// from s_i to q_i = s_i + h_i, cut off at or before E_i (when s_i < E_i,
+/// which only a window narrower than C_i allows, the cut is a jump).
+///
+/// The row's right endpoints are the block's sorted candidate points, so a
+/// ramp enters Theta at the first candidate past max(s_i, E_i) with slope 1
+/// and offset -s_i, and leaves it at the first candidate past q_i with
+/// slope -1 and offset +q_i. start() records those slope and offset changes
+/// per candidate index; next() then walks the row as two running sums:
+/// Theta(t1, t2) = slope * t2 + offset. Most breakpoints (E_i, L_i,
+/// L_i - C_i) sit at indices fixed per block (BlockScan::k_*); only the
+/// ramps of tasks that start before t1 need a binary search. A row costs
+/// O(tasks + candidates) instead of O(candidates * tasks).
+///
+/// Arithmetic: breakpoints, offsets and the running sums are __int128 (n
+/// terms of magnitude < 2^65); the result is exactly Theta, which lies in
+/// [0, total_demand] and so fits in Time on a block with BlockScan::sweep.
+class RowSweep {
+ public:
+  /// Start the row at t1 over the candidates [first, end), where `first`
+  /// is the first candidate point > t1.
+  void start(const BlockScan& block, Time t1, std::size_t first, std::size_t end) {
+    slope_.resize(block.points.size());
+    offset_.resize(block.points.size());
+    std::fill(slope_.begin() + static_cast<std::ptrdiff_t>(first),
+              slope_.begin() + static_cast<std::ptrdiff_t>(end), 0);
+    std::fill(offset_.begin() + static_cast<std::ptrdiff_t>(first),
+              offset_.begin() + static_cast<std::ptrdiff_t>(end), 0);
+    const EstRange range = est_range(block, t1, block.points[end - 1]);
+    for (std::size_t i = range.begin; i < range.end; ++i) add(block, i, t1, first, end);
+    next_ = first;
+    slope_sum_ = 0;
+    offset_sum_ = 0;
+  }
+
+  /// Theta(t1, t2) for t2 = points[first], points[first + 1], ... in turn.
+  Time next(Time t2) {
+    slope_sum_ += slope_[next_];
+    offset_sum_ += offset_[next_];
+    ++next_;
+    return static_cast<Time>(static_cast<__int128>(slope_sum_) * t2 + offset_sum_);
+  }
+
+ private:
+  void add(const BlockScan& block, std::size_t i, Time t1, std::size_t first,
+           std::size_t end) {
+    const __int128 e = block.est_by_est[i];
+    const __int128 l = block.lct_by_est[i];
+    const __int128 c = block.comp_by_est[i];
+    if (l <= t1) return;
+    const __int128 h = e >= t1 ? c : c - (t1 - e);
+    if (h <= 0) return;
+    // Ramp [s, q] and the candidate indices it enters and leaves at.
+    const auto search = [&](__int128 pos) {
+      return static_cast<std::size_t>(
+          std::upper_bound(block.points.begin() + static_cast<std::ptrdiff_t>(first),
+                           block.points.begin() + static_cast<std::ptrdiff_t>(end), pos,
+                           [](__int128 v, Time p) { return v < p; }) -
+          block.points.begin());
+    };
+    const std::size_t after_l = block.k_lct[i] + 1;
+    __int128 s, q;
+    std::size_t enter, leave;
+    if (block.preemptive_by_est[i]) {
+      s = l - h;
+      q = l;
+      enter = e >= t1 ? block.k_slack[i] : search(s);
+      leave = after_l;
+    } else if (l - c >= t1) {
+      s = l - c;
+      q = s + h;
+      enter = block.k_slack[i];
+      leave = e >= t1 ? after_l : search(q);
+    } else {
+      s = t1;
+      q = s + h;
+      enter = first;
+      leave = search(q);
+    }
+    enter = std::max({enter, block.k_est[i] + 1, first});
+    if (enter >= end) return;
+    slope_[enter] += 1;
+    offset_[enter] -= s;
+    leave = std::max(leave, enter);
+    if (leave >= end) return;
+    slope_[leave] -= 1;
+    offset_[leave] += q;
+  }
+
+  std::vector<std::int64_t> slope_;
+  std::vector<__int128> offset_;
+  std::size_t next_ = 0;
+  std::int64_t slope_sum_ = 0;
+  __int128 offset_sum_ = 0;
+};
+
 /// A chunk of consecutive left endpoints [l_begin, l_end) of one block.
 struct ScanUnit {
   std::size_t block = 0;
@@ -156,10 +270,7 @@ struct ScanPlan {
 /// block's true peak that every unit can prune against from its first row --
 /// crucial because units scan with fresh incumbents. Runs once per block,
 /// deterministically, so results stay thread-count independent.
-UnitResult probe_block(const Application& app, const TaskWindows& windows,
-                       const BlockScan& block) {
-  (void)app;
-  (void)windows;
+UnitResult probe_block(const BlockScan& block) {
   UnitResult res;
   for (std::size_t k = 0; k < block.tasks.size(); ++k) {
     const Time t1 = block.est[k];
@@ -178,15 +289,24 @@ UnitResult probe_block(const Application& app, const TaskWindows& windows,
   return res;
 }
 
-/// Append one block (geometry only) to the plan. Scan units are built later
-/// by plan_block_units, AFTER the pruning probe has run, because pruned
-/// units are sized by how much work survives the probe floor. The probe is
-/// not run here either -- callers that scan the block run it themselves (the
-/// cached query path skips it entirely on a cache hit).
-void add_block(ScanPlan& plan, const Application& app, const TaskWindows& windows,
-               std::vector<TaskId> tasks) {
+/// Append one block to the plan: its task set only. prepare_scan fills in
+/// what a scan reads, and the cached query path never prepares its cache
+/// hits (their lookup key comes from the model directly).
+void add_block(ScanPlan& plan, std::vector<TaskId> tasks) {
   if (tasks.empty()) return;
   BlockScan block;
+  block.tasks = std::move(tasks);
+  plan.blocks.push_back(std::move(block));
+}
+
+/// Fill in everything a scan of `block` reads: the candidate points, the
+/// flat arrays in block and EST order, the total demand, RowSweep's fixed
+/// breakpoint indices, and -- with pruning -- the probe. Scan units are
+/// planned afterwards (plan_block_units), because pruned units are sized by
+/// how much work survives the probe floor.
+void prepare_scan(BlockScan& block, const Application& app, const TaskWindows& windows,
+                  bool pruning) {
+  const std::vector<TaskId>& tasks = block.tasks;
   block.points.reserve(tasks.size() * 2);
   block.comp.reserve(tasks.size());
   block.est.reserve(tasks.size());
@@ -226,8 +346,45 @@ void add_block(ScanPlan& plan, const Application& app, const TaskWindows& window
     block.lct_by_est.push_back(block.lct[k]);
     block.preemptive_by_est.push_back(block.preemptive[k]);
   }
-  block.tasks = std::move(tasks);
-  plan.blocks.push_back(std::move(block));
+  block.sweep = block.total_demand != std::numeric_limits<Time>::max();
+  const auto index_of = [&](Time t) {
+    return static_cast<std::size_t>(
+        std::lower_bound(block.points.begin(), block.points.end(), t) - block.points.begin());
+  };
+  for (std::size_t i = 0; i < by_est.size(); ++i) {
+    const __int128 slack_start =
+        static_cast<__int128>(block.lct_by_est[i]) - block.comp_by_est[i];
+    block.k_est.push_back(index_of(block.est_by_est[i]));
+    block.k_lct.push_back(index_of(block.lct_by_est[i]));
+    block.k_slack.push_back(static_cast<std::size_t>(
+        std::upper_bound(block.points.begin(), block.points.end(), slack_start,
+                         [](__int128 v, Time p) { return v < p; }) -
+        block.points.begin()));
+    block.sweep = block.sweep && block.comp_by_est[i] >= 0;
+  }
+  if (pruning) block.probe = probe_block(block);
+}
+
+/// One past the last right endpoint of row l that survives the scan_unit
+/// floor test against the block's probe alone (all of them without
+/// pruning). The width grows along the row, so the survivors are the prefix
+/// [l + 1, row_end) and one binary search finds it; the unit's own
+/// incumbent can only cut the row earlier.
+std::size_t row_end(const BlockScan& block, std::size_t l, bool pruning) {
+  const std::size_t n = block.points.size();
+  if (!pruning) return n;
+  const Ratio& floor = block.probe.peak;
+  std::size_t lo = l + 1;
+  std::size_t hi = n;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (Ratio{block.total_demand, block.points[mid] - block.points[l]} > floor) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 /// Build the scan units of block `block_index` and append them to the plan.
@@ -254,25 +411,8 @@ void add_block(ScanPlan& plan, const Application& app, const TaskWindows& window
 void plan_block_units(ScanPlan& plan, std::size_t block_index, bool pruning) {
   const BlockScan& block = plan.blocks[block_index];
   const std::size_t n = block.points.size();
-  const Ratio floor = block.probe.peak;
   const auto surviving_pairs = [&](std::size_t l) -> std::uint64_t {
-    if (!pruning) return static_cast<std::uint64_t>(n - 1 - l);
-    // First k > l whose pair fails the scan_unit floor test; survivors are
-    // the prefix [l + 1, k).
-    std::size_t lo = l + 1;
-    std::size_t hi = n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      const Time width = block.points[mid] - block.points[l];
-      const bool survives = static_cast<__int128>(block.total_demand) * floor.den >
-                            static_cast<__int128>(floor.num) * width;
-      if (survives) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return static_cast<std::uint64_t>(lo - (l + 1));
+    return static_cast<std::uint64_t>(row_end(block, l, pruning) - (l + 1));
   };
   const std::uint64_t grain = pruning ? kSurvivingPairsPerUnit : kPairsPerUnit;
   std::size_t l = 0;
@@ -293,43 +433,43 @@ void plan_all_units(ScanPlan& plan, bool pruning) {
   for (std::size_t b = 0; b < plan.blocks.size(); ++b) plan_block_units(plan, b, pruning);
 }
 
-/// Run the pruning probe of every block in `plan` (cold-path behaviour; the
-/// cached path probes only its cache misses).
-void probe_all_blocks(ScanPlan& plan, const Application& app, const TaskWindows& windows) {
-  for (BlockScan& block : plan.blocks) block.probe = probe_block(app, windows, block);
+/// prepare_scan every block of `plan`, then plan the scan units (the cold
+/// path scans every block).
+void prepare_plan(ScanPlan& plan, const Application& app, const TaskWindows& windows,
+                  bool pruning) {
+  for (BlockScan& block : plan.blocks) prepare_scan(block, app, windows, pruning);
+  plan_all_units(plan, pruning);
 }
 
 ScanPlan make_plan(const Application& app, const TaskWindows& windows, ResourceId r,
-                   const LowerBoundOptions& opts, bool run_probes) {
+                   const LowerBoundOptions& opts, bool prepare) {
   ScanPlan plan;
   std::vector<TaskId> st = app.tasks_using(r);
   if (st.empty()) return plan;
   if (opts.use_partitioning) {
     ResourcePartition partition = partition_tasks(app, windows, r);
     for (PartitionBlock& block : partition.blocks) {
-      add_block(plan, app, windows, std::move(block.tasks));
+      add_block(plan, std::move(block.tasks));
     }
   } else {
-    add_block(plan, app, windows, std::move(st));
+    add_block(plan, std::move(st));
   }
-  if (run_probes) {
-    if (opts.enable_pruning) probe_all_blocks(plan, app, windows);
-    plan_all_units(plan, opts.enable_pruning);
-  }
-  // run_probes=false (the cached query path): units are NOT built here --
-  // the caller builds them after it has resolved probes for its cache
+  // prepare=false (the cached query path): blocks are NOT prepared and no
+  // units are built here -- the caller prepares and plans only its cache
   // misses, so pruned unit sizing sees the same floors as the cold path.
+  if (prepare) prepare_plan(plan, app, windows, opts.enable_pruning);
   return plan;
 }
 
-UnitResult scan_unit(const Application& app, const TaskWindows& windows,
-                     const BlockScan& block, const ScanUnit& unit, bool prune) {
-  (void)app;
-  (void)windows;
+UnitResult scan_unit(const BlockScan& block, const ScanUnit& unit, bool prune) {
   UnitResult res;
+  RowSweep sweep;
   for (std::size_t l = unit.l_begin; l < unit.l_end; ++l) {
-    for (std::size_t k = l + 1; k < block.points.size(); ++k) {
-      const Time t1 = block.points[l];
+    const Time t1 = block.points[l];
+    const std::size_t end = row_end(block, l, prune);
+    if (end == l + 1) continue;
+    if (block.sweep) sweep.start(block, t1, l + 1, end);
+    for (std::size_t k = l + 1; k < end; ++k) {
       const Time t2 = block.points[k];
       // Theta <= total_demand, and the width only grows with k, so once the
       // best-possible density cannot strictly beat the prune floor neither
@@ -342,7 +482,7 @@ UnitResult scan_unit(const Application& app, const TaskWindows& windows,
             block.probe.peak > res.peak ? block.probe.peak : res.peak;
         if (!(Ratio{block.total_demand, t2 - t1} > floor)) break;
       }
-      const Time theta = demand_flat(block, t1, t2);
+      const Time theta = block.sweep ? sweep.next(t2) : demand_flat(block, t1, t2);
       ++res.evaluated;
       if (Ratio{theta, t2 - t1} > res.peak) {
         res.peak = Ratio{theta, t2 - t1};
@@ -358,12 +498,10 @@ UnitResult scan_unit(const Application& app, const TaskWindows& windows,
 
 /// Execute every unit of `plan`, serially or across a pool. Each unit writes
 /// its own slot, so execution order is irrelevant to the merged result.
-std::vector<UnitResult> execute_plan(const Application& app, const TaskWindows& windows,
-                                     const ScanPlan& plan, const LowerBoundOptions& opts) {
+std::vector<UnitResult> execute_plan(const ScanPlan& plan, const LowerBoundOptions& opts) {
   std::vector<UnitResult> results(plan.units.size());
   auto run_one = [&](std::size_t i) {
-    results[i] = scan_unit(app, windows, plan.blocks[plan.units[i].block], plan.units[i],
-                           opts.enable_pruning);
+    results[i] = scan_unit(plan.blocks[plan.units[i].block], plan.units[i], opts.enable_pruning);
   };
   const unsigned workers =
       opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
@@ -422,8 +560,8 @@ ResourceBound merge_units(const Application& app, const TaskWindows& windows,
 
 ResourceBound resource_lower_bound(const Application& app, const TaskWindows& windows,
                                    ResourceId r, const LowerBoundOptions& opts) {
-  const ScanPlan plan = make_plan(app, windows, r, opts, /*run_probes=*/true);
-  ResourceBound out = merge_units(app, windows, plan, execute_plan(app, windows, plan, opts));
+  const ScanPlan plan = make_plan(app, windows, r, opts, /*prepare=*/true);
+  ResourceBound out = merge_units(app, windows, plan, execute_plan(plan, opts));
   out.resource = r;
   return out;
 }
@@ -442,16 +580,15 @@ ResourceBound density_bound_over(const Application& app, const TaskWindows& wind
   Time block_finish = kTimeMin;
   for (TaskId i : tasks) {
     if (!block.empty() && windows.est[i] >= block_finish) {
-      add_block(plan, app, windows, std::move(block));
+      add_block(plan, std::move(block));
       block.clear();
     }
     block.push_back(i);
     block_finish = std::max(block_finish, windows.lct[i]);
   }
-  add_block(plan, app, windows, std::move(block));
-  if (opts.enable_pruning) probe_all_blocks(plan, app, windows);
-  plan_all_units(plan, opts.enable_pruning);
-  return merge_units(app, windows, plan, execute_plan(app, windows, plan, opts));
+  add_block(plan, std::move(block));
+  prepare_plan(plan, app, windows, opts.enable_pruning);
+  return merge_units(app, windows, plan, execute_plan(plan, opts));
 }
 
 std::vector<ResourceBound> all_resource_bounds(const Application& app,
@@ -461,7 +598,7 @@ std::vector<ResourceBound> all_resource_bounds(const Application& app,
   std::vector<ScanPlan> plans;
   plans.reserve(resources.size());
   for (ResourceId r : resources) {
-    plans.push_back(make_plan(app, windows, r, opts, /*run_probes=*/true));
+    plans.push_back(make_plan(app, windows, r, opts, /*prepare=*/true));
   }
 
   // Pool the scan units of every resource into one flat work list so a
@@ -479,7 +616,7 @@ std::vector<ResourceBound> all_resource_bounds(const Application& app,
   auto run_one = [&](std::size_t i) {
     const ScanPlan& plan = plans[work[i].plan];
     const ScanUnit& unit = plan.units[work[i].unit];
-    results[i] = scan_unit(app, windows, plan.blocks[unit.block], unit, opts.enable_pruning);
+    results[i] = scan_unit(plan.blocks[unit.block], unit, opts.enable_pruning);
   };
   const unsigned workers =
       opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
@@ -559,13 +696,13 @@ std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
   std::vector<ScanPlan> plans;
   plans.reserve(resources.size());
   for (ResourceId r : resources) {
-    plans.push_back(make_plan(app, windows, r, opts, /*run_probes=*/false));
+    plans.push_back(make_plan(app, windows, r, opts, /*prepare=*/false));
   }
 
-  // Resolve every block against the cache. Misses get their pruning probe
-  // computed here (the cold path runs it inside make_plan) and their scan
-  // units queued; hits are materialized as values so later cache maintenance
-  // can never invalidate them.
+  // Resolve every block against the cache. Misses are prepared here (the
+  // cold path prepares every block inside make_plan) and their scan units
+  // queued; hits are materialized as values so later cache maintenance can
+  // never invalidate them, and are never prepared at all.
   struct GlobalUnit {
     std::size_t plan;
     std::size_t unit;
@@ -577,7 +714,6 @@ std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
   std::vector<std::vector<BlockScanCache::Key>> keys(plans.size());
   std::vector<std::vector<UnitResult>> probes(plans.size());
   std::vector<std::vector<UnitResult>> scans(plans.size());
-  std::vector<std::vector<char>> missed(plans.size());
   std::vector<BlockRef> miss_list;
   std::vector<GlobalUnit> work;
   for (std::size_t p = 0; p < plans.size(); ++p) {
@@ -585,7 +721,6 @@ std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
     keys[p].resize(num_blocks);
     probes[p].resize(num_blocks);
     scans[p].resize(num_blocks);
-    missed[p].assign(num_blocks, 0);
     for (std::size_t b = 0; b < num_blocks; ++b) {
       BlockScan& block = plans[p].blocks[b];
       BlockScanCache::Key& key = keys[p][b];
@@ -605,21 +740,15 @@ std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
         scans[p][b] = it->second.scan;
       } else {
         ++cache.misses_;
-        missed[p][b] = 1;
         miss_list.push_back({p, b});
-        if (opts.enable_pruning) block.probe = probe_block(app, windows, block);
+        prepare_scan(block, app, windows, opts.enable_pruning);
         probes[p][b] = block.probe;
+        // The block's own probe floor sizes its units exactly as on the
+        // cold path; units stay grouped by block in block order.
+        plan_block_units(plans[p], b, opts.enable_pruning);
       }
     }
-    // Units are built only now, so the missed blocks' pruned unit sizing
-    // sees the probes resolved above -- identical floors, therefore
-    // identical unit boundaries, to the cold path. Hit blocks get nominal
-    // units (their probe slot is empty) but those are filtered out below
-    // and merge_blocks never reads them.
-    plan_all_units(plans[p], opts.enable_pruning);
-    for (std::size_t u = 0; u < plans[p].units.size(); ++u) {
-      if (missed[p][plans[p].units[u].block]) work.push_back({p, u});
-    }
+    for (std::size_t u = 0; u < plans[p].units.size(); ++u) work.push_back({p, u});
   }
 
   // Execute the missed units exactly like the uncached path (flat list over
@@ -628,7 +757,7 @@ std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
   auto run_one = [&](std::size_t i) {
     const ScanPlan& plan = plans[work[i].plan];
     const ScanUnit& unit = plan.units[work[i].unit];
-    results[i] = scan_unit(app, windows, plan.blocks[unit.block], unit, opts.enable_pruning);
+    results[i] = scan_unit(plan.blocks[unit.block], unit, opts.enable_pruning);
   };
   const unsigned workers =
       opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
@@ -659,6 +788,28 @@ std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
     ResourceBound b = merge_blocks(app, windows, plans[p], probes[p], scans[p]);
     b.resource = resources[p];
     out.push_back(b);
+  }
+  return out;
+}
+
+std::vector<std::pair<Time, Time>> row_demand(const Application& app,
+                                              const TaskWindows& windows,
+                                              std::vector<TaskId> tasks, Time t1) {
+  std::vector<std::pair<Time, Time>> out;
+  if (tasks.empty()) return out;
+  ScanPlan plan;
+  add_block(plan, std::move(tasks));
+  BlockScan& block = plan.blocks.front();
+  prepare_scan(block, app, windows, /*pruning=*/false);
+  const std::size_t first = static_cast<std::size_t>(
+      std::upper_bound(block.points.begin(), block.points.end(), t1) - block.points.begin());
+  const std::size_t end = block.points.size();
+  if (first == end) return out;
+  RowSweep sweep;
+  if (block.sweep) sweep.start(block, t1, first, end);
+  for (std::size_t k = first; k < end; ++k) {
+    const Time t2 = block.points[k];
+    out.emplace_back(t2, block.sweep ? sweep.next(t2) : demand_flat(block, t1, t2));
   }
   return out;
 }

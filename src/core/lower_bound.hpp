@@ -15,6 +15,20 @@
 // intervals_evaluated) is bit-identical no matter how many threads executed
 // the units. num_threads therefore changes wall-clock only, never output.
 //
+// ROW SWEEP. A unit walks its rows (one left endpoint t1 each) with one
+// sweep per row instead of a sum per pair: for fixed t1 every Psi of
+// Theorems 3 and 4 is a clamped ramp in t2, so the row's Theta values come
+// from slope/offset changes recorded at the block's sorted candidate
+// points (RowSweep in lower_bound.cpp; docs/PIPELINE.md, "Bounds-stage
+// internals"). A block costs O(points * n) plus a binary search per ramp
+// that starts before t1 (O(points * n log n) at worst), where the per-pair
+// sum cost O(points^2 * range). The per-pair sum (demand_flat) still runs
+// in two places: the pruning probe, whose intervals [E_k, L_k] are one per
+// task rather than a row, and blocks whose total demand saturates Time,
+// which keep the historical first-overflow throw. The row loop, the prune
+// break and the witness rule are unchanged, so results and
+// intervals_evaluated are exactly those of the per-pair scan.
+//
 // Pruning (opt-in) skips candidate intervals that provably cannot beat the
 // prune floor: Theta(r,t1,t2) <= sum of C_i over the block, so when
 // block_demand/(t2-t1) <= floor the pair (and, since the width only grows
@@ -32,6 +46,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/common/ratio.hpp"
@@ -101,6 +116,15 @@ ResourceBound density_bound_over(const Application& app, const TaskWindows& wind
                                  std::vector<TaskId> tasks,
                                  const LowerBoundOptions& opts = {});
 
+/// Theta(t1, t2) over `tasks` for every candidate point t2 > t1 of the
+/// block they form (each E_i and L_i), as {t2, Theta} in ascending t2,
+/// computed the way the engine computes a scan row (see the engine note).
+/// Equal to demand(app, windows, tasks, t1, t2) at every t2; exposed so the
+/// tests can hold the row sweep against demand().
+std::vector<std::pair<Time, Time>> row_demand(const Application& app,
+                                              const TaskWindows& windows,
+                                              std::vector<TaskId> tasks, Time t1);
+
 /// What one partition block contributes to a resource's bound: its peak
 /// density with witness, and the number of candidate pairs evaluated. This
 /// is the unit the engine reduces internally; it is exposed so the
@@ -120,8 +144,9 @@ struct BlockScanResult {
 /// geometry -- task identity is deliberately NOT part of it, so identical
 /// blocks are shared across resources (e.g. a {P1}+{r1} task pair produces
 /// the same block under both resources) and even across re-generated
-/// applications. A lookup costs O(block size); a scan costs O(points^2 *
-/// block size); every hit therefore skips the dominant cost of the query.
+/// applications. A lookup costs O(block size); a scan costs O(points *
+/// block size) or more; every hit therefore skips the dominant cost of the
+/// query.
 class BlockScanCache {
  public:
   std::uint64_t hits() const { return hits_; }

@@ -7,7 +7,7 @@ namespace rtlb {
 namespace {
 
 // Keep in code order and in sync with docs/LINT.md. Codes are append-only.
-constexpr std::array<DiagInfo, 36> kRegistry{{
+constexpr std::array<DiagInfo, 37> kRegistry{{
     {"RTLB-E000", Severity::kError, "input could not be parsed into a model",
      "fix the reported parse error; see docs/FORMAT.md for the grammar"},
     {"RTLB-E001", Severity::kError, "computation time must be positive",
@@ -101,6 +101,9 @@ constexpr std::array<DiagInfo, 36> kRegistry{{
     {"RTLB-E508", Severity::kError, "hyperperiod of the transaction periods overflows Time",
      "the lcm of the declared periods exceeds kTimeMax; make the periods harmonic or "
      "rescale the time unit"},
+    {"RTLB-E509", Severity::kError, "the workload lowers to more tasks than the budget allows",
+     "the horizon (hyperperiod, or a sporadic horizon) spans too many activations; make the "
+     "periods harmonic, shorten the horizon, or rescale the time unit"},
     {"RTLB-W510", Severity::kWarning,
      "steady-state utilization of a processor type exceeds one unit",
      "sum of comp/period over the type's template tasks is > 1; the lowered instance needs "

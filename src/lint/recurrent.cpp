@@ -318,7 +318,8 @@ void recurrent_lint_pass(const ResourceCatalog& catalog, const Workload& workloa
     }
   }
 
-  // Workload-wide: a representable hyperperiod (E508) ...
+  // Workload-wide: a representable hyperperiod (E508), a lowering within
+  // the task budget (E509) ...
   const Hyperperiod h = checked_hyperperiod(workload.transactions);
   if (h.overflow) {
     Diagnostic d = sink.make(
@@ -326,6 +327,29 @@ void recurrent_lint_pass(const ResourceCatalog& catalog, const Workload& workloa
         "hyperperiod of the transaction periods overflows the Time range");
     d.hint = "make the periods harmonic (each dividing the next) or rescale the time "
              "unit; the lcm of the declared periods exceeds kTimeMax";
+    sink.emit(std::move(d));
+  } else if (lowered_task_count(workload.transactions, h.value) > kMaxLoweredTasks) {
+    // Name the transaction that unrolls into the most tasks.
+    const Transaction* largest = nullptr;
+    __int128 largest_tasks = -1;
+    for (const Transaction& tr : workload.transactions) {
+      const __int128 tasks =
+          activation_count(tr, h.value) * static_cast<__int128>(tr.tasks.size());
+      if (tasks > largest_tasks) {
+        largest = &tr;
+        largest_tasks = tasks;
+      }
+    }
+    const auto shown = [](__int128 v) {
+      return v > kTimeMax ? "more than " + std::to_string(kTimeMax)
+                          : std::to_string(static_cast<std::int64_t>(v));
+    };
+    Diagnostic d = sink.make(
+        "RTLB-E509", transaction_subject(*largest),
+        "lowering would unroll " + shown(activation_count(*largest, h.value)) +
+            " activations of this transaction; the workload exceeds the budget of " +
+            std::to_string(kMaxLoweredTasks) + " lowered tasks");
+    d.line = largest->line;
     sink.emit(std::move(d));
   }
 

@@ -1,7 +1,9 @@
 #include "src/model/io.hpp"
 
+#include <functional>
 #include <istream>
 #include <sstream>
+#include <unordered_map>
 
 #include "src/common/strings.hpp"
 
@@ -13,25 +15,33 @@ namespace {
   throw ModelError("line " + std::to_string(line_no) + ": " + msg);
 }
 
-ResourceId require_resource(const ResourceCatalog& cat, const std::string& name, int line_no) {
+ResourceId require_resource(const ResourceCatalog& cat, std::string_view name, int line_no) {
   ResourceId r = cat.find(name);
-  if (r == kInvalidResource) fail(line_no, "unknown resource/processor '" + name + "'");
+  if (r == kInvalidResource) {
+    fail(line_no, "unknown resource/processor '" + std::string(name) + "'");
+  }
   return r;
 }
 
-Transaction* find_transaction(Workload& workload, const std::string& name) {
+Transaction* find_transaction(Workload& workload, std::string_view name) {
   for (Transaction& tr : workload.transactions) {
     if (tr.name == name) return &tr;
   }
   return nullptr;
 }
 
-std::size_t find_template_task(const Transaction& tr, const std::string& name, int line_no) {
+std::size_t find_template_task(const Transaction& tr, std::string_view name, int line_no) {
   for (std::size_t i = 0; i < tr.tasks.size(); ++i) {
     if (tr.tasks[i].name == name) return i;
   }
-  fail(line_no, "unknown ttask '" + name + "' in transaction '" + tr.name + "'");
+  fail(line_no, "unknown ttask '" + std::string(name) + "' in transaction '" + tr.name + "'");
 }
+
+/// Hash for the parser's name index, so lookups by token view need no copy.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+};
 
 }  // namespace
 
@@ -40,24 +50,37 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
   inst.catalog = std::make_unique<ResourceCatalog>();
   inst.app = std::make_unique<Application>(*inst.catalog);
 
+  // Task names seen so far: the duplicate check and edge endpoints look
+  // names up here instead of scanning the application's task list.
+  std::unordered_map<std::string, TaskId, NameHash, std::equal_to<>> task_ids;
+  const auto find_task = [&](std::string_view name) {
+    const auto it = task_ids.find(name);
+    return it == task_ids.end() ? kInvalidTask : it->second;
+  };
+
+  // Token and key/value views into the current line, reused across lines.
+  using KeyVal = std::pair<std::string_view, std::string_view>;
+  std::vector<std::string_view> tok;
+  std::vector<KeyVal> kv;
+
   std::string raw;
   int line_no = 0;
   while (std::getline(in, raw)) {
     ++line_no;
     std::string_view line = trim(raw);
     if (line.empty() || line.front() == '#') continue;
-    std::vector<std::string> tok = split_ws(line);
-    const std::string& kind = tok[0];
+    split_ws_views(line, tok);
+    const std::string_view kind = tok[0];
 
     // Read "key value" pairs following the fixed positional prefix.
-    auto keyval = [&](std::size_t start) {
-      std::vector<std::pair<std::string, std::string>> kv;
+    auto keyval = [&](std::size_t start) -> const std::vector<KeyVal>& {
+      kv.clear();
       for (std::size_t i = start; i < tok.size();) {
         if (tok[i] == "preemptive") {
           kv.emplace_back("preemptive", "1");
           ++i;
         } else {
-          if (i + 1 >= tok.size()) fail(line_no, "dangling key '" + tok[i] + "'");
+          if (i + 1 >= tok.size()) fail(line_no, "dangling key '" + std::string(tok[i]) + "'");
           kv.emplace_back(tok[i], tok[i + 1]);
           i += 2;
         }
@@ -66,14 +89,14 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
     };
 
     if (kind == "proctype" || kind == "resource") {
-      if (tok.size() < 2) fail(line_no, kind + " needs a name");
+      if (tok.size() < 2) fail(line_no, std::string(kind) + " needs a name");
       Cost cost = 0;
       for (const auto& [k, v] : keyval(2)) {
         if (k == "cost") cost = parse_int(v, "cost");
-        else fail(line_no, "unknown key '" + k + "'");
+        else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
-      if (kind == "proctype") inst.catalog->add_processor_type(tok[1], cost);
-      else inst.catalog->add_resource(tok[1], cost);
+      if (kind == "proctype") inst.catalog->add_processor_type(std::string(tok[1]), cost);
+      else inst.catalog->add_resource(std::string(tok[1]), cost);
       inst.lines.resource_lines.push_back(line_no);  // catalog ids are dense
     } else if (kind == "task") {
       if (tok.size() < 2) fail(line_no, "task needs a name");
@@ -90,22 +113,23 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
             t.resources.push_back(require_resource(*inst.catalog, r, line_no));
           }
         } else if (k == "preemptive") t.preemptive = true;
-        else fail(line_no, "unknown key '" + k + "'");
+        else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       if (!have_proc) fail(line_no, "task '" + t.name + "' missing proc");
-      if (inst.app->find_task(t.name) != kInvalidTask) fail(line_no, "duplicate task '" + t.name + "'");
-      inst.app->add_task(std::move(t));
+      const auto [slot, fresh] = task_ids.try_emplace(t.name, kInvalidTask);
+      if (!fresh) fail(line_no, "duplicate task '" + t.name + "'");
+      slot->second = inst.app->add_task(std::move(t));
       inst.lines.task_lines.push_back(line_no);
     } else if (kind == "edge") {
       if (tok.size() < 3) fail(line_no, "edge needs two task names");
-      TaskId from = inst.app->find_task(tok[1]);
-      TaskId to = inst.app->find_task(tok[2]);
-      if (from == kInvalidTask) fail(line_no, "unknown task '" + tok[1] + "'");
-      if (to == kInvalidTask) fail(line_no, "unknown task '" + tok[2] + "'");
+      TaskId from = find_task(tok[1]);
+      TaskId to = find_task(tok[2]);
+      if (from == kInvalidTask) fail(line_no, "unknown task '" + std::string(tok[1]) + "'");
+      if (to == kInvalidTask) fail(line_no, "unknown task '" + std::string(tok[2]) + "'");
       Time msg = 0;
       for (const auto& [k, v] : keyval(3)) {
         if (k == "msg") msg = parse_int(v, "msg");
-        else fail(line_no, "unknown key '" + k + "'");
+        else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       inst.app->add_edge(from, to, msg);
       inst.lines.edge_lines[{from, to}] = line_no;
@@ -126,13 +150,13 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
                             : 1;
             n.resources.emplace_back(r, units);
           }
-        } else fail(line_no, "unknown key '" + k + "'");
+        } else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       if (n.proc == kInvalidResource) fail(line_no, "node '" + n.name + "' missing proc");
       inst.platform.add_node_type(std::move(n));
       inst.lines.node_lines.push_back(line_no);
     } else if (kind == "transaction" || kind == "sporadic") {
-      if (tok.size() < 2) fail(line_no, kind + " needs a name");
+      if (tok.size() < 2) fail(line_no, std::string(kind) + " needs a name");
       const bool sporadic = kind == "sporadic";
       Transaction tr;
       tr.name = tok[1];
@@ -147,14 +171,14 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
         if (k == rate_key) { tr.period = parse_int(v, rate_key); have_rate = true; }
         else if (k == "offset") tr.offset = parse_int(v, "offset");
         else if (sporadic && k == "horizon") tr.horizon = parse_int(v, "horizon");
-        else fail(line_no, "unknown key '" + k + "'");
+        else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
-      if (!have_rate) fail(line_no, kind + " '" + tr.name + "' missing " + rate_key);
+      if (!have_rate) fail(line_no, std::string(kind) + " '" + tr.name + "' missing " + rate_key);
       inst.workload.transactions.push_back(std::move(tr));
     } else if (kind == "ttask") {
       if (tok.size() < 3) fail(line_no, "ttask needs a transaction and a name");
       Transaction* tr = find_transaction(inst.workload, tok[1]);
-      if (!tr) fail(line_no, "unknown transaction '" + tok[1] + "'");
+      if (!tr) fail(line_no, "unknown transaction '" + std::string(tok[1]) + "'");
       TemplateTask t;
       t.name = tok[2];
       t.line = line_no;
@@ -172,25 +196,25 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
             t.resources.push_back(require_resource(*inst.catalog, r, line_no));
           }
         } else if (k == "preemptive") t.preemptive = true;
-        else fail(line_no, "unknown key '" + k + "'");
+        else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       if (!have_proc) fail(line_no, "ttask '" + t.name + "' missing proc");
       tr->tasks.push_back(std::move(t));
     } else if (kind == "tedge") {
       if (tok.size() < 4) fail(line_no, "tedge needs a transaction and two ttask names");
       Transaction* tr = find_transaction(inst.workload, tok[1]);
-      if (!tr) fail(line_no, "unknown transaction '" + tok[1] + "'");
+      if (!tr) fail(line_no, "unknown transaction '" + std::string(tok[1]) + "'");
       TemplateEdge e;
       e.from = find_template_task(*tr, tok[2], line_no);
       e.to = find_template_task(*tr, tok[3], line_no);
       e.line = line_no;
       for (const auto& [k, v] : keyval(4)) {
         if (k == "msg") e.msg = parse_int(v, "msg");
-        else fail(line_no, "unknown key '" + k + "'");
+        else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       tr->edges.push_back(e);
     } else {
-      fail(line_no, "unknown directive '" + kind + "'");
+      fail(line_no, "unknown directive '" + std::string(kind) + "'");
     }
   }
   if (options.validate) inst.app->validate();

@@ -25,4 +25,20 @@ Hyperperiod checked_hyperperiod(const std::vector<Transaction>& transactions) {
   return out;
 }
 
+__int128 activation_count(const Transaction& tr, Time hyperperiod) {
+  if (tr.period <= 0) return 0;
+  const __int128 horizon =
+      tr.kind == ReleaseKind::kSporadic && tr.horizon > 0 ? tr.horizon : hyperperiod;
+  if (horizon <= tr.offset) return 0;
+  return (horizon - tr.offset + tr.period - 1) / tr.period;
+}
+
+__int128 lowered_task_count(const std::vector<Transaction>& transactions, Time hyperperiod) {
+  __int128 total = 0;
+  for (const Transaction& tr : transactions) {
+    total += activation_count(tr, hyperperiod) * static_cast<__int128>(tr.tasks.size());
+  }
+  return total;
+}
+
 }  // namespace rtlb

@@ -16,6 +16,7 @@
 // absolute release/deadline.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -98,5 +99,22 @@ struct Hyperperiod {
 /// lint pass's job (RTLB-E501). Never throws; the multiply is widened
 /// through __int128 and saturates to kTimeMax (the RTLB-A301 discipline).
 Hyperperiod checked_hyperperiod(const std::vector<Transaction>& transactions);
+
+/// Activations of `tr` that lowering unrolls: releases at offset + k*period
+/// strictly before the transaction's horizon -- its own `horizon` for a
+/// sporadic transaction that declares one, otherwise `hyperperiod`. Exact
+/// in __int128 for any declared values; 0 for a non-positive period
+/// (RTLB-E501) or a horizon at or before the offset.
+__int128 activation_count(const Transaction& tr, Time hyperperiod);
+
+/// The most tasks a workload may lower to. The recurrent lint pass refuses
+/// more as RTLB-E509, before lowering allocates anything: the analysis
+/// could not finish on such an instance, and a few extra digits in a period
+/// would otherwise exhaust memory in the lowering itself.
+inline constexpr std::int64_t kMaxLoweredTasks = std::int64_t{1} << 20;
+
+/// Tasks the lowering creates: the sum over transactions of
+/// activation_count() times the template size, exact in __int128.
+__int128 lowered_task_count(const std::vector<Transaction>& transactions, Time hyperperiod);
 
 }  // namespace rtlb

@@ -31,26 +31,17 @@ void validate_workload(const ResourceCatalog& catalog, const Workload& workload)
 
 namespace {
 
-/// Activation count of one (validated) transaction within [0, horizon):
-/// releases at offset + k*period for k = 0, 1, ... while strictly before
-/// the horizon. For periodic transactions the horizon is the hyperperiod
-/// and the count is exactly horizon / period.
-Time activation_count(const Transaction& tr, Time horizon) {
-  if (horizon <= tr.offset) return 0;
-  return (horizon - tr.offset + tr.period - 1) / tr.period;
-}
-
 /// Append the lowered instances of every transaction to `app`. Assumes the
 /// workload was validated.
 void lower_into(const Workload& workload, Application& app, const LowerOptions& options) {
   const Hyperperiod h = checked_hyperperiod(workload.transactions);
   RTLB_CHECK(!h.overflow, "lowering a workload whose hyperperiod overflows");
+  RTLB_CHECK(lowered_task_count(workload.transactions, h.value) <= kMaxLoweredTasks,
+             "lowering a workload over the lowered-task budget");
 
   for (const Transaction& tr : workload.transactions) {
-    const Time horizon = tr.kind == ReleaseKind::kSporadic && tr.horizon > 0
-                             ? tr.horizon
-                             : h.value;
-    const Time instances = activation_count(tr, horizon);
+    // Within the budget, so the count fits in Time.
+    const Time instances = static_cast<Time>(activation_count(tr, h.value));
 
     // Template topology, shared by every activation: the per-activation
     // edges plus (when chaining) the previous activation's sinks feeding

@@ -635,6 +635,7 @@ TEST(RecurrentLintCorpus, EachBadTemplateCarriesItsExpectedCode) {
       {"template_cycle.rtlb", "RTLB-E506", true},
       {"template_empty.rtlb", "RTLB-E507", true},
       {"hyperperiod_overflow.rtlb", "RTLB-E508", true},
+      {"lowering_budget.rtlb", "RTLB-E509", true},
       {"overutilized.rtlb", "RTLB-W510", false},
   };
   for (const Case& c : cases) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/random.hpp"
 #include "src/core/analysis.hpp"
 #include "src/core/lower_bound.hpp"
 #include "src/core/overlap.hpp"
@@ -199,6 +202,60 @@ TEST(LowerBoundAnalysis, BoundNeverBelowWorkDensity) {
     }
     EXPECT_GE(b.bound, ceil_div(work, hi - lo));
   }
+}
+
+TEST(RowSweep, EqualsDemandAtEveryCandidateOnRandomBlocks) {
+  // The engine's per-row breakpoint sweep against the per-pair sum demand():
+  // random blocks mixing preemptive and non-preemptive tasks, a third of the
+  // windows narrower than C_i (where the ramp's cut at E_i is a jump), and
+  // t1 anywhere over the block's span so that many tasks lie wholly left of
+  // t1 (L_i <= t1), straddle it, or start past it.
+  Rng rng(20261017);
+  std::uint64_t compared = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    ResourceCatalog cat;
+    const ResourceId p = cat.add_processor_type("P", 1);
+    Application app(cat);
+    TaskWindows w;
+    const int n = static_cast<int>(rng.uniform(1, 24));
+    for (int i = 0; i < n; ++i) {
+      Task t;
+      t.name = "t" + std::to_string(i);
+      t.comp = rng.uniform(1, 9);
+      t.proc = p;
+      t.preemptive = rng.chance(0.5);
+      const Time e = rng.uniform(0, 40);
+      const Time slack = rng.chance(1.0 / 3) ? -rng.uniform(1, t.comp) : rng.uniform(0, 12);
+      t.release = e;
+      t.deadline = e + t.comp + slack;
+      w.est.push_back(e);
+      w.lct.push_back(e + t.comp + slack);
+      app.add_task(std::move(t));
+    }
+    const std::vector<TaskId> tasks = app.tasks_using(p);
+    Time lo = kTimeMax;
+    Time hi = kTimeMin;
+    for (TaskId i : tasks) {
+      lo = std::min(lo, w.est[i]);
+      hi = std::max(hi, w.lct[i]);
+    }
+    for (int row = 0; row < 6; ++row) {
+      // Two thirds of the rows start at a candidate point (as in the
+      // engine), the rest anywhere in or just before the span.
+      const TaskId pick = tasks[rng.index(tasks.size())];
+      const Time t1 = row % 3 == 0   ? w.est[pick]
+                      : row % 3 == 1 ? w.lct[pick]
+                                     : rng.uniform(lo - 2, hi);
+      const auto profile = row_demand(app, w, tasks, t1);
+      for (const auto& [t2, theta] : profile) {
+        ASSERT_GT(t2, t1);
+        ASSERT_EQ(theta, demand(app, w, tasks, t1, t2))
+            << "trial " << trial << " t1 " << t1 << " t2 " << t2;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // arithmetic on near-kTimeMax windows.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 
 #include "src/core/analysis.hpp"
@@ -148,6 +149,170 @@ TEST(ParallelBound, DensityBoundOverMatchesAcrossEngines) {
     EXPECT_EQ(direct.bound, over.bound);
     EXPECT_TRUE(direct.peak_density == over.peak_density);
   }
+}
+
+/// One engine result pinned before the scan rows moved to the breakpoint
+/// sweep: {seed, use_partitioning, enable_pruning, resource, bound, peak
+/// num, peak den, witness t1, witness t2, witness demand,
+/// intervals_evaluated}.
+struct PinnedBound {
+  std::uint64_t seed;
+  int partition;
+  int prune;
+  int resource;
+  std::int64_t bound;
+  std::int64_t num;
+  std::int64_t den;
+  Time t1;
+  Time t2;
+  Time demand;
+  std::uint64_t evaluated;
+};
+
+// clang-format off
+constexpr PinnedBound kPinnedBounds[] = {
+      {1, 1, 0, 0, 4, 40, 11, 0, 11, 40, 435},
+      {1, 1, 0, 1, 4, 50, 13, 0, 13, 50, 351},
+      {1, 1, 0, 2, 4, 49, 13, 0, 13, 49, 496},
+      {1, 1, 0, 3, 4, 49, 13, 0, 13, 49, 378},
+      {1, 1, 1, 0, 4, 40, 11, 0, 11, 40, 327},
+      {1, 1, 1, 1, 4, 50, 13, 0, 13, 50, 266},
+      {1, 1, 1, 2, 4, 49, 13, 0, 13, 49, 401},
+      {1, 1, 1, 3, 4, 49, 13, 0, 13, 49, 274},
+      {2, 1, 0, 0, 1, 108, 115, 9, 124, 108, 703},
+      {2, 1, 0, 1, 1, 82, 97, 11, 108, 82, 666},
+      {2, 1, 0, 2, 1, 73, 96, 9, 105, 73, 528},
+      {2, 1, 0, 3, 2, 141, 129, 14, 143, 141, 1081},
+      {2, 1, 1, 0, 1, 108, 115, 9, 124, 108, 724},
+      {2, 1, 1, 1, 1, 82, 97, 11, 108, 82, 687},
+      {2, 1, 1, 2, 1, 73, 96, 9, 105, 73, 545},
+      {2, 1, 1, 3, 2, 141, 129, 14, 143, 141, 1111},
+      {2, 0, 0, 0, 1, 108, 115, 9, 124, 108, 703},
+      {2, 0, 0, 1, 1, 82, 97, 11, 108, 82, 666},
+      {2, 0, 0, 2, 1, 73, 96, 9, 105, 73, 528},
+      {2, 0, 0, 3, 2, 141, 129, 14, 143, 141, 1081},
+      {2, 0, 1, 0, 1, 108, 115, 9, 124, 108, 724},
+      {2, 0, 1, 1, 1, 82, 97, 11, 108, 82, 687},
+      {2, 0, 1, 2, 1, 73, 96, 9, 105, 73, 545},
+      {2, 0, 1, 3, 2, 141, 129, 14, 143, 141, 1111},
+      {3, 1, 0, 0, 2, 20, 15, 0, 15, 20, 703},
+      {3, 1, 0, 1, 2, 98, 86, 0, 86, 98, 378},
+      {3, 1, 0, 2, 1, 51, 66, 0, 66, 51, 351},
+      {3, 1, 0, 3, 2, 115, 86, 0, 86, 115, 780},
+      {3, 1, 1, 0, 2, 20, 15, 0, 15, 20, 718},
+      {3, 1, 1, 1, 2, 98, 86, 0, 86, 98, 395},
+      {3, 1, 1, 2, 1, 51, 66, 0, 66, 51, 364},
+      {3, 1, 1, 3, 2, 115, 86, 0, 86, 115, 803},
+      {4, 1, 0, 0, 3, 24, 10, 2, 12, 24, 703},
+      {4, 1, 0, 1, 2, 88, 54, 44, 98, 88, 741},
+      {4, 1, 0, 2, 2, 19, 11, 2, 13, 19, 496},
+      {4, 1, 0, 3, 2, 107, 60, 26, 86, 107, 780},
+      {4, 1, 1, 0, 3, 24, 10, 2, 12, 24, 658},
+      {4, 1, 1, 1, 2, 88, 54, 44, 98, 88, 764},
+      {4, 1, 1, 2, 2, 19, 11, 2, 13, 19, 487},
+      {4, 1, 1, 3, 2, 107, 60, 26, 86, 107, 801},
+      {5, 1, 0, 0, 2, 16, 8, 0, 8, 16, 496},
+      {5, 1, 0, 1, 3, 27, 13, 0, 13, 27, 561},
+      {5, 1, 0, 2, 2, 62, 45, 0, 45, 62, 435},
+      {5, 1, 0, 3, 3, 23, 8, 0, 8, 23, 666},
+      {5, 1, 1, 0, 2, 20, 10, 0, 10, 20, 488},
+      {5, 1, 1, 1, 3, 27, 13, 0, 13, 27, 498},
+      {5, 1, 1, 2, 2, 62, 45, 0, 45, 62, 426},
+      {5, 1, 1, 3, 3, 23, 8, 0, 8, 23, 601},
+      {6, 1, 0, 0, 6, 6, 1, 27, 28, 6, 741},
+      {6, 1, 0, 1, 6, 6, 1, 46, 47, 6, 630},
+      {6, 1, 0, 2, 6, 6, 1, 17, 18, 6, 630},
+      {6, 1, 0, 3, 12, 12, 1, 46, 47, 12, 418},
+      {6, 1, 1, 0, 6, 6, 1, 27, 28, 6, 420},
+      {6, 1, 1, 1, 6, 6, 1, 46, 47, 6, 308},
+      {6, 1, 1, 2, 6, 6, 1, 17, 18, 6, 327},
+      {6, 1, 1, 3, 12, 12, 1, 46, 47, 12, 160},
+      {7, 1, 0, 0, 5, 5, 1, 28, 29, 5, 378},
+      {7, 1, 0, 1, 3, 3, 1, 7, 8, 3, 528},
+      {7, 1, 0, 2, 3, 6, 2, 31, 33, 6, 595},
+      {7, 1, 0, 3, 3, 3, 1, 7, 8, 3, 465},
+      {7, 1, 1, 0, 5, 5, 1, 28, 29, 5, 188},
+      {7, 1, 1, 1, 3, 3, 1, 7, 8, 3, 378},
+      {7, 1, 1, 2, 3, 6, 2, 31, 33, 6, 465},
+      {7, 1, 1, 3, 3, 3, 1, 7, 8, 3, 313},
+      {7, 0, 0, 0, 5, 5, 1, 28, 29, 5, 378},
+      {7, 0, 0, 1, 3, 3, 1, 7, 8, 3, 528},
+      {7, 0, 0, 2, 3, 6, 2, 31, 33, 6, 595},
+      {7, 0, 0, 3, 3, 3, 1, 7, 8, 3, 465},
+      {7, 0, 1, 0, 5, 5, 1, 28, 29, 5, 188},
+      {7, 0, 1, 1, 3, 9, 3, 41, 44, 9, 378},
+      {7, 0, 1, 2, 3, 6, 2, 31, 33, 6, 465},
+      {7, 0, 1, 3, 3, 3, 1, 7, 8, 3, 313},
+      {8, 1, 0, 0, 6, 6, 1, 39, 40, 6, 667},
+      {8, 1, 0, 1, 7, 7, 1, 61, 62, 7, 436},
+      {8, 1, 0, 2, 8, 8, 1, 43, 44, 8, 497},
+      {8, 1, 0, 3, 6, 6, 1, 39, 40, 6, 704},
+      {8, 1, 1, 0, 6, 6, 1, 39, 40, 6, 478},
+      {8, 1, 1, 1, 7, 7, 1, 61, 62, 7, 184},
+      {8, 1, 1, 2, 8, 8, 1, 43, 44, 8, 222},
+      {8, 1, 1, 3, 6, 6, 1, 39, 40, 6, 507},
+};
+// clang-format on
+
+TEST(ParallelBound, MatchesPinnedResultsAtEveryThreadCount) {
+  // Seeds 1-5 use the computed windows; seeds 6-8 shrink every third window
+  // to half its computation time (L_i - E_i < C_i), the shape infeasible
+  // instances bring to the bound stage. Seeds 2 and 7 also run without
+  // partitioning.
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    WorkloadParams params;
+    params.seed = seed;
+    params.num_tasks = 48;
+    params.laxity = 1.3 + 0.3 * static_cast<double>(seed % 4);
+    params.release_spread = (seed % 2 == 0) ? 0.6 : 0.0;
+    params.preemptive_prob = (seed % 3 == 0) ? 0.5 : 0.3;
+    params.resource_prob = 0.5;
+    ProblemInstance inst = generate_workload(params);
+    SharedMergeOracle oracle;
+    TaskWindows w = compute_windows(*inst.app, oracle);
+    if (seed > 5) {
+      for (TaskId i = 0; i < inst.app->num_tasks(); i += 3) {
+        w.lct[i] = w.est[i] + inst.app->task(i).comp / 2;
+      }
+    }
+    for (bool partition : {true, false}) {
+      if (!partition && seed != 2 && seed != 7) continue;
+      for (bool prune : {false, true}) {
+        std::vector<PinnedBound> expected;
+        for (const PinnedBound& p : kPinnedBounds) {
+          if (p.seed == seed && p.partition == partition && p.prune == prune) {
+            expected.push_back(p);
+          }
+        }
+        for (int threads : {1, 4}) {
+          LowerBoundOptions opts;
+          opts.use_partitioning = partition;
+          opts.enable_pruning = prune;
+          opts.num_threads = threads;
+          const std::string ctx = "seed " + std::to_string(seed) +
+                                  " partition=" + std::to_string(partition) +
+                                  " prune=" + std::to_string(prune) +
+                                  " threads=" + std::to_string(threads);
+          const std::vector<ResourceBound> got = all_resource_bounds(*inst.app, w, opts);
+          ASSERT_EQ(got.size(), expected.size()) << ctx;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            const PinnedBound& e = expected[k];
+            EXPECT_EQ(got[k].resource, e.resource) << ctx;
+            EXPECT_EQ(got[k].bound, e.bound) << ctx;
+            EXPECT_EQ(got[k].peak_density.num, e.num) << ctx;
+            EXPECT_EQ(got[k].peak_density.den, e.den) << ctx;
+            EXPECT_EQ(got[k].witness_t1, e.t1) << ctx;
+            EXPECT_EQ(got[k].witness_t2, e.t2) << ctx;
+            EXPECT_EQ(got[k].witness_demand, e.demand) << ctx;
+            EXPECT_EQ(got[k].intervals_evaluated, e.evaluated) << ctx;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * std::size(kPinnedBounds));
 }
 
 class WitnessTieTest : public ::testing::Test {

@@ -188,6 +188,29 @@ TEST_F(PeriodicTest, CheckedHyperperiodSaturatesAndThrowingVariantThrows) {
   EXPECT_EQ(hyperperiod({simple("a", 4, 1), sp}), 4);
 }
 
+TEST_F(PeriodicTest, LoweringOverTheTaskBudgetIsRefusedBeforeAllocating) {
+  // A representable hyperperiod (3037000500) that still unrolls the
+  // period-100 transaction 30370005 times, two tasks each.
+  Transaction slow = simple("slow", 3037000500, 1);
+  Transaction fast = simple("fast", 100, 1);
+  fast.tasks.push_back(fast.tasks[0]);
+  fast.tasks[1].name = "job2";
+  Workload w;
+  w.transactions = {slow, fast};
+  ASSERT_FALSE(checked_hyperperiod(w.transactions).overflow);
+  EXPECT_EQ(static_cast<std::int64_t>(activation_count(fast, 3037000500)), 30370005);
+  EXPECT_EQ(static_cast<std::int64_t>(lowered_task_count(w.transactions, 3037000500)),
+            1 + 2 * 30370005);
+  EXPECT_THROW(validate_workload(cat_, w), ModelError);
+  EXPECT_THROW(lower_workload(cat_, w), ModelError);
+  // Without validation the lowering's own guard still refuses up front.
+  EXPECT_THROW(lower_workload(cat_, w, LowerOptions{.validate = false}), std::logic_error);
+  // One activation per tick over a kMaxLoweredTasks-tick horizon: exactly the budget.
+  Transaction at_budget = simple("edge", 1, 1);
+  EXPECT_EQ(static_cast<std::int64_t>(lowered_task_count({at_budget}, kMaxLoweredTasks)),
+            kMaxLoweredTasks);
+}
+
 // ---------------------------------------------------------------------------
 // Sporadic lowering: the densest legal release sequence over the horizon.
 

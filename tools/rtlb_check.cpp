@@ -25,9 +25,10 @@
 // Exit status: 0 = certificate valid (every side-condition holds);
 // 1 = certificate well-formed but INVALID, each violated side-condition
 // pinpointed as stage/rule subject; 2 = malformed input (unreadable or
-// structurally broken instance, unparseable JSON, ill-formed certificate)
-// or bad usage.
+// structurally broken instance, unparseable JSON, ill-formed certificate,
+// a workload over the lowering budget), bad usage, or out of memory.
 #include <cstdio>
+#include <new>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -184,7 +185,7 @@ int run_check(const std::string& instance_path, const std::string& cert_path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bool emit = false;
   bool joint = false;
   bool quiet = false;
@@ -233,4 +234,15 @@ int main(int argc, char** argv) {
   }
   if (paths.size() != 2) usage(argv[0]);
   return run_check(paths[0], paths[1], format, quiet);
+}
+
+int main(int argc, char** argv) {
+  // Inputs whose size the lint gate cannot bound up front still end in the
+  // documented exit status instead of an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "rtlb_check: out of memory\n");
+    return 2;
+  }
 }

@@ -37,8 +37,8 @@
 //      repairs, and after --baseline suppression), or --baseline-write
 //      completed;
 //   1  at least one (new) error finding survived;
-//   2  usage error or I/O failure (unreadable input, unreadable --baseline
-//      file, unwritable --fix or --baseline-write target).
+//   2  usage error, I/O failure (unreadable input, unreadable --baseline
+//      file, unwritable --fix or --baseline-write target), or out of memory.
 // The error verdict is the analysis pipeline's own kErrors gate policy
 // (lint_gate_refuses, src/core/pipeline.hpp), so this tool refuses exactly
 // the instances `analyze()` at LintLevel::kErrors would.
@@ -50,6 +50,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -168,7 +169,7 @@ LintResult suppress_baselined(const LintResult& result,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   LintOptions options;
   std::string format = "text";
   std::string trace_path;
@@ -337,4 +338,15 @@ int main(int argc, char** argv) {
   }
   if (io_error) return 2;
   return any_error ? 1 : 0;
+}
+
+int main(int argc, char** argv) {
+  // Inputs whose size the lint passes cannot bound up front still end in
+  // the documented exit status instead of an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "rtlb_lint: out of memory\n");
+    return 2;
+  }
 }
