@@ -1,14 +1,12 @@
-// Fleet throughput: instances/second through run_fleet(), cold baselines
-// vs warm AnalysisSession baselines -- the capacity-planning number for
-// sizing a 10^5..10^6-instance differential run.
+// Fleet throughput: instances/second through run_fleet() -- the
+// capacity-planning number for sizing a 10^5..10^6-instance differential
+// run.
 //
 // Two rows are recorded:
-//  (a) "analysis only": all oracles off, so each instance costs one
+//  (a) "cold": all oracles off, so each instance costs one
 //      generate_workload + one baseline analyze. This is the pure pipeline
-//      throughput ceiling, measured cold and warm (the warm pool keeps the
-//      content-keyed block cache across instances; results are bit-identical
-//      by the session contract, asserted in tests/test_fleet.cpp).
-//  (b) "all oracles": the full differential configuration the fleet smoke
+//      throughput ceiling.
+//  (b) "cold+oracles": the full differential configuration the fleet smoke
 //      and the committed 10^5 run use (serial + parallel + warm-session +
 //      certificate round-trip + lint agreement), i.e. what a divergence hunt
 //      actually costs per instance.
@@ -48,7 +46,6 @@ ScenarioSpec bench_spec(std::size_t instances_per_cell) {
 
 struct Row {
   const char* config;
-  bool warm;
   bool oracles;
 };
 
@@ -65,20 +62,17 @@ void fleet_throughput_report() {
   const bool degraded = ThreadPool::resolve_threads(threads) > hw;  // never, by construction
 
   const Row rows[] = {
-      {"cold", false, false},
-      {"warm", true, false},
-      {"cold+oracles", false, true},
-      {"warm+oracles", true, true},
+      {"cold", false},
+      {"cold+oracles", true},
   };
 
   std::printf("== fleet throughput (%llu instances/rep, %d reps, %d workers) ==\n",
               static_cast<unsigned long long>(spec.total_instances()), reps, threads);
-  Table t({"config", "baselines", "oracles", "ms", "instances/sec"});
+  Table t({"config", "oracles", "ms", "instances/sec"});
   Json entries = Json::array();
   for (const Row& row : rows) {
     FleetOptions opts;
     opts.threads = threads;
-    opts.warm_sessions = row.warm;
     if (!row.oracles) {
       opts.oracles.parallel = false;
       opts.oracles.session = false;
@@ -93,25 +87,23 @@ void fleet_throughput_report() {
     char ms_s[32], ps_s[32];
     std::snprintf(ms_s, sizeof ms_s, "%.1f", ms);
     std::snprintf(ps_s, sizeof ps_s, "%.0f", per_sec);
-    t.add(row.config, row.warm ? "warm" : "cold", row.oracles ? "all" : "off", ms_s, ps_s);
+    t.add(row.config, row.oracles ? "all" : "off", ms_s, ps_s);
 
     Json entry = Json::object();
     entry.set("config", row.config)
-        .set("warm_sessions", row.warm)
         .set("oracles", row.oracles ? "all" : "off")
         .set("ms", ms)
         .set("instances_per_sec", per_sec)
         .set("divergences", static_cast<std::int64_t>(divergences));
     entries.push(std::move(entry));
   }
-  std::printf("%s(best-of-%d wall time per config; every config reproduces the same\n"
-              " aggregate bytes -- tests/test_fleet.cpp pins warm==cold and the\n"
-              " thread-count independence)\n",
+  std::printf("%s(best-of-%d wall time per config; the aggregate bytes are\n"
+              " thread-count independent -- tests/test_fleet.cpp pins that)\n",
               t.to_string().c_str(), reps);
   benchutil::export_csv(t, "fleet_throughput");
 
   Json root = Json::object();
-  root.set("bench", "bench_fleet throughput: instances/sec cold vs warm")
+  root.set("bench", "bench_fleet throughput: instances/sec, oracles off and on")
       .set("spec", spec.to_json())
       .set("instances_per_run", static_cast<std::int64_t>(spec.total_instances()))
       .set("threads", threads)

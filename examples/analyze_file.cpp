@@ -203,6 +203,9 @@ int main(int argc, char** argv) {
   } catch (const CertificateCheckError& e) {
     std::fprintf(stderr, "%s", e.what());
     return 1;
+  } catch (const ModelError& e) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    return 1;
   }
   if (result.lint && !result.lint->clean()) {
     std::printf("pre-flight lint:\n%s\n", format_lint_text(*result.lint, path).c_str());

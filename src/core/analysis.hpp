@@ -21,6 +21,7 @@
 #include "src/core/joint_bound.hpp"
 #include "src/core/lower_bound.hpp"
 #include "src/core/partition.hpp"
+#include "src/lint/absint.hpp"
 #include "src/lint/linter.hpp"
 #include "src/model/application.hpp"
 #include "src/model/platform.hpp"

@@ -142,10 +142,7 @@ InfeasibilityReport diagnose(const Application& app, const TaskWindows& windows,
     // Materialize the (resource, block) units first, then scan them serially
     // or across a pool; results land in per-unit slots and are appended in
     // unit order, so the report is identical at any thread count.
-    std::vector<ResourcePartition> partitions;
-    for (ResourceId r : app.resource_set()) {
-      partitions.push_back(partition_tasks(app, windows, r));
-    }
+    const std::vector<ResourcePartition> partitions = partition_all(app, windows);
     struct Unit {
       ResourceId resource;
       int cap;

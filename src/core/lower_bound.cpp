@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "src/common/thread_pool.hpp"
@@ -31,8 +32,8 @@ constexpr std::uint64_t kPairsPerUnit = 4096;
 constexpr std::uint64_t kSurvivingPairsPerUnit = 256;
 
 /// What one unit (or a block's probe pass) reports back; merged in
-/// deterministic order afterwards. Public as BlockScanResult so the cached
-/// query path can store folded per-block copies.
+/// deterministic order afterwards. Public as BlockScanResult so
+/// BlockScanCache can store folded per-block copies.
 using UnitResult = BlockScanResult;
 
 /// Accumulate `r` into `acc` with the engine's reduction rule: work adds up,
@@ -52,16 +53,18 @@ void fold_unit(UnitResult& acc, const UnitResult& r) {
   }
 }
 
-/// One partition block: its task set (add_block) and, once prepare_scan has
-/// run, the sorted unique candidate endpoints {E_i, L_i}, the block's total
-/// computation time (an upper bound on Theta over ANY interval), and --
-/// when pruning is on -- the probe result that seeds every unit's prune
-/// floor.
+/// One partition block: its task set (a view into the caller's partition)
+/// and, once prepare_scan has run, the sorted unique candidate endpoints
+/// {E_i, L_i}, the block's total computation time (an upper bound on Theta
+/// over ANY interval), and -- when pruning is on -- the probe result that
+/// seeds every unit's prune floor. `scan` is the block's units folded in
+/// unit order (or, with `probe`, a cache hit's stored replay).
 struct BlockScan {
-  std::vector<TaskId> tasks;
+  std::span<const TaskId> tasks;
   std::vector<Time> points;
   Time total_demand = 0;
   UnitResult probe;
+  UnitResult scan;
   /// The scan loop's working set, flattened: Psi reads (comp, E, L,
   /// preemptive) per task and nothing else, so the inner loop walks four
   /// contiguous arrays instead of pointer-chasing Task structs and separate
@@ -258,12 +261,6 @@ struct ScanUnit {
   std::size_t l_end = 0;
 };
 
-/// The full decomposition of one density maximization.
-struct ScanPlan {
-  std::vector<BlockScan> blocks;
-  std::vector<ScanUnit> units;
-};
-
 /// The pruning probe: evaluate each task's own [E_i, L_i] window (these are
 /// genuine candidate intervals, and a stacked burst of tasks shows its full
 /// density over any member's window). The result is a lower bound on the
@@ -289,16 +286,6 @@ UnitResult probe_block(const BlockScan& block) {
   return res;
 }
 
-/// Append one block to the plan: its task set only. prepare_scan fills in
-/// what a scan reads, and the cached query path never prepares its cache
-/// hits (their lookup key comes from the model directly).
-void add_block(ScanPlan& plan, std::vector<TaskId> tasks) {
-  if (tasks.empty()) return;
-  BlockScan block;
-  block.tasks = std::move(tasks);
-  plan.blocks.push_back(std::move(block));
-}
-
 /// Fill in everything a scan of `block` reads: the candidate points, the
 /// flat arrays in block and EST order, the total demand, RowSweep's fixed
 /// breakpoint indices, and -- with pruning -- the probe. Scan units are
@@ -306,7 +293,7 @@ void add_block(ScanPlan& plan, std::vector<TaskId> tasks) {
 /// how much work survives the probe floor.
 void prepare_scan(BlockScan& block, const Application& app, const TaskWindows& windows,
                   bool pruning) {
-  const std::vector<TaskId>& tasks = block.tasks;
+  const std::span<const TaskId> tasks = block.tasks;
   block.points.reserve(tasks.size() * 2);
   block.comp.reserve(tasks.size());
   block.est.reserve(tasks.size());
@@ -387,7 +374,8 @@ std::size_t row_end(const BlockScan& block, std::size_t l, bool pruning) {
   return lo;
 }
 
-/// Build the scan units of block `block_index` and append them to the plan.
+/// Build the scan units of `block` (index `block_index` in the driver's
+/// block list) and append them to `units`.
 ///
 /// Without pruning, rows are grouped by nominal pair count. With pruning the
 /// nominal count is the wrong currency: the floor check in scan_unit breaks
@@ -408,8 +396,8 @@ std::size_t row_end(const BlockScan& block, std::size_t l, bool pruning) {
 /// MUST run after the block's probe when pruning is on; with an empty probe
 /// (Ratio 0/1) every positive-demand pair "survives" and the grouping
 /// quietly degenerates to nominal.
-void plan_block_units(ScanPlan& plan, std::size_t block_index, bool pruning) {
-  const BlockScan& block = plan.blocks[block_index];
+void plan_block_units(const BlockScan& block, std::size_t block_index, bool pruning,
+                      std::vector<ScanUnit>& units) {
   const std::size_t n = block.points.size();
   const auto surviving_pairs = [&](std::size_t l) -> std::uint64_t {
     return static_cast<std::uint64_t>(row_end(block, l, pruning) - (l + 1));
@@ -423,42 +411,8 @@ void plan_block_units(ScanPlan& plan, std::size_t block_index, bool pruning) {
       pairs += surviving_pairs(l);
       ++l;
     }
-    plan.units.push_back({block_index, begin, l});
+    units.push_back({block_index, begin, l});
   }
-}
-
-/// plan_block_units over every block, in block order (merge_blocks relies on
-/// units being grouped by block in block order).
-void plan_all_units(ScanPlan& plan, bool pruning) {
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) plan_block_units(plan, b, pruning);
-}
-
-/// prepare_scan every block of `plan`, then plan the scan units (the cold
-/// path scans every block).
-void prepare_plan(ScanPlan& plan, const Application& app, const TaskWindows& windows,
-                  bool pruning) {
-  for (BlockScan& block : plan.blocks) prepare_scan(block, app, windows, pruning);
-  plan_all_units(plan, pruning);
-}
-
-ScanPlan make_plan(const Application& app, const TaskWindows& windows, ResourceId r,
-                   const LowerBoundOptions& opts, bool prepare) {
-  ScanPlan plan;
-  std::vector<TaskId> st = app.tasks_using(r);
-  if (st.empty()) return plan;
-  if (opts.use_partitioning) {
-    ResourcePartition partition = partition_tasks(app, windows, r);
-    for (PartitionBlock& block : partition.blocks) {
-      add_block(plan, std::move(block.tasks));
-    }
-  } else {
-    add_block(plan, std::move(st));
-  }
-  // prepare=false (the cached query path): blocks are NOT prepared and no
-  // units are built here -- the caller prepares and plans only its cache
-  // misses, so pruned unit sizing sees the same floors as the cold path.
-  if (prepare) prepare_plan(plan, app, windows, opts.enable_pruning);
-  return plan;
 }
 
 UnitResult scan_unit(const BlockScan& block, const ScanUnit& unit, bool prune) {
@@ -496,172 +450,23 @@ UnitResult scan_unit(const BlockScan& block, const ScanUnit& unit, bool prune) {
   return res;
 }
 
-/// Execute every unit of `plan`, serially or across a pool. Each unit writes
-/// its own slot, so execution order is irrelevant to the merged result.
-std::vector<UnitResult> execute_plan(const ScanPlan& plan, const LowerBoundOptions& opts) {
-  std::vector<UnitResult> results(plan.units.size());
-  auto run_one = [&](std::size_t i) {
-    results[i] = scan_unit(plan.blocks[plan.units[i].block], plan.units[i], opts.enable_pruning);
-  };
-  const unsigned workers =
-      opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-  if (workers <= 1 || plan.units.size() <= 1) {
-    for (std::size_t i = 0; i < plan.units.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(plan.units.size(), run_one);
-  }
-  return results;
-}
-
-/// Reduce results in a fixed deterministic order -- block probes first (in
-/// block order), then unit results (in unit order): peak = max, witness =
-/// the first result that attains the peak, work = sum. A tie across units
-/// therefore keeps a witness whose density EQUALS the reported peak -- never
-/// a stale witness from a lower-density block. With pruning off every probe
-/// is empty, so the reduction degenerates to the plain unit-order merge.
-ResourceBound merge_units(const Application& app, const TaskWindows& windows,
-                          const ScanPlan& plan, const std::vector<UnitResult>& results) {
-  ResourceBound out;
-  const BlockScan* winner_block = nullptr;
-  auto absorb = [&](const UnitResult& r, const BlockScan& block) {
-    out.intervals_evaluated += r.evaluated;
-    if (r.has_witness && r.peak > out.peak_density) {
-      out.peak_density = r.peak;
-      out.witness_t1 = r.witness_t1;
-      out.witness_t2 = r.witness_t2;
-      out.witness_demand = r.witness_demand;
-      winner_block = &block;
-    }
-  };
-  for (const BlockScan& block : plan.blocks) absorb(block.probe, block);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    absorb(results[i], plan.blocks[plan.units[i].block]);
-  }
-  out.bound = out.peak_density.ceil();
-#ifndef NDEBUG
-  if (winner_block != nullptr) {
-    const Time check =
-        demand(app, windows, winner_block->tasks, out.witness_t1, out.witness_t2);
-    RTLB_CHECK(check == out.witness_demand, "witness demand inconsistent with its interval");
-    RTLB_CHECK((Ratio{check, out.witness_t2 - out.witness_t1} == out.peak_density),
-               "witness density disagrees with peak_density");
-  }
-#else
-  (void)winner_block;
-  (void)app;
-  (void)windows;
-  (void)plan;
-#endif
-  return out;
-}
-
-}  // namespace
-
-ResourceBound resource_lower_bound(const Application& app, const TaskWindows& windows,
-                                   ResourceId r, const LowerBoundOptions& opts) {
-  const ScanPlan plan = make_plan(app, windows, r, opts, /*prepare=*/true);
-  ResourceBound out = merge_units(app, windows, plan, execute_plan(plan, opts));
-  out.resource = r;
-  return out;
-}
-
-ResourceBound density_bound_over(const Application& app, const TaskWindows& windows,
-                                 std::vector<TaskId> tasks, const LowerBoundOptions& opts) {
-  ScanPlan plan;
-  if (tasks.empty()) return ResourceBound{};
-  // Figure-4 blocks over the given set (same rule as partition_tasks, which
-  // is tied to a ResourceId and so not reusable directly).
-  std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-    if (windows.est[a] != windows.est[b]) return windows.est[a] < windows.est[b];
-    return a < b;
-  });
-  std::vector<TaskId> block;
-  Time block_finish = kTimeMin;
-  for (TaskId i : tasks) {
-    if (!block.empty() && windows.est[i] >= block_finish) {
-      add_block(plan, std::move(block));
-      block.clear();
-    }
-    block.push_back(i);
-    block_finish = std::max(block_finish, windows.lct[i]);
-  }
-  add_block(plan, std::move(block));
-  prepare_plan(plan, app, windows, opts.enable_pruning);
-  return merge_units(app, windows, plan, execute_plan(plan, opts));
-}
-
-std::vector<ResourceBound> all_resource_bounds(const Application& app,
-                                               const TaskWindows& windows,
-                                               const LowerBoundOptions& opts) {
-  const std::vector<ResourceId> resources = app.resource_set();
-  std::vector<ScanPlan> plans;
-  plans.reserve(resources.size());
-  for (ResourceId r : resources) {
-    plans.push_back(make_plan(app, windows, r, opts, /*prepare=*/true));
-  }
-
-  // Pool the scan units of every resource into one flat work list so a
-  // resource with one big block does not serialize the whole sweep.
-  struct GlobalUnit {
-    std::size_t plan;
-    std::size_t unit;
-  };
-  std::vector<GlobalUnit> work;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    for (std::size_t u = 0; u < plans[p].units.size(); ++u) work.push_back({p, u});
-  }
-
-  std::vector<UnitResult> results(work.size());
-  auto run_one = [&](std::size_t i) {
-    const ScanPlan& plan = plans[work[i].plan];
-    const ScanUnit& unit = plan.units[work[i].unit];
-    results[i] = scan_unit(plan.blocks[unit.block], unit, opts.enable_pruning);
-  };
-  const unsigned workers =
-      opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-  if (workers <= 1 || work.size() <= 1) {
-    for (std::size_t i = 0; i < work.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(work.size(), run_one);
-  }
-
-  // Re-slice the flat result list back into per-resource runs (work is
-  // ordered by plan, then unit) and reduce each run in unit order.
-  std::vector<ResourceBound> out;
-  out.reserve(resources.size());
-  std::size_t cursor = 0;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    std::vector<UnitResult> slice(results.begin() + static_cast<std::ptrdiff_t>(cursor),
-                                  results.begin() + static_cast<std::ptrdiff_t>(
-                                                        cursor + plans[p].units.size()));
-    cursor += plans[p].units.size();
-    ResourceBound b = merge_units(app, windows, plans[p], slice);
-    b.resource = resources[p];
-    out.push_back(b);
-  }
-  return out;
-}
-
-namespace {
-
-/// Reduce one resource from per-block folded results, replicating
-/// merge_units' canonical order exactly: every block's probe first (in block
-/// order), then every block's folded units (units are created grouped by
-/// block in block order, and fold_unit preserves first-attainment, so this
-/// equals the flat unit-order merge of the uncached path bit for bit).
+/// Reduce one row's blocks in a fixed deterministic order -- every block's
+/// probe first (in block order), then every block's folded scan (in block
+/// order): peak = max, witness = the first result that attains the peak,
+/// work = sum. fold_unit preserves first-attainment, so this equals a flat
+/// unit-order merge bit for bit, and a tie across blocks keeps a witness
+/// whose density EQUALS the reported peak -- never a stale witness from a
+/// lower-density block. With pruning off every probe is empty.
 ResourceBound merge_blocks(const Application& app, const TaskWindows& windows,
-                           const ScanPlan& plan, const std::vector<UnitResult>& probes,
-                           const std::vector<UnitResult>& scans) {
+                           std::span<const BlockScan> blocks) {
   UnitResult acc;
   const BlockScan* winner_block = nullptr;
   auto absorb = [&](const UnitResult& r, const BlockScan& block) {
     if (r.has_witness && r.peak > acc.peak) winner_block = &block;
     fold_unit(acc, r);
   };
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) absorb(probes[b], plan.blocks[b]);
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) absorb(scans[b], plan.blocks[b]);
+  for (const BlockScan& block : blocks) absorb(block.probe, block);
+  for (const BlockScan& block : blocks) absorb(block.scan, block);
 
   ResourceBound out;
   out.peak_density = acc.peak;
@@ -686,110 +491,155 @@ ResourceBound merge_blocks(const Application& app, const TaskWindows& windows,
   return out;
 }
 
-}  // namespace
-
-std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
-                                                      const TaskWindows& windows,
-                                                      const LowerBoundOptions& opts,
-                                                      BlockScanCache& cache) {
-  const std::vector<ResourceId> resources = app.resource_set();
-  std::vector<ScanPlan> plans;
-  plans.reserve(resources.size());
-  for (ResourceId r : resources) {
-    plans.push_back(make_plan(app, windows, r, opts, /*prepare=*/false));
+/// The cache key of a block: its exact geometry, never task identity.
+BlockScanCache::Key block_key(const Application& app, const TaskWindows& windows,
+                              std::span<const TaskId> tasks, bool pruning) {
+  BlockScanCache::Key key;
+  key.reserve(2 + 4 * tasks.size());
+  key.push_back(pruning ? 1 : 0);
+  key.push_back(static_cast<std::int64_t>(tasks.size()));
+  for (TaskId t : tasks) {
+    key.push_back(windows.est[t]);
+    key.push_back(windows.lct[t]);
+    key.push_back(app.task(t).comp);
+    key.push_back(app.task(t).preemptive ? 1 : 0);
   }
+  return key;
+}
 
-  // Resolve every block against the cache. Misses are prepared here (the
-  // cold path prepares every block inside make_plan) and their scan units
-  // queued; hits are materialized as values so later cache maintenance can
-  // never invalidate them, and are never prepared at all.
-  struct GlobalUnit {
-    std::size_t plan;
-    std::size_t unit;
-  };
-  struct BlockRef {
-    std::size_t plan;
-    std::size_t block;
-  };
-  std::vector<std::vector<BlockScanCache::Key>> keys(plans.size());
-  std::vector<std::vector<UnitResult>> probes(plans.size());
-  std::vector<std::vector<UnitResult>> scans(plans.size());
-  std::vector<BlockRef> miss_list;
-  std::vector<GlobalUnit> work;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const std::size_t num_blocks = plans[p].blocks.size();
-    keys[p].resize(num_blocks);
-    probes[p].resize(num_blocks);
-    scans[p].resize(num_blocks);
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      BlockScan& block = plans[p].blocks[b];
-      BlockScanCache::Key& key = keys[p][b];
-      key.reserve(2 + 4 * block.tasks.size());
-      key.push_back(opts.enable_pruning ? 1 : 0);
-      key.push_back(static_cast<std::int64_t>(block.tasks.size()));
-      for (TaskId t : block.tasks) {
-        key.push_back(windows.est[t]);
-        key.push_back(windows.lct[t]);
-        key.push_back(app.task(t).comp);
-        key.push_back(app.task(t).preemptive ? 1 : 0);
+/// The one driver behind every bound query: one result row per entry of
+/// `rows`, each the fold of that entry's blocks (Theorem 5).
+///
+/// With a cache, every block is looked up first; a hit replays its stored
+/// probe and folded scan and is never prepared. The remaining blocks are
+/// prepared and split into scan units, the units of ALL rows run through
+/// one fan-out (so a row with one big block does not serialize the rest),
+/// each block folds its units in unit order, the misses are stored, and
+/// merge_blocks reduces each row. Every unit writes its own slot, so the
+/// thread count never changes the result. Without a cache no key is built.
+std::vector<ResourceBound> scan_rows(const Application& app, const TaskWindows& windows,
+                                     std::span<const ResourcePartition> rows,
+                                     const LowerBoundOptions& opts, BlockScanCache* cache) {
+  const bool pruning = opts.enable_pruning;
+  std::size_t num_blocks = 0;
+  for (const ResourcePartition& row : rows) num_blocks += row.blocks.size();
+  std::vector<BlockScan> blocks;
+  blocks.reserve(num_blocks);
+  std::vector<std::size_t> row_begin;  // first block of each row, then the end
+  row_begin.reserve(rows.size() + 1);
+  for (const ResourcePartition& row : rows) {
+    row_begin.push_back(blocks.size());
+    for (const PartitionBlock& block : row.blocks) blocks.emplace_back().tasks = block.tasks;
+  }
+  row_begin.push_back(blocks.size());
+
+  std::vector<std::pair<std::size_t, BlockScanCache::Key>> misses;
+  std::vector<ScanUnit> units;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    BlockScan& block = blocks[b];
+    if (cache != nullptr) {
+      BlockScanCache::Key key = block_key(app, windows, block.tasks, pruning);
+      if (const BlockScanCache::Entry* hit = cache->lookup(key)) {
+        block.probe = hit->probe;
+        block.scan = hit->scan;
+        continue;
       }
-      const auto it = cache.map_.find(key);
-      if (it != cache.map_.end()) {
-        ++cache.hits_;
-        probes[p][b] = it->second.probe;
-        scans[p][b] = it->second.scan;
-      } else {
-        ++cache.misses_;
-        miss_list.push_back({p, b});
-        prepare_scan(block, app, windows, opts.enable_pruning);
-        probes[p][b] = block.probe;
-        // The block's own probe floor sizes its units exactly as on the
-        // cold path; units stay grouped by block in block order.
-        plan_block_units(plans[p], b, opts.enable_pruning);
-      }
+      misses.emplace_back(b, std::move(key));
     }
-    for (std::size_t u = 0; u < plans[p].units.size(); ++u) work.push_back({p, u});
+    prepare_scan(block, app, windows, pruning);
+    plan_block_units(block, b, pruning, units);
   }
 
-  // Execute the missed units exactly like the uncached path (flat list over
-  // one pool, own slot per unit, deterministic fold afterwards).
-  std::vector<UnitResult> results(work.size());
+  std::vector<UnitResult> results(units.size());
   auto run_one = [&](std::size_t i) {
-    const ScanPlan& plan = plans[work[i].plan];
-    const ScanUnit& unit = plan.units[work[i].unit];
-    results[i] = scan_unit(plan.blocks[unit.block], unit, opts.enable_pruning);
+    results[i] = scan_unit(blocks[units[i].block], units[i], pruning);
   };
   const unsigned workers =
       opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-  if (workers <= 1 || work.size() <= 1) {
-    for (std::size_t i = 0; i < work.size(); ++i) run_one(i);
+  if (workers <= 1 || units.size() <= 1) {
+    for (std::size_t i = 0; i < units.size(); ++i) run_one(i);
   } else {
     ThreadPool pool(workers);
-    pool.parallel_for(work.size(), run_one);
+    pool.parallel_for(units.size(), run_one);
   }
-  // `work` is ordered (plan, unit) ascending, so this folds each missed
-  // block's units in unit order.
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    fold_unit(scans[work[i].plan][plans[work[i].plan].units[work[i].unit].block], results[i]);
-  }
+  // Units are grouped by block in block order, so this folds each block's
+  // units in unit order.
+  for (std::size_t i = 0; i < units.size(); ++i) fold_unit(blocks[units[i].block].scan, results[i]);
 
-  // Record the misses. The occasional wholesale clear (safety valve against
-  // unbounded growth) only costs future hits; the values merged below were
-  // copied out already.
-  for (const BlockRef& m : miss_list) {
-    if (cache.map_.size() >= BlockScanCache::kMaxEntries) cache.map_.clear();
-    cache.map_.emplace(std::move(keys[m.plan][m.block]),
-                       BlockScanCache::Entry{probes[m.plan][m.block], scans[m.plan][m.block]});
-  }
+  for (auto& [b, key] : misses) cache->store(std::move(key), {blocks[b].probe, blocks[b].scan});
 
   std::vector<ResourceBound> out;
-  out.reserve(resources.size());
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    ResourceBound b = merge_blocks(app, windows, plans[p], probes[p], scans[p]);
-    b.resource = resources[p];
-    out.push_back(b);
+  out.reserve(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::span<const BlockScan> row_blocks(blocks.data() + row_begin[r],
+                                                row_begin[r + 1] - row_begin[r]);
+    ResourceBound bound = merge_blocks(app, windows, row_blocks);
+    bound.resource = rows[r].resource;
+    out.push_back(bound);
   }
   return out;
+}
+
+/// What the engine scans for resource r: its Figure-4 partition, or with
+/// use_partitioning off the whole of ST_r as one block.
+ResourcePartition blocks_for(const Application& app, const TaskWindows& windows, ResourceId r,
+                             const LowerBoundOptions& opts) {
+  if (opts.use_partitioning) return partition_tasks(app, windows, r);
+  ResourcePartition whole{r, {}};
+  std::vector<TaskId> st = app.tasks_using(r);
+  // The engine reads a block's tasks only, so start/finish stay unset.
+  if (!st.empty()) whole.blocks.push_back({std::move(st), 0, 0});
+  return whole;
+}
+
+}  // namespace
+
+const BlockScanCache::Entry* BlockScanCache::lookup(const Key& key) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++misses_;
+    return nullptr;
+  }
+  ++hits_;
+  return &it->second;
+}
+
+void BlockScanCache::store(Key key, Entry entry) {
+  // The occasional wholesale clear (safety valve against unbounded growth)
+  // only costs future hits: callers copy a hit's values out before storing.
+  if (map_.size() >= kMaxEntries) map_.clear();
+  map_.emplace(std::move(key), entry);
+}
+
+ResourceBound resource_lower_bound(const Application& app, const TaskWindows& windows,
+                                   ResourceId r, const LowerBoundOptions& opts) {
+  const ResourcePartition row = blocks_for(app, windows, r, opts);
+  return scan_rows(app, windows, {&row, 1}, opts, nullptr).front();
+}
+
+ResourceBound density_bound_over(const Application& app, const TaskWindows& windows,
+                                 std::vector<TaskId> tasks, const LowerBoundOptions& opts) {
+  const ResourcePartition row{kInvalidResource, partition_blocks(windows, std::move(tasks))};
+  return scan_rows(app, windows, {&row, 1}, opts, nullptr).front();
+}
+
+std::vector<ResourceBound> all_resource_bounds(const Application& app,
+                                               const TaskWindows& windows,
+                                               const LowerBoundOptions& opts) {
+  return all_resource_bounds(app, windows, partition_all(app, windows), opts);
+}
+
+std::vector<ResourceBound> all_resource_bounds(const Application& app,
+                                               const TaskWindows& windows,
+                                               const std::vector<ResourcePartition>& partitions,
+                                               const LowerBoundOptions& opts,
+                                               BlockScanCache* cache) {
+  if (opts.use_partitioning) return scan_rows(app, windows, partitions, opts, cache);
+  std::vector<ResourcePartition> rows;
+  for (const ResourcePartition& p : partitions) {
+    rows.push_back(blocks_for(app, windows, p.resource, opts));
+  }
+  return scan_rows(app, windows, rows, opts, cache);
 }
 
 std::vector<std::pair<Time, Time>> row_demand(const Application& app,
@@ -797,9 +647,8 @@ std::vector<std::pair<Time, Time>> row_demand(const Application& app,
                                               std::vector<TaskId> tasks, Time t1) {
   std::vector<std::pair<Time, Time>> out;
   if (tasks.empty()) return out;
-  ScanPlan plan;
-  add_block(plan, std::move(tasks));
-  BlockScan& block = plan.blocks.front();
+  BlockScan block;
+  block.tasks = tasks;
   prepare_scan(block, app, windows, /*pruning=*/false);
   const std::size_t first = static_cast<std::size_t>(
       std::upper_bound(block.points.begin(), block.points.end(), t1) - block.points.begin());

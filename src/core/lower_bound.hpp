@@ -10,10 +10,19 @@
 // ENGINE. The maximization is decomposed into deterministic scan units --
 // one unit per (partition block, chunk of candidate left endpoints) -- that
 // are independent of each other: every unit scans with a fresh incumbent and
-// accumulates its own peak/witness/work counters. Units are then reduced in
-// unit order, so the result (bound, peak density, witness interval, and
-// intervals_evaluated) is bit-identical no matter how many threads executed
-// the units. num_threads therefore changes wall-clock only, never output.
+// accumulates its own peak/witness/work counters. Each block folds its units
+// in unit order, and each resource reduces its blocks in block order, so the
+// result (bound, peak density, witness interval, and intervals_evaluated) is
+// bit-identical no matter how many threads executed the units. num_threads
+// therefore changes wall-clock only, never output.
+//
+// Every entry point below -- resource_lower_bound, both all_resource_bounds,
+// density_bound_over -- is one call of a single private driver. It takes one
+// block list per result row (a Figure-4 partition from partition_blocks, or
+// ST_r whole when partitioning is off) and an optional BlockScanCache. It
+// resolves blocks against the cache, prepares and plans only the blocks it
+// must scan, runs the units of all rows through one fan-out, and reduces.
+// The block-level reduction is what makes per-block caching exact.
 //
 // ROW SWEEP. A unit walks its rows (one left endpoint t1 each) with one
 // sweep per row instead of a sum per pair: for fixed t1 every Psi of
@@ -105,9 +114,28 @@ ResourceBound resource_lower_bound(const Application& app, const TaskWindows& wi
 /// LB_r for every r in RES, in resource_set() order. With opts.num_threads
 /// != 1 the (resource, block, chunk) scan units of ALL resources are fanned
 /// out over one pool, so small resources do not serialize behind large ones.
+/// Partitions ST_r itself; the overload below takes partitions already made.
 std::vector<ResourceBound> all_resource_bounds(const Application& app,
                                                const TaskWindows& windows,
                                                const LowerBoundOptions& opts = {});
+
+class BlockScanCache;
+
+/// all_resource_bounds over `partitions`, which must be partition_all(app,
+/// windows) (the pipeline hands over its kPartitions artifact, so ST_r is
+/// partitioned once per query). With opts.use_partitioning off they only
+/// name the resources, and each ST_r is scanned as one block.
+///
+/// With a non-null `cache`, every block is first looked up there and only
+/// the misses are scanned (then stored). Bit-identical to the uncached call
+/// for every input -- a hit replays a scan whose inputs were value-equal.
+/// Feed a cache one `opts` (enable_pruning is part of the key, so mixing is
+/// safe but wastes entries). A null cache builds no keys at all.
+std::vector<ResourceBound> all_resource_bounds(const Application& app,
+                                               const TaskWindows& windows,
+                                               const std::vector<ResourcePartition>& partitions,
+                                               const LowerBoundOptions& opts,
+                                               BlockScanCache* cache = nullptr);
 
 /// The same density maximization over an ARBITRARY task set (used by the
 /// conjunctive joint bounds): partitions `tasks` into window-disjoint blocks
@@ -149,16 +177,6 @@ struct BlockScanResult {
 /// query.
 class BlockScanCache {
  public:
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::size_t size() const { return map_.size(); }
-  void clear() { map_.clear(); }
-
- private:
-  friend std::vector<ResourceBound> all_resource_bounds_cached(const Application&,
-                                                               const TaskWindows&,
-                                                               const LowerBoundOptions&,
-                                                               BlockScanCache&);
   /// Flattened exact geometry: [pruning, n, then per task est, lct, comp,
   /// preemptive]. Exact-value keys (not hashes) -- a hit is a PROOF of
   /// equality, so cached results are bit-identical by construction.
@@ -167,6 +185,19 @@ class BlockScanCache {
     BlockScanResult probe;  ///< pruning probe (empty when pruning is off)
     BlockScanResult scan;   ///< the block's scan units folded in unit order
   };
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::size_t size() const { return map_.size(); }
+  void clear() { map_.clear(); }
+
+  /// The entry for `key`, or null; counts a hit or a miss. The pointer is
+  /// valid until the next store().
+  const Entry* lookup(const Key& key);
+  /// Record a scanned block. The table is cleared wholesale when full.
+  void store(Key key, Entry entry);
+
+ private:
   /// Safety valve: a session that never repeats a block (e.g. an endless
   /// randomized search) must not grow the table without bound.
   static constexpr std::size_t kMaxEntries = 1 << 16;
@@ -175,16 +206,5 @@ class BlockScanCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
-
-/// all_resource_bounds with per-block memoization through `cache`.
-/// Bit-identical to the uncached function for every input (the cache only
-/// ever replays a scan whose inputs were value-equal); `cache` must always
-/// be fed the same `opts` (enable_pruning is part of the key, so mixing is
-/// safe but wastes entries). Cache misses are fanned out over the thread
-/// pool exactly like the uncached path.
-std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
-                                                      const TaskWindows& windows,
-                                                      const LowerBoundOptions& opts,
-                                                      BlockScanCache& cache);
 
 }  // namespace rtlb

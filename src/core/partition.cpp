@@ -4,39 +4,32 @@
 
 namespace rtlb {
 
-ResourcePartition partition_tasks(const Application& app, const TaskWindows& windows,
-                                  ResourceId r) {
-  ResourcePartition out;
-  out.resource = r;
-  std::vector<TaskId> st = app.tasks_using(r);
-  if (st.empty()) return out;
-
+std::vector<PartitionBlock> partition_blocks(const TaskWindows& windows,
+                                             std::vector<TaskId> tasks) {
   // Figure 4 step 1: ascending EST (ties by id for determinism).
-  std::sort(st.begin(), st.end(), [&](TaskId a, TaskId b) {
+  std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
     if (windows.est[a] != windows.est[b]) return windows.est[a] < windows.est[b];
     return a < b;
   });
 
-  PartitionBlock block;
-  auto open = [&](TaskId i) {
-    block.tasks = {i};
-    block.start = windows.est[i];
-    block.finish = windows.lct[i];
-  };
-  open(st[0]);
-  for (std::size_t k = 1; k < st.size(); ++k) {
-    const TaskId i = st[k];
-    if (windows.est[i] < block.finish) {  // E_i < max_{j in P_rk} L_j
-      block.tasks.push_back(i);
-      block.start = std::min(block.start, windows.est[i]);
-      block.finish = std::max(block.finish, windows.lct[i]);
-    } else {
-      out.blocks.push_back(std::move(block));
-      open(i);
+  std::vector<PartitionBlock> blocks;
+  for (TaskId i : tasks) {
+    // E_i < max_{j in P_rk} L_j joins the open block; anything else opens
+    // the next one. Tasks arrive in ascending EST, so a block starts at its
+    // first task's E.
+    if (blocks.empty() || windows.est[i] >= blocks.back().finish) {
+      blocks.push_back({{}, windows.est[i], windows.lct[i]});
     }
+    PartitionBlock& block = blocks.back();
+    block.tasks.push_back(i);
+    block.finish = std::max(block.finish, windows.lct[i]);
   }
-  out.blocks.push_back(std::move(block));
-  return out;
+  return blocks;
+}
+
+ResourcePartition partition_tasks(const Application& app, const TaskWindows& windows,
+                                  ResourceId r) {
+  return {r, partition_blocks(windows, app.tasks_using(r))};
 }
 
 std::vector<ResourcePartition> partition_all(const Application& app,
@@ -48,24 +41,22 @@ std::vector<ResourcePartition> partition_all(const Application& app,
   return out;
 }
 
-bool is_valid_partition(const Application& app, const TaskWindows& windows,
-                        const ResourcePartition& partition) {
-  // (i) blocks cover ST_r and (ii) are disjoint.
+bool is_valid_partition(const TaskWindows& windows, std::span<const PartitionBlock> blocks,
+                        std::vector<TaskId> tasks) {
+  // (i) blocks cover the task set and (ii) are disjoint.
   std::vector<TaskId> covered;
-  for (const PartitionBlock& b : partition.blocks) {
+  for (const PartitionBlock& b : blocks) {
     covered.insert(covered.end(), b.tasks.begin(), b.tasks.end());
   }
-  std::vector<TaskId> sorted = covered;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return false;
-  std::vector<TaskId> st = app.tasks_using(partition.resource);
-  std::sort(st.begin(), st.end());
-  if (sorted != st) return false;
+  std::sort(covered.begin(), covered.end());
+  if (std::adjacent_find(covered.begin(), covered.end()) != covered.end()) return false;
+  std::sort(tasks.begin(), tasks.end());
+  if (covered != tasks) return false;
 
   // (iii) ordering: max L of block k <= min E of every later block, and the
   // cached [start, finish] windows are consistent.
-  for (std::size_t k = 0; k < partition.blocks.size(); ++k) {
-    const PartitionBlock& b = partition.blocks[k];
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const PartitionBlock& b = blocks[k];
     if (b.tasks.empty()) return false;
     Time lo = kTimeMax, hi = kTimeMin;
     for (TaskId i : b.tasks) {
@@ -73,13 +64,18 @@ bool is_valid_partition(const Application& app, const TaskWindows& windows,
       hi = std::max(hi, windows.lct[i]);
     }
     if (lo != b.start || hi != b.finish) return false;
-    for (std::size_t l = k + 1; l < partition.blocks.size(); ++l) {
-      for (TaskId j : partition.blocks[l].tasks) {
+    for (std::size_t l = k + 1; l < blocks.size(); ++l) {
+      for (TaskId j : blocks[l].tasks) {
         if (windows.est[j] < hi) return false;
       }
     }
   }
   return true;
+}
+
+bool is_valid_partition(const Application& app, const TaskWindows& windows,
+                        const ResourcePartition& partition) {
+  return is_valid_partition(windows, partition.blocks, app.tasks_using(partition.resource));
 }
 
 }  // namespace rtlb

@@ -6,6 +6,7 @@
 // of Eq. 6.3 can then be done per block with no loss of tightness.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/core/est_lct.hpp"
@@ -27,6 +28,13 @@ struct ResourcePartition {
   std::vector<PartitionBlock> blocks;
 };
 
+/// Figure 4 applied to an arbitrary task set: window-disjoint blocks in
+/// ascending start order, each block's tasks in ascending (EST, id) order.
+/// The one implementation of the split rule; everything below and the bound
+/// engine build their blocks through it.
+std::vector<PartitionBlock> partition_blocks(const TaskWindows& windows,
+                                             std::vector<TaskId> tasks);
+
 /// Figure 4 applied to ST_r.
 ResourcePartition partition_tasks(const Application& app, const TaskWindows& windows,
                                   ResourceId r);
@@ -37,5 +45,9 @@ std::vector<ResourcePartition> partition_all(const Application& app, const TaskW
 /// Test hook: check conditions (i)-(iii) of Section 5 on a partition.
 bool is_valid_partition(const Application& app, const TaskWindows& windows,
                         const ResourcePartition& partition);
+
+/// The same checks on blocks that should partition `tasks` (in any order).
+bool is_valid_partition(const TaskWindows& windows, std::span<const PartitionBlock> blocks,
+                        std::vector<TaskId> tasks);
 
 }  // namespace rtlb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "src/common/thread_pool.hpp"
@@ -15,6 +16,17 @@ namespace {
 constexpr const char* const kStageNames[kNumStages] = {
     "lint_gate", "windows", "partitions", "bounds", "costs",
 };
+
+/// The kReport criterion at kOff, which runs no lint: windows that absint
+/// proves overflow Time for every merge decision (RTLB-E310) are refused
+/// before the EST/LCT recurrences could compute them (signed-overflow UB).
+void refuse_proved_overflow(const Application& app, const DedicatedPlatform* platform) {
+  const AbsIntResult absint = abstract_interpret(app, platform);
+  if (absint.verdict != AbsVerdict::kMustOverflow) return;
+  throw ModelError("RTLB-E310: " + std::string(absint.worst_is_est ? "EST" : "LCT") +
+                   " of task '" + app.task(absint.worst_task).name +
+                   "' overflows Time for every merge decision");
+}
 
 }  // namespace
 
@@ -57,6 +69,7 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
   LintGateArtifact gate;
   if (level == LintLevel::kOff) {
     app.validate();
+    refuse_proved_overflow(app, platform);
     return gate;
   }
   LintResult result = lint(app, platform, lines);
@@ -89,6 +102,8 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
     ScopedSpan span(trace, stage_name(Stage::kLintGate));
     if (options.lint_level == LintLevel::kOff) {
       app.validate();
+      // Windows a cache serves were computed safely before.
+      if (cache.cached_windows() == nullptr) refuse_proved_overflow(app, platform);
       cache.record(Stage::kLintGate, false);
     } else {
       std::optional<LintResult> served = cache.serve_lint(app, platform);
@@ -162,10 +177,11 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   result.partitions = std::move(partitions.partitions);
 
   // Stage kBounds: LB_r for every r in RES (+ the conjunctive extension
-  // rows). Stage-level reuse replays the whole vector; otherwise a
-  // block-level cache (when the StageCache carries one) reuses every
-  // partition block the delta left value-unchanged (Theorem 5
-  // independence), and only missed blocks are scanned.
+  // rows), scanned over the kPartitions artifact. Stage-level reuse replays
+  // the whole vector; otherwise a block-level cache (when the StageCache
+  // carries one) reuses every partition block the delta left
+  // value-unchanged (Theorem 5 independence), and only missed blocks are
+  // scanned.
   BoundsArtifact bounds;
   {
     ScopedSpan span(trace, stage_name(Stage::kBounds));
@@ -174,19 +190,18 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       bounds.bounds = *cached;
       cache.record(Stage::kBounds, true);
       span.count("reused", 1);
-    } else if (BlockScanCache* block_cache = cache.block_cache()) {
-      const std::uint64_t hits = block_cache->hits();
-      const std::uint64_t misses = block_cache->misses();
-      bounds.bounds =
-          all_resource_bounds_cached(app, result.windows, options.lower_bound, *block_cache);
-      cache.record(Stage::kBounds, false);
-      span.count("block_cache_hits",
-                 static_cast<std::int64_t>(block_cache->hits() - hits));
-      span.count("block_cache_misses",
-                 static_cast<std::int64_t>(block_cache->misses() - misses));
     } else {
-      bounds.bounds = all_resource_bounds(app, result.windows, options.lower_bound);
+      BlockScanCache* block_cache = cache.block_cache();
+      const std::uint64_t hits = block_cache ? block_cache->hits() : 0;
+      const std::uint64_t misses = block_cache ? block_cache->misses() : 0;
+      bounds.bounds = all_resource_bounds(app, result.windows, result.partitions,
+                                          options.lower_bound, block_cache);
       cache.record(Stage::kBounds, false);
+      if (block_cache != nullptr) {
+        span.count("block_cache_hits", static_cast<std::int64_t>(block_cache->hits() - hits));
+        span.count("block_cache_misses",
+                   static_cast<std::int64_t>(block_cache->misses() - misses));
+      }
     }
     if (options.joint_bounds) {
       if (const auto* cached = cache.cached_joint(windows.unchanged)) {

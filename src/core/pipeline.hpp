@@ -9,8 +9,9 @@
 // glue), kept bit-identical by convention and test alone. run_pipeline()
 // is now the ONLY place that sequences stages:
 //
-//   kLintGate    pre-flight gate (Application::validate at kOff, else the
-//                linter + the refusal policy of lint_gate_refuses)
+//   kLintGate    pre-flight gate (Application::validate + the absint
+//                overflow proof at kOff, else the linter + the refusal
+//                policy of lint_gate_refuses)
 //   kWindows     EST/LCT under the model's merge oracle
 //   kPartitions  per-resource window-disjoint blocks (Theorem 5)
 //   kBounds      LB_r per resource (+ conjunctive joint rows if asked)
@@ -142,9 +143,10 @@ class StageCache {
     return nullptr;
   }
 
-  /// Block-level memo table for bound recomputes; null scans uncached.
-  /// (Stage-level reuse above skips the scan entirely; this reuses
-  /// individual untouched blocks when the stage does rescan.)
+  /// Block-level memo table for bound recomputes; null means cold (the
+  /// engine builds no block keys and scans every block). Stage-level reuse
+  /// above skips the scan entirely; this reuses individual untouched blocks
+  /// when the stage does rescan.
   virtual BlockScanCache* block_cache() { return nullptr; }
 
   /// kCosts: previous dedicated solve, offered the freshly computed rows it
@@ -179,7 +181,8 @@ class StageCache {
 bool lint_gate_refuses(const LintResult& result, LintLevel level);
 
 /// Run the kLintGate stage standalone, exactly as the pipeline does:
-/// Application::validate() at kOff (throws ModelError), otherwise lint the
+/// Application::validate() at kOff (throws ModelError), plus a ModelError
+/// naming RTLB-E310 when absint proves the windows overflow; otherwise lint the
 /// instance and throw LintGateError when lint_gate_refuses(). `lines` (may
 /// be null) attributes findings to source lines, as rtlb_lint does.
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
@@ -188,7 +191,7 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
 /// Run all stages (plus the certificate post-stage) through `cache`,
 /// tracing into options.trace when set. This is the only function in the
 /// library that sequences compute_windows / partition_all /
-/// all_resource_bounds* / *cost_bound* / joint_lower_bounds.
+/// all_resource_bounds / *cost_bound* / joint_lower_bounds.
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
                             const DedicatedPlatform* platform, StageCache& cache);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/baselines/trivial_bounds.hpp"
@@ -47,46 +45,6 @@ std::string first_diff(const std::string& expected, const std::string& actual) {
   return "byte " + std::to_string(i) + ": expected ..." + window(expected) +
          "... got ..." + window(actual) + "...";
 }
-
-/// Pool of warm AnalysisSessions for FleetOptions::warm_sessions, one
-/// freelist per system model (a session's options are fixed at
-/// construction). Workers check a session out, replace its application, and
-/// return it -- the content-keyed BlockScanCache survives across
-/// instances, which is the entire point of the mode.
-class SessionPool {
- public:
-  AnalysisResult analyze(const Application& app, SystemModel model,
-                         const DedicatedPlatform* platform) {
-    std::unique_ptr<AnalysisSession> session = take(model);
-    if (!session) {
-      session = std::make_unique<AnalysisSession>(app, baseline_options(model), platform);
-    } else {
-      session->replace_application(app);
-      if (model == SystemModel::Dedicated) session->set_platform(platform);
-    }
-    AnalysisResult result = session->analyze();  // copy; session is reused
-    give_back(model, std::move(session));
-    return result;
-  }
-
- private:
-  std::unique_ptr<AnalysisSession> take(SystemModel model) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& pool = model == SystemModel::Shared ? shared_ : dedicated_;
-    if (pool.empty()) return nullptr;
-    std::unique_ptr<AnalysisSession> s = std::move(pool.back());
-    pool.pop_back();
-    return s;
-  }
-  void give_back(SystemModel model, std::unique_ptr<AnalysisSession> s) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    (model == SystemModel::Shared ? shared_ : dedicated_).push_back(std::move(s));
-  }
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<AnalysisSession>> shared_;
-  std::vector<std::unique_ptr<AnalysisSession>> dedicated_;
-};
 
 /// Per-instance outcome POD: exact counter deltas plus any divergence
 /// records, written into its own slot by the worker and folded in index
@@ -217,7 +175,7 @@ std::vector<OracleFailure> run_oracles(const Application& app,
 
 Outcome evaluate_instance(const ScenarioSpec& spec, const ScenarioCell& cell,
                           std::size_t k, std::uint64_t global_index,
-                          const FleetOptions& opts, SessionPool* sessions) {
+                          const FleetOptions& opts) {
   Outcome out;
   out.cell_index = cell.index;
   const std::uint64_t seed = spec.instance_seed(cell.index, k);
@@ -246,12 +204,7 @@ Outcome evaluate_instance(const ScenarioSpec& spec, const ScenarioCell& cell,
     const DedicatedPlatform* platform =
         cell.model == SystemModel::Dedicated ? &inst.platform : nullptr;
 
-    AnalysisResult ref;
-    if (opts.warm_sessions) {
-      ref = sessions->analyze(*inst.app, cell.model, platform);
-    } else {
-      ref = analyze(*inst.app, baseline_options(cell.model), platform);
-    }
+    const AnalysisResult ref = analyze(*inst.app, baseline_options(cell.model), platform);
     ++out.analyses;
     const std::string ref_report = report_json(*inst.app, ref).dump();
     RTLB_CHECK(ref.certificate.has_value(), "baseline emits certificates");
@@ -449,7 +402,6 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
   }
 
   ThreadPool pool(ThreadPool::resolve_threads(opts.threads));
-  SessionPool sessions;
   std::uint64_t reproducers_written = count_written_reproducers(run.aggregates);
   std::vector<Outcome> slots;
 
@@ -465,7 +417,7 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
       const std::uint64_t g = shard + (owned_done + j) * shards;
       const std::size_t cell_index = static_cast<std::size_t>(g / spec.instances_per_cell);
       const std::size_t k = static_cast<std::size_t>(g % spec.instances_per_cell);
-      slots[j] = evaluate_instance(spec, cells[cell_index], k, g, opts, &sessions);
+      slots[j] = evaluate_instance(spec, cells[cell_index], k, g, opts);
     });
 
     // Serial fold in index order -- aggregates are commutative counters, but

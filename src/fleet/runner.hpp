@@ -94,13 +94,6 @@ struct FleetOptions {
   /// instance; kNoCorruption disables the hook.
   std::uint64_t corrupt_instance = kNoCorruption;
 
-  /// Serve the baseline analysis of every instance from a pool of warm
-  /// AnalysisSessions (replace_application keeps the content-keyed block
-  /// cache across instances). Results are bit-identical by the session
-  /// contract -- the fleet asserts aggregate equality in tests -- so this
-  /// is purely a throughput mode (BENCH_fleet.json records both).
-  bool warm_sessions = false;
-
   /// Print a progress line to stderr after every chunk.
   bool progress = false;
 };

@@ -2,7 +2,7 @@
 //
 // The load-bearing properties here are DETERMINISM properties: the same
 // scenario spec must yield byte-identical aggregate reports regardless of
-// thread count, sharding, warm/cold baselines, or kill-and-resume -- plus
+// thread count, sharding, or kill-and-resume -- plus
 // the oracle property that a deliberately corrupted engine result is
 // flagged as exactly one divergence at exactly the right coordinates.
 #include <gtest/gtest.h>
@@ -242,15 +242,6 @@ TEST(FleetRunner, ThreadCountDoesNotChangeTheBytes) {
   threaded.threads = 4;
   EXPECT_EQ(report_bytes(spec, run_fleet(spec, serial)),
             report_bytes(spec, run_fleet(spec, threaded)));
-}
-
-TEST(FleetRunner, WarmSessionsEqualCold) {
-  const ScenarioSpec spec = tiny_spec();
-  FleetOptions warm;
-  warm.warm_sessions = true;
-  warm.threads = 2;
-  EXPECT_EQ(report_bytes(spec, run_fleet(spec, FleetOptions{})),
-            report_bytes(spec, run_fleet(spec, warm)));
 }
 
 TEST(FleetRunner, ShardedRunsMergeToSingleProcessBytes) {

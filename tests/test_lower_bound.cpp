@@ -183,6 +183,57 @@ TEST(LowerBoundOverSets, DensityBoundOverMatchesResourceBound) {
   EXPECT_EQ(density_bound_over(*inst.app, w, {}).bound, 0);
 }
 
+TEST(LowerBoundOverSets, DensityBoundOverEqualsUnpartitionedScanOfSubset) {
+  // Theorem 5 on sets that are no resource's ST_r: the partitioned scan of
+  // an arbitrary subset must find the peak density of scanning every
+  // candidate pair of that subset as one block.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    WorkloadParams params;
+    params.seed = seed;
+    params.num_tasks = 24;
+    params.laxity = 1.3 + 0.3 * static_cast<double>(seed % 4);
+    params.release_spread = (seed % 2 == 0) ? 0.5 : 0.0;
+    params.preemptive_prob = (seed % 3 == 0) ? 0.5 : 0.0;
+    ProblemInstance inst = generate_workload(params);
+    SharedMergeOracle oracle;
+    const TaskWindows w = compute_windows(*inst.app, oracle);
+    Rng rng(seed);
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<TaskId> subset;
+      std::vector<Time> points;
+      for (TaskId i = 0; i < inst.app->num_tasks(); ++i) {
+        if (!rng.chance(0.5)) continue;
+        subset.push_back(i);
+        points.push_back(w.est[i]);
+        points.push_back(w.lct[i]);
+      }
+      std::sort(points.begin(), points.end());
+      points.erase(std::unique(points.begin(), points.end()), points.end());
+      Ratio peak{0, 1};
+      for (std::size_t a = 0; a < points.size(); ++a) {
+        for (std::size_t b = a + 1; b < points.size(); ++b) {
+          const Ratio density{demand(*inst.app, w, subset, points[a], points[b]),
+                              points[b] - points[a]};
+          if (density > peak) peak = density;
+        }
+      }
+      for (bool prune : {false, true}) {
+        LowerBoundOptions opts;
+        opts.enable_pruning = prune;
+        const ResourceBound over = density_bound_over(*inst.app, w, subset, opts);
+        const std::string ctx = "seed " + std::to_string(seed) + " trial " +
+                                std::to_string(trial) + " prune=" + std::to_string(prune);
+        EXPECT_TRUE(over.peak_density == peak) << ctx;
+        EXPECT_EQ(over.bound, peak.ceil()) << ctx;
+        if (peak > Ratio{0, 1}) {
+          EXPECT_EQ(demand(*inst.app, w, subset, over.witness_t1, over.witness_t2),
+                    over.witness_demand) << ctx;
+        }
+      }
+    }
+  }
+}
+
 TEST(LowerBoundAnalysis, BoundNeverBelowWorkDensity) {
   // LB_r >= the single-interval work bound by construction (the work bound
   // is one of the candidate intervals).

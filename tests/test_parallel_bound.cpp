@@ -4,6 +4,7 @@
 // arithmetic on near-kTimeMax windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <limits>
 
@@ -119,6 +120,60 @@ TEST(ParallelBound, PruningKeepsResultsAndNeverEvaluatesMore) {
       const std::uint64_t probe_budget = inst.app->tasks_using(r).size();
       EXPECT_LE(b.intervals_evaluated, a.intervals_evaluated + probe_budget)
           << "seed " << seed;
+    }
+  }
+}
+
+TEST(ParallelBound, BlockCacheReplaysTheUncachedEngine) {
+  // all_resource_bounds through a BlockScanCache equals the uncached call on
+  // a cold cache (every block a miss), on a repeat (every block a hit), and
+  // on a second application that shares only some blocks.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    ProblemInstance inst = generate_workload(params_for(seed));
+    SharedMergeOracle oracle;
+    const TaskWindows w = compute_windows(*inst.app, oracle);
+    const std::vector<ResourcePartition> parts = partition_all(*inst.app, w);
+    // Flipping one task's preemptive flag leaves every window (and so every
+    // partition) as it is and changes only the blocks holding that task.
+    const TaskId victim = parts.front().blocks.front().tasks.front();
+    Application other = *inst.app;
+    other.task(victim).preemptive = !other.task(victim).preemptive;
+    std::uint64_t blocks = 0;
+    std::uint64_t untouched = 0;
+    for (const ResourcePartition& p : parts) {
+      for (const PartitionBlock& b : p.blocks) {
+        ++blocks;
+        untouched += std::find(b.tasks.begin(), b.tasks.end(), victim) == b.tasks.end();
+      }
+    }
+    ASSERT_GT(untouched, 0u);
+    for (bool prune : {false, true}) {
+      for (int threads : {1, 4}) {
+        LowerBoundOptions opts;
+        opts.enable_pruning = prune;
+        opts.num_threads = threads;
+        const std::string ctx = "seed " + std::to_string(seed) +
+                                " prune=" + std::to_string(prune) +
+                                " threads=" + std::to_string(threads);
+        const auto expect_same = [&](const std::vector<ResourceBound>& a,
+                                     const std::vector<ResourceBound>& b) {
+          ASSERT_EQ(a.size(), b.size()) << ctx;
+          for (std::size_t k = 0; k < a.size(); ++k) expect_bitwise_equal(a[k], b[k], ctx);
+        };
+        BlockScanCache cache;
+        const auto cold = all_resource_bounds(*inst.app, w, opts);
+        expect_same(all_resource_bounds(*inst.app, w, parts, opts, &cache), cold);
+        EXPECT_EQ(cache.hits(), 0u) << ctx;
+        EXPECT_EQ(cache.misses(), blocks) << ctx;
+        expect_same(all_resource_bounds(*inst.app, w, parts, opts, &cache), cold);
+        EXPECT_EQ(cache.hits(), blocks) << ctx;
+        EXPECT_EQ(cache.misses(), blocks) << ctx;
+        expect_same(all_resource_bounds(other, w, parts, opts, &cache),
+                    all_resource_bounds(other, w, opts));
+        EXPECT_GE(cache.hits(), blocks + untouched) << ctx;
+        EXPECT_LT(cache.hits(), 2 * blocks) << ctx;
+        EXPECT_EQ(cache.hits() + cache.misses(), 3 * blocks) << ctx;
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/random.hpp"
 #include "src/core/partition.hpp"
 #include "src/workload/paper_example.hpp"
 #include "src/workload/taskset_gen.hpp"
@@ -107,6 +108,18 @@ TEST(PartitionRandom, AllPartitionsValidOnGeneratedWorkloads) {
     for (const ResourcePartition& part : partition_all(*inst.app, w)) {
       EXPECT_TRUE(is_valid_partition(*inst.app, w, part))
           << "seed " << seed << " resource " << part.resource;
+    }
+    // partition_blocks on task sets that are no resource's ST_r (the joint
+    // bounds scan such sets): conditions (i)-(iii) must hold all the same.
+    Rng rng(seed);
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<TaskId> subset;
+      for (TaskId i = 0; i < inst.app->num_tasks(); ++i) {
+        if (rng.chance(0.4)) subset.push_back(i);
+      }
+      const std::vector<PartitionBlock> blocks = partition_blocks(w, subset);
+      EXPECT_EQ(blocks.empty(), subset.empty());
+      EXPECT_TRUE(is_valid_partition(w, blocks, subset)) << "seed " << seed << " trial " << trial;
     }
   }
 }

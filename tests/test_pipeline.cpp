@@ -265,7 +265,8 @@ TEST(LintGate, RefusalPoliciesMatchTheDocumentedSets) {
 
 TEST(LintGate, ProvedOverflowNeverReachesTheWindowsStage) {
   // Each hop adds comp = INT64_MAX/4 along a 7-task chain: absint proves the
-  // window sums overflow (RTLB-E310), so kReport must refuse before kWindows.
+  // window sums overflow (RTLB-E310), so kReport must refuse before kWindows,
+  // and so must kOff, which runs no lint but the same proof.
   std::string text = "proctype CPU cost 5\n";
   for (int k = 0; k < 7; ++k) {
     text += "task c" + std::to_string(k) +
@@ -275,13 +276,24 @@ TEST(LintGate, ProvedOverflowNeverReachesTheWindowsStage) {
     }
   }
   const ProblemInstance inst = parse_instance_string(text, ParseOptions{.validate = false});
-  AnalysisOptions options;
-  options.lint_level = LintLevel::kReport;
-  Trace trace;
-  options.trace = &trace;
-  EXPECT_THROW(run_pipeline(*inst.app, options), LintGateError);
-  for (const TraceSpan& span : trace.spans()) {
-    EXPECT_NE(span.name, stage_name(Stage::kWindows));
+  for (const LintLevel level : {LintLevel::kReport, LintLevel::kOff}) {
+    AnalysisOptions options;
+    options.lint_level = level;
+    Trace trace;
+    options.trace = &trace;
+    if (level == LintLevel::kReport) {
+      EXPECT_THROW(run_pipeline(*inst.app, options), LintGateError);
+    } else {
+      try {
+        run_pipeline(*inst.app, options);
+        ADD_FAILURE() << "kOff computed windows absint proved to overflow";
+      } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("RTLB-E310"), std::string::npos) << e.what();
+      }
+    }
+    for (const TraceSpan& span : trace.spans()) {
+      EXPECT_NE(span.name, stage_name(Stage::kWindows));
+    }
   }
 }
 

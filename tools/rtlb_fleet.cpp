@@ -25,7 +25,6 @@
 //   --checkpoint-every N  instances per checkpoint chunk (default 512)
 //   --limit N             stop after N instances THIS run (kill -9 stand-in)
 //   --repro-dir DIR       write minimized .rtlb reproducers for divergences
-//   --warm                serve baselines from warm AnalysisSessions
 //   --no-parallel / --no-session / --no-certificate / --no-lint
 //                         disable individual oracles
 //   --parallel-threads N  worker count of the parallel oracle (default 4)
@@ -54,7 +53,7 @@ namespace {
                "usage: %s run --spec FILE [--out FILE] [--threads N]\n"
                "          [--shards S --shard K] [--checkpoint FILE]\n"
                "          [--checkpoint-every N] [--limit N] [--repro-dir DIR]\n"
-               "          [--warm] [--no-parallel] [--no-session]\n"
+               "          [--no-parallel] [--no-session]\n"
                "          [--no-certificate] [--no-lint] [--parallel-threads N]\n"
                "          [--progress]\n"
                "       %s merge --out FILE shard-report.json...\n"
@@ -120,8 +119,6 @@ int run_command(int argc, char** argv) {
     } else if (arg == "--repro-dir") {
       if (++i >= argc) usage(argv[0]);
       opts.repro_dir = argv[i];
-    } else if (arg == "--warm") {
-      opts.warm_sessions = true;
     } else if (arg == "--no-parallel") {
       opts.oracles.parallel = false;
     } else if (arg == "--no-session") {
