@@ -17,17 +17,6 @@ constexpr const char* const kStageNames[kNumStages] = {
     "lint_gate", "windows", "partitions", "bounds", "costs",
 };
 
-/// The kReport criterion at kOff, which runs no lint: windows that absint
-/// proves overflow Time for every merge decision (RTLB-E310) are refused
-/// before the EST/LCT recurrences could compute them (signed-overflow UB).
-void refuse_proved_overflow(const Application& app, const DedicatedPlatform* platform) {
-  const AbsIntResult absint = abstract_interpret(app, platform);
-  if (absint.verdict != AbsVerdict::kMustOverflow) return;
-  throw ModelError("RTLB-E310: " + std::string(absint.worst_is_est ? "EST" : "LCT") +
-                   " of task '" + app.task(absint.worst_task).name +
-                   "' overflows Time for every merge decision");
-}
-
 }  // namespace
 
 const char* stage_name(Stage stage) {
@@ -67,14 +56,22 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level) {
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines) {
   LintGateArtifact gate;
-  if (level == LintLevel::kOff) {
-    app.validate();
-    refuse_proved_overflow(app, platform);
+  if (level != LintLevel::kOff) {
+    LintResult result = lint(app, platform, lines, {}, &gate.windows);
+    if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
+    gate.lint = std::move(result);
     return gate;
   }
-  LintResult result = lint(app, platform, lines);
-  if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
-  gate.lint = std::move(result);
+  // The kReport criterion at kOff, which runs no lint: windows that absint
+  // proves overflow Time for every merge decision (RTLB-E310) are refused
+  // before the EST/LCT recurrences could compute them (signed-overflow UB).
+  app.validate();
+  const AbsIntResult absint = abstract_interpret(app, platform);
+  if (absint.verdict == AbsVerdict::kMustOverflow) {
+    throw ModelError("RTLB-E310: " + std::string(absint.worst_is_est ? "EST" : "LCT") +
+                     " of task '" + app.task(absint.worst_task).name +
+                     "' overflows Time for every merge decision");
+  }
   return gate;
 }
 
@@ -92,32 +89,18 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   result.lb_options = options.lower_bound;
 
   // Stage kLintGate: batch-diagnose the instance before spending bound-scan
-  // time on it. A cache may serve the whole LintResult from per-pass slices
-  // (AnalysisSession keys each pass on its dirty flags); the refusal policy
-  // runs on the served result exactly as on a fresh one, so refusals always
-  // reflect the current model. A fresh lint hands over the windows it
-  // computed when they are the ones kWindows would compute (same oracle).
-  std::optional<TaskWindows> lint_windows;
+  // time on it. Every query lints fresh through run_lint_gate, so refusals
+  // always reflect the current model; the lint's windows are handed to
+  // kWindows below.
+  LintGateArtifact gate;
   {
     ScopedSpan span(trace, stage_name(Stage::kLintGate));
-    if (options.lint_level == LintLevel::kOff) {
-      app.validate();
-      // Windows a cache serves were computed safely before.
-      if (cache.cached_windows() == nullptr) refuse_proved_overflow(app, platform);
-      cache.record(Stage::kLintGate, false);
-    } else {
-      std::optional<LintResult> served = cache.serve_lint(app, platform);
-      const bool from_cache = served.has_value();
-      LintResult fresh =
-          from_cache ? std::move(*served) : lint(app, platform, nullptr, {}, &lint_windows);
-      if (lint_gate_refuses(fresh, options.lint_level)) {
-        throw LintGateError(std::move(fresh));
-      }
-      if (dedicated != (platform != nullptr)) lint_windows.reset();  // other oracle
-      span.count("diagnostics", static_cast<std::int64_t>(fresh.diagnostics.size()));
-      result.lint = std::move(fresh);
-      cache.record(Stage::kLintGate, from_cache);
+    gate = run_lint_gate(app, platform, options.lint_level);
+    if (gate.lint) {
+      span.count("diagnostics", static_cast<std::int64_t>(gate.lint->diagnostics.size()));
     }
+    result.lint = std::move(gate.lint);
+    cache.record(Stage::kLintGate, false);
   }
 
   // Stage kWindows: EST/LCT under the model's mergeability notion. A cache
@@ -136,8 +119,10 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       // at any worker count, so the lint's windows and the cache verdict
       // below are unaffected by it.
       const int threads = options.lower_bound.num_threads;
-      if (lint_windows) {
-        windows.windows = std::move(*lint_windows);
+      // The lint's windows use the dedicated oracle iff a platform is
+      // given; kWindows takes them only when that is the model's oracle.
+      if (gate.windows && dedicated == (platform != nullptr)) {
+        windows.windows = std::move(*gate.windows);
         span.count("from_lint", 1);
       } else if (dedicated) {
         DedicatedMergeOracle oracle(*platform);

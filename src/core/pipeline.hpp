@@ -9,9 +9,9 @@
 // glue), kept bit-identical by convention and test alone. run_pipeline()
 // is now the ONLY place that sequences stages:
 //
-//   kLintGate    pre-flight gate (Application::validate + the absint
-//                overflow proof at kOff, else the linter + the refusal
-//                policy of lint_gate_refuses)
+//   kLintGate    pre-flight gate, run_lint_gate (Application::validate +
+//                the absint overflow proof at kOff, else a fresh lint +
+//                the refusal policy of lint_gate_refuses)
 //   kWindows     EST/LCT under the model's merge oracle
 //   kPartitions  per-resource window-disjoint blocks (Theorem 5)
 //   kBounds      LB_r per resource (+ conjunctive joint rows if asked)
@@ -69,6 +69,10 @@ std::span<const char* const> stage_names();
 struct LintGateArtifact {
   /// Diagnostics recorded on the result; nullopt at LintLevel::kOff.
   std::optional<LintResult> lint;
+  /// The EST/LCT windows the lint computed under absint's proof of
+  /// windows_safe() (dedicated merge oracle iff a platform was given);
+  /// nullopt at kOff, on a structurally broken model, or without the proof.
+  std::optional<TaskWindows> windows;
 };
 
 struct WindowsArtifact {
@@ -103,18 +107,6 @@ struct CostsArtifact {
 class StageCache {
  public:
   virtual ~StageCache() = default;
-
-  /// kLintGate: serve a full LintResult -- bit-identical to a fresh
-  /// lint(app, platform) -- assembled from cached per-pass slices, or
-  /// nullopt to run the linter cold. Only consulted at lint levels other
-  /// than kOff (kOff never lints); the refusal policy is applied to the
-  /// served result exactly as to a fresh one.
-  virtual std::optional<LintResult> serve_lint(const Application& app,
-                                               const DedicatedPlatform* platform) {
-    (void)app;
-    (void)platform;
-    return std::nullopt;
-  }
 
   /// kWindows: previous windows to serve verbatim, or nullptr to recompute.
   virtual const TaskWindows* cached_windows() { return nullptr; }
@@ -160,7 +152,7 @@ class StageCache {
   }
 
   /// Accounting hook: called once per stage decision (kLintGate always
-  /// misses -- the gate is never cached; kCosts only reports when a
+  /// misses -- every query lints fresh; kCosts only reports when a
   /// dedicated solve decision was made, matching the historical counters).
   virtual void record(Stage stage, bool hit) {
     (void)stage;
@@ -175,16 +167,17 @@ class StageCache {
 /// The kLintGate refusal policy -- the ONE place the four LintLevel
 /// policies live (analyze(), AnalysisSession, rtlb_lint, and rtlb_check all
 /// judge through this): kOff never refuses here (validate() handles it),
-/// kReport refuses structural (RTLB-E0xx) errors only -- the same refusal
-/// set as Application::validate() -- kErrors refuses any error-level
-/// finding, kWarnings refuses warnings too.
+/// kReport refuses structural (RTLB-E0xx) errors -- the same refusal set as
+/// Application::validate() -- plus a proved window overflow (RTLB-E310),
+/// kErrors refuses any error-level finding, kWarnings refuses warnings too.
 bool lint_gate_refuses(const LintResult& result, LintLevel level);
 
-/// Run the kLintGate stage standalone, exactly as the pipeline does:
-/// Application::validate() at kOff (throws ModelError), plus a ModelError
-/// naming RTLB-E310 when absint proves the windows overflow; otherwise lint the
-/// instance and throw LintGateError when lint_gate_refuses(). `lines` (may
-/// be null) attributes findings to source lines, as rtlb_lint does.
+/// The kLintGate stage -- run_pipeline() calls exactly this, and so does
+/// any tool that gates standalone: Application::validate() at kOff (throws
+/// ModelError), plus a ModelError naming RTLB-E310 when absint proves the
+/// windows overflow; otherwise lint the instance fresh and throw
+/// LintGateError when lint_gate_refuses(). `lines` (may be null) attributes
+/// findings to source lines, as rtlb_lint does.
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines = nullptr);
 

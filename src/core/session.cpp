@@ -63,33 +63,6 @@ bool same_joint_exact(const std::vector<JointBound>& a, const std::vector<JointB
   return true;
 }
 
-/// Which lint passes a given dirty-flag state invalidates. Conservative by
-/// pass NAME (unknown/custom passes are always dirty): the platform pass
-/// reads task sets + menu only, so timing sweeps keep it clean; structural
-/// and numeric read model scalars but never the platform; everything that
-/// (directly or through the windows/absint context) depends on the merge
-/// oracle is also platform-sensitive -- lint windows use the dedicated
-/// oracle whenever a platform is PRESENT, regardless of options.model.
-std::vector<bool> lint_dirty_mask(const Linter& linter, bool windows_dirty,
-                                  bool demand_dirty, bool structure_dirty,
-                                  bool platform_dirty) {
-  std::vector<bool> dirty;
-  dirty.reserve(linter.passes().size());
-  for (const LintPass& pass : linter.passes()) {
-    bool d = true;
-    if (pass.name == "platform-coverage") {
-      d = structure_dirty || platform_dirty;
-    } else if (pass.name == "structural" || pass.name == "numeric-safety") {
-      d = windows_dirty || demand_dirty || structure_dirty;
-    } else if (pass.name == "temporal" || pass.name == "absint" ||
-               pass.name == "dataflow" || pass.name == "hygiene") {
-      d = windows_dirty || demand_dirty || structure_dirty || platform_dirty;
-    }
-    dirty.push_back(d);
-  }
-  return dirty;
-}
-
 /// The session's answers to the pipeline's per-stage reuse questions: dirty
 /// FLAGS (what might have changed) plus value COMPARISON against the last
 /// completed result (what actually did). Constructed per query, so it
@@ -98,27 +71,14 @@ class SessionStageCache final : public StageCache {
  public:
   SessionStageCache(const AnalysisResult* prev, bool windows_dirty, bool demand_dirty,
                     bool structure_dirty, bool platform_dirty, BlockScanCache& blocks,
-                    LintPassSlices& lint_slices, SessionStats& stats)
+                    SessionStats& stats)
       : prev_(prev),
         windows_dirty_(windows_dirty),
         demand_dirty_(demand_dirty),
         structure_dirty_(structure_dirty),
         platform_dirty_(platform_dirty),
         blocks_(&blocks),
-        lint_slices_(&lint_slices),
         stats_(&stats) {}
-
-  std::optional<LintResult> serve_lint(const Application& app,
-                                       const DedicatedPlatform* platform) override {
-    // Always answered through the incremental driver: clean passes are
-    // served from the stored slices, dirty ones re-run, and the slices are
-    // recommitted -- so even a fully dirty gate run warms the next query.
-    const Linter& linter = default_linter();
-    const std::vector<bool> dirty = lint_dirty_mask(
-        linter, windows_dirty_, demand_dirty_, structure_dirty_, platform_dirty_);
-    return linter.run_with_reuse(app, platform, nullptr, *lint_slices_, dirty,
-                                 &stats_->lint_pass_hits, &stats_->lint_pass_misses);
-  }
 
   const TaskWindows* cached_windows() override {
     if (prev_ != nullptr && !windows_dirty_ && !structure_dirty_) return &prev_->windows;
@@ -193,7 +153,6 @@ class SessionStageCache final : public StageCache {
   bool structure_dirty_;
   bool platform_dirty_;
   BlockScanCache* blocks_;
-  LintPassSlices* lint_slices_;  ///< the session's per-pass slice store
   SessionStats* stats_;
 };
 
@@ -402,7 +361,7 @@ const AnalysisResult& AnalysisSession::analyze() {
   // a refused query leaves the session serving its last completed state.
   SessionStageCache cache(have_result_ ? &result_ : nullptr, windows_dirty_,
                           demand_dirty_, structure_dirty_, platform_dirty_,
-                          block_cache_, lint_slices_, stats_);
+                          block_cache_, stats_);
   AnalysisResult next = run_pipeline(app_, options_, platform(), cache);
 
   if (verify_) {

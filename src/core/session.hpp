@@ -7,7 +7,9 @@
 //
 //   stage          inputs (the fingerprint)                 reused when
 //   -----          ------------------------                 -----------
-//   lint gate      app + platform + lint_level              never (cheap)
+//   lint gate      app + platform + lint_level              never (a fresh
+//                                                           lint hands its
+//                                                           windows on)
 //   EST/LCT        comp, release, deadline, messages, DAG,  none of those
 //                  model (+ platform when Dedicated)        changed
 //   partitions     task sets + window VALUES                windows content-
@@ -65,14 +67,12 @@ struct SessionStats {
   std::uint64_t query_hits = 0;   ///< ... of which returned the cached result
 
   /// kLintGate executions that passed (refused queries throw before being
-  /// counted). Since the incremental-lint refactor the gate's RESULT may be
-  /// assembled from cached per-pass slices -- gate_runs still counts every
-  /// execution; the per-pass counters below break it down.
+  /// counted). Every gate run lints fresh; nothing of it is reused.
   std::uint64_t gate_runs = 0;
 
-  /// Per-pass incremental lint reuse: every gate run at a lint level other
-  /// than kOff counts one hit (slice served verbatim) or miss (pass re-run)
-  /// per registered lint pass. Always zero at LintLevel::kOff.
+  /// Always zero: every gate run lints fresh, with no per-pass reuse.
+  /// Retained (with their session_stats_json keys) because perfbench's
+  /// session_deltas workload reads them.
   std::uint64_t lint_pass_hits = 0;
   std::uint64_t lint_pass_misses = 0;
 
@@ -207,10 +207,6 @@ class AnalysisSession {
 
   AnalysisResult result_;
   BlockScanCache block_cache_;
-  /// Last lint run's per-pass diagnostic slices; a pass whose inputs no
-  /// dirty flag touches is served from here on the next gate run
-  /// (bit-identical by construction -- see Linter::run_with_reuse).
-  LintPassSlices lint_slices_;
   bool verify_ = false;
   SessionStats stats_;
 };

@@ -41,9 +41,8 @@ struct Histogram {
 Histogram make_tightness_histogram();
 
 /// One divergence or certificate-check failure, with the full reproducer
-/// coordinates: regenerate with generate_workload(spec.instance_params(
-/// cells()[cell_index], instance_index)) -- `seed` is recorded redundantly
-/// as a cross-check.
+/// coordinates: regenerate with spec.build_instance(cells()[cell_index],
+/// instance_index) -- `seed` is recorded redundantly as a cross-check.
 struct DivergenceRecord {
   std::uint64_t global_index = 0;
   std::uint64_t cell_index = 0;

@@ -194,13 +194,7 @@ Outcome evaluate_instance(const ScenarioSpec& spec, const ScenarioCell& cell,
   try {
     // Recurrent cells generate templates and lower them; the oracles then
     // run over the lowered application exactly like a flat cell's.
-    const WorkloadParams params = spec.instance_params(cell, k);
-    const ProblemInstance inst =
-        cell.workload == WorkloadForm::Flat
-            ? generate_workload(params)
-            : generate_recurrent_instance(params, cell.workload == WorkloadForm::Periodic
-                                                      ? ReleaseKind::kPeriodic
-                                                      : ReleaseKind::kSporadic);
+    const ProblemInstance inst = spec.build_instance(cell, k);
     const DedicatedPlatform* platform =
         cell.model == SystemModel::Dedicated ? &inst.platform : nullptr;
 
@@ -444,8 +438,7 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
         if (!opts.repro_dir.empty() && reproducers_written < opts.max_reproducers) {
           try {
             const ScenarioCell& sc = cells[rec.cell_index];
-            const ProblemInstance inst =
-                generate_workload(spec.instance_params(sc, rec.instance_index));
+            const ProblemInstance inst = spec.build_instance(sc, rec.instance_index);
             const bool corrupt = rec.global_index == opts.corrupt_instance;
             const DedicatedPlatform* platform =
                 sc.model == SystemModel::Dedicated ? &inst.platform : nullptr;

@@ -285,4 +285,12 @@ WorkloadParams ScenarioSpec::instance_params(const ScenarioCell& cell, std::size
   return p;
 }
 
+ProblemInstance ScenarioSpec::build_instance(const ScenarioCell& cell, std::size_t k) const {
+  const WorkloadParams params = instance_params(cell, k);
+  if (cell.workload == WorkloadForm::Flat) return generate_workload(params);
+  return generate_recurrent_instance(params, cell.workload == WorkloadForm::Periodic
+                                                 ? ReleaseKind::kPeriodic
+                                                 : ReleaseKind::kSporadic);
+}
+
 }  // namespace rtlb

@@ -116,6 +116,11 @@ struct ScenarioSpec {
   /// Full generator parameters for instance k of `cell` (defaults + the
   /// cell's axis values + the derived seed).
   WorkloadParams instance_params(const ScenarioCell& cell, std::size_t k) const;
+
+  /// Instance k of `cell`, exactly as the fleet analyzes it: generate_workload
+  /// for flat cells, generate_recurrent_instance (lowered) for periodic and
+  /// sporadic ones. Reproducers are rebuilt through this too.
+  ProblemInstance build_instance(const ScenarioCell& cell, std::size_t k) const;
 };
 
 /// Axis-value names used by the JSON format ("layered", ..., "shared").

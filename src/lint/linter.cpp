@@ -60,116 +60,39 @@ void Linter::register_pass(LintPass pass) { passes_.push_back(std::move(pass)); 
 LintResult Linter::run(const Application& app, const DedicatedPlatform* platform,
                        const SourceMap* lines, const LintOptions& options,
                        std::optional<TaskWindows>* windows_out) const {
-  LintPassSlices scratch;  // empty dirty mask = recompute everything
-  return run_with_reuse(app, platform, lines, scratch, {}, nullptr, nullptr, options,
-                        windows_out);
-}
-
-LintResult Linter::run_with_reuse(const Application& app, const DedicatedPlatform* platform,
-                                  const SourceMap* lines, LintPassSlices& slices,
-                                  const std::vector<bool>& dirty,
-                                  std::uint64_t* pass_hits, std::uint64_t* pass_misses,
-                                  const LintOptions& options,
-                                  std::optional<TaskWindows>* windows_out) const {
-  // Slices recorded under non-default options are not reusable (werror
-  // rewrites severities in place, max_errors truncates across passes), so
-  // such runs neither serve nor commit slices.
-  const bool reusable = options.max_errors == 0 && !options.werror;
-  const bool have_mask = dirty.size() == passes_.size();
-  auto pass_clean = [&](std::size_t k) {
-    return reusable && have_mask && slices.valid &&
-           slices.by_pass.size() == passes_.size() && !dirty[k];
-  };
-
   LintResult result;
   DiagnosticSink sink(result, options);
   LintContext ctx{app, platform, lines, nullptr, nullptr};
-  std::vector<std::vector<Diagnostic>> fresh(passes_.size());
-
-  auto run_pass = [&](std::size_t k) {
-    if (pass_clean(k)) {
-      for (const Diagnostic& d : slices.by_pass[k]) sink.emit(d);
-      fresh[k] = slices.by_pass[k];
-      if (pass_hits != nullptr) ++*pass_hits;
-      return;
-    }
-    const std::size_t start = result.diagnostics.size();
-    passes_[k].run(ctx, sink);
-    fresh[k].assign(result.diagnostics.begin() +
-                        static_cast<std::ptrdiff_t>(start),
-                    result.diagnostics.end());
-    if (pass_misses != nullptr) ++*pass_misses;
-  };
 
   // Structural passes always run; model-interpreting passes only on a
   // structurally clean instance (EST/LCT needs valid ids and acyclicity).
-  for (std::size_t k = 0; k < passes_.size(); ++k) {
-    if (!passes_[k].needs_valid_model) run_pass(k);
+  for (const LintPass& pass : passes_) {
+    if (!pass.needs_valid_model) pass.run(ctx, sink);
   }
+  if (result.has_errors()) return result;
 
-  bool skipped_model_passes = false;
-  if (result.has_errors()) {
-    // Model passes are skipped wholesale (counted as misses -- nothing was
-    // served). This run learned NOTHING about them, so their previous
-    // slices -- recorded the last time they actually ran -- must stay
-    // committed untouched: the caller's dirty flags keep governing whether
-    // they may be served later, and a pass whose inputs changed re-runs
-    // either way. Overwriting them with this run's empty vectors was a real
-    // fleet-caught bug: a session query refused by the structural gate
-    // wiped the platform-coverage slice, and the next (clean) query served
-    // the empty slice -- its warnings silently vanished from the report.
-    skipped_model_passes = true;
-    for (std::size_t k = 0; k < passes_.size(); ++k) {
-      if (!passes_[k].needs_valid_model) continue;
-      if (pass_misses != nullptr) ++*pass_misses;
-      if (reusable && slices.valid && slices.by_pass.size() == passes_.size()) {
-        fresh[k] = slices.by_pass[k];
-      }
-    }
-  } else {
-    bool recompute_any = false;
-    for (std::size_t k = 0; k < passes_.size(); ++k) {
-      recompute_any |= passes_[k].needs_valid_model && !pass_clean(k);
-    }
-    // The interpretation gates the window computation: windows are only
-    // materialized when every intermediate is provably within the safe
-    // range, so the linter itself can never trip the overflow it reports.
-    std::optional<AbsIntResult> absint;
-    TaskWindows windows;
-    if (recompute_any) {
-      absint = abstract_interpret(app, platform);
-      ctx.absint = &*absint;
-      if (absint->windows_safe()) {
-        if (platform != nullptr) {
-          DedicatedMergeOracle oracle(*platform);
-          windows = compute_windows(app, oracle);
-        } else {
-          SharedMergeOracle oracle;
-          windows = compute_windows(app, oracle);
-        }
-        ctx.windows = &windows;
-      }
-    }
-    for (std::size_t k = 0; k < passes_.size(); ++k) {
-      if (!passes_[k].needs_valid_model) continue;
-      if (sink.capped()) break;
-      run_pass(k);
-    }
-    if (windows_out != nullptr && ctx.windows != nullptr) *windows_out = std::move(windows);
-  }
-
-  if (reusable) {
-    // With no prior slices to preserve, a skipped-model-pass run must not
-    // commit: marking its empty vectors valid is exactly the wiped-slice
-    // bug above.
-    const bool had_prior = slices.valid && slices.by_pass.size() == passes_.size();
-    if (skipped_model_passes && !had_prior) {
-      slices.valid = false;
+  // The interpretation gates the window computation: windows are only
+  // materialized when every intermediate is provably within the safe
+  // range, so the linter itself can never trip the overflow it reports.
+  const AbsIntResult absint = abstract_interpret(app, platform);
+  ctx.absint = &absint;
+  std::optional<TaskWindows> windows;
+  if (absint.windows_safe()) {
+    if (platform != nullptr) {
+      DedicatedMergeOracle oracle(*platform);
+      windows = compute_windows(app, oracle);
     } else {
-      slices.by_pass = std::move(fresh);
-      slices.valid = true;
+      SharedMergeOracle oracle;
+      windows = compute_windows(app, oracle);
     }
+    ctx.windows = &*windows;
   }
+  for (const LintPass& pass : passes_) {
+    if (!pass.needs_valid_model) continue;
+    if (sink.capped()) break;
+    pass.run(ctx, sink);
+  }
+  if (windows_out != nullptr && windows) *windows_out = std::move(windows);
   return result;
 }
 

@@ -12,7 +12,6 @@
 // structural findings.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
@@ -113,18 +112,6 @@ struct LintPass {
   std::function<void(const LintContext&, DiagnosticSink&)> run;
 };
 
-/// Per-pass diagnostic slices of one lint run, the currency of incremental
-/// session lint: AnalysisSession stores the last run's slices and keys each
-/// pass's validity on its dirty flags, so a delta mutation re-runs only the
-/// passes whose inputs changed and reuses the rest verbatim. Only populated
-/// by run_with_reuse() under default LintOptions (werror rewrites severities
-/// and max_errors truncates across pass boundaries, so slices recorded under
-/// one option set are not valid under another).
-struct LintPassSlices {
-  bool valid = false;
-  std::vector<std::vector<Diagnostic>> by_pass;  ///< indexed like Linter::passes()
-};
-
 /// The driver. Default-constructed with the standard pass order: structural,
 /// temporal, platform-coverage, numeric-safety, absint, dataflow, hygiene.
 class Linter {
@@ -136,36 +123,21 @@ class Linter {
 
   const std::vector<LintPass>& passes() const { return passes_; }
 
-  /// `windows_out` (may be null) receives the EST/LCT windows the model
-  /// passes read, so a caller need not compute them again. They use the
+  /// The one lint driver: structural passes, then (on a structurally clean
+  /// model) abstract_interpret, the EST/LCT windows when absint proved them
+  /// safe, and the model passes. `windows_out` (may be null) receives those
+  /// windows, so a caller need not compute them again. They use the
   /// dedicated merge oracle iff `platform` is given, and are set only when
-  /// the passes ran and absint proved windows_safe().
+  /// the model passes ran and absint proved windows_safe().
   LintResult run(const Application& app, const DedicatedPlatform* platform = nullptr,
                  const SourceMap* lines = nullptr, const LintOptions& options = {},
                  std::optional<TaskWindows>* windows_out = nullptr) const;
-
-  /// Incremental run: serve pass k's diagnostics from `slices` when the
-  /// caller's `dirty` mask clears it (dirty must have one entry per pass;
-  /// any other size means "all dirty"), recompute the rest, and commit the
-  /// fresh slices back. The assembled result is bit-identical to run() by
-  /// construction -- slices are only reusable while the model state each
-  /// pass reads is unchanged, which is the CALLER's obligation (the session
-  /// derives it from its dirty flags). `pass_hits`/`pass_misses` (may be
-  /// null) count one hit or miss per pass per call.
-  LintResult run_with_reuse(const Application& app, const DedicatedPlatform* platform,
-                            const SourceMap* lines, LintPassSlices& slices,
-                            const std::vector<bool>& dirty,
-                            std::uint64_t* pass_hits = nullptr,
-                            std::uint64_t* pass_misses = nullptr,
-                            const LintOptions& options = {},
-                            std::optional<TaskWindows>* windows_out = nullptr) const;
 
  private:
   std::vector<LintPass> passes_;
 };
 
-/// The shared default-constructed Linter behind lint() and the session's
-/// incremental reuse (both must agree on the pass registry).
+/// The shared default-constructed Linter behind lint().
 const Linter& default_linter();
 
 /// One-shot convenience over default_linter(); `windows_out` as in

@@ -400,10 +400,56 @@ TEST(FleetOracle, MinimizerWritesAParseableSmallerReproducer) {
   ASSERT_TRUE(in.good()) << rec.reproducer;
   const ProblemInstance repro = parse_instance(in);
   const ProblemInstance original =
-      generate_workload(spec.instance_params(spec.cells()[rec.cell_index],
-                                             rec.instance_index));
+      spec.build_instance(spec.cells()[rec.cell_index], rec.instance_index);
   EXPECT_LE(repro.app->num_tasks(), original.app->num_tasks());
   EXPECT_GE(repro.app->num_tasks(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetOracle, RecurrentReproducerIsMinimizedFromTheLoweredInstance) {
+  // A periodic cell's divergence was found on the LOWERED instance, so the
+  // reproducer must be minimized from that one -- not from the flat
+  // instance generate_workload() would draw from the same parameters. At
+  // 12 template tasks the generator splits them over two transactions, so
+  // the lowered count differs from the flat one.
+  const ScenarioSpec spec = ScenarioSpec::from_text(R"({
+    "name": "periodic_tiny",
+    "seed": 11,
+    "instances_per_cell": 4,
+    "axes": {
+      "shape": ["layered"],
+      "num_tasks": [12],
+      "laxity": [1.5],
+      "workload": ["periodic"],
+      "model": ["shared", "dedicated"]
+    },
+    "defaults": {"num_resources": 2, "resource_prob": 0.5}
+  })");
+  const std::string dir = temp_path("rtlb_fleet_repro_periodic");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  FleetOptions opts;
+  opts.corrupt_instance = 5;
+  opts.repro_dir = dir;
+  const FleetRunResult run = run_fleet(spec, opts);
+  ASSERT_EQ(run.aggregates.divergences.size(), 1u);
+  const DivergenceRecord& rec = run.aggregates.divergences[0];
+  ASSERT_FALSE(rec.reproducer.empty());
+
+  const WorkloadParams params =
+      spec.instance_params(spec.cells()[rec.cell_index], rec.instance_index);
+  const std::size_t lowered =
+      generate_recurrent_instance(params, ReleaseKind::kPeriodic).app->num_tasks();
+  ASSERT_NE(lowered, generate_workload(params).app->num_tasks());
+
+  std::ifstream in(rec.reproducer);
+  ASSERT_TRUE(in.good()) << rec.reproducer;
+  std::string header;
+  std::getline(in, header);
+  EXPECT_NE(header.find("minimized from " + std::to_string(lowered) + " to"),
+            std::string::npos)
+      << header;
   std::filesystem::remove_all(dir);
 }
 

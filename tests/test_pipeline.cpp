@@ -297,6 +297,17 @@ TEST(LintGate, ProvedOverflowNeverReachesTheWindowsStage) {
   }
 }
 
+/// Sum of the windows stage's "from_lint" counters recorded so far.
+std::int64_t count_from_lint(const Trace& trace) {
+  std::int64_t from_lint = 0;
+  for (const TraceSpan& span : trace.spans()) {
+    for (const TraceCounter& c : span.counters) {
+      if (c.name == "from_lint") from_lint += c.value;
+    }
+  }
+  return from_lint;
+}
+
 TEST(LintGate, FreshLintHandsItsWindowsToTheWindowsStage) {
   // The gate's windows are reused only when they come from the oracle
   // kWindows would pick; every combination must match the kOff run, which
@@ -317,14 +328,26 @@ TEST(LintGate, FreshLintHandsItsWindowsToTheWindowsStage) {
       EXPECT_EQ(certificate_json(*gated.certificate).dump(),
                 certificate_json(*cold.certificate).dump())
           << "seed " << seed;
-      std::int64_t from_lint = 0;
-      for (const TraceSpan& span : trace.spans()) {
-        for (const TraceCounter& c : span.counters) {
-          if (c.name == "from_lint") from_lint += c.value;
-        }
-      }
       const bool same_oracle = (cfg.model == SystemModel::Dedicated) == cfg.platform;
-      EXPECT_EQ(from_lint, same_oracle ? 1 : 0) << "seed " << seed;
+      EXPECT_EQ(count_from_lint(trace), same_oracle ? 1 : 0) << "seed " << seed;
+
+      // Session leg: a query after a timing delta lints fresh too -- its
+      // lint dumps bit-identically to a cold lint of the mutated model, and
+      // it hands its windows over under the same oracle rule.
+      Trace session_trace;
+      options.trace = &session_trace;
+      AnalysisSession session(*inst.app, options, platform);
+      session.set_verify(true);
+      session.analyze();
+      const std::int64_t before = count_from_lint(session_trace);
+      session.set_deadline(0, session.app().task(0).deadline + 1);
+      const AnalysisResult& delta = session.analyze();
+      ASSERT_TRUE(delta.lint.has_value());
+      EXPECT_EQ(lint_json(*delta.lint).dump(),
+                lint_json(lint(session.app(), platform)).dump())
+          << "seed " << seed;
+      EXPECT_EQ(count_from_lint(session_trace) - before, same_oracle ? 1 : 0)
+          << "seed " << seed;
     }
   }
 }
@@ -395,37 +418,6 @@ TEST(SessionStats, PerStageCountersSurfaceInJsonAndStayConsistent) {
     EXPECT_NE(json.find(key), nullptr) << key;
   }
   EXPECT_EQ(json.find("gate_runs")->as_int(), static_cast<std::int64_t>(stats.gate_runs));
-}
-
-TEST(SessionStats, IncrementalLintServesCleanPassSlicesBitIdentically) {
-  ProblemInstance inst = corpus_instance(1);
-  AnalysisOptions options;
-  options.lint_level = LintLevel::kReport;
-  AnalysisSession session(*inst.app, options, &inst.platform);
-  session.set_verify(true);
-
-  session.analyze();  // cold gate run: every pass misses
-  const SessionStats cold = session.stats();
-  EXPECT_EQ(cold.lint_pass_hits, 0u);
-  const std::uint64_t num_passes = cold.lint_pass_misses;
-  EXPECT_GT(num_passes, 0u);
-
-  // A timing delta leaves the platform-coverage pass's inputs untouched, so
-  // the second gate run serves at least that slice from the cache...
-  session.set_deadline(0, session.app().task(0).deadline + 1);
-  const AnalysisResult& delta = session.analyze();
-  ASSERT_TRUE(delta.lint.has_value());
-  const SessionStats warm = session.stats();
-  EXPECT_GT(warm.lint_pass_hits, 0u);
-  // ...and every gate run still decides each registered pass exactly once.
-  EXPECT_EQ(warm.lint_pass_hits + warm.lint_pass_misses,
-            num_passes * (warm.queries - warm.query_hits));
-  EXPECT_EQ(warm.gate_runs, warm.queries - warm.query_hits);
-
-  // The assembled result is bit-identical to a cold lint of the mutated
-  // model (same JSON dump, fixes and all).
-  const LintResult fresh = lint(session.app(), session.platform());
-  EXPECT_EQ(lint_json(*delta.lint).dump(), lint_json(fresh).dump());
 }
 
 TEST(SessionStats, WarmReplayHitsEveryStageAfterNoOpRecompute) {

@@ -96,12 +96,14 @@ done
 # warm-session bit-identity, certificate emit->check round-trip, lint-gate
 # agreement) over the ~200-instance smoke grid must come back clean --
 # rtlb_fleet exits 0 only when the run is complete with ZERO divergences.
-# The same grid is then re-run as two shards and merged; the merged report
-# must be byte-identical to the single-process one (the determinism contract
-# that makes sharded 10^5-instance runs trustworthy).
+# The single-process run sets RTLB_SESSION_VERIFY, so every query of the
+# session oracle is also cross-checked against a cold analyze() (a mismatch
+# aborts). The same grid is then re-run as two shards and merged; the merged
+# report must be byte-identical to the single-process one (the determinism
+# contract that makes sharded 10^5-instance runs trustworthy).
 FLEETDIR="$BUILD_DIR/fleet-smoke"
 rm -rf "$FLEETDIR" && mkdir -p "$FLEETDIR"
-"$BUILD_DIR/tools/rtlb_fleet" run --spec examples/fleet/smoke.json \
+RTLB_SESSION_VERIFY=1 "$BUILD_DIR/tools/rtlb_fleet" run --spec examples/fleet/smoke.json \
   --out "$FLEETDIR/whole.json"
 "$BUILD_DIR/tools/rtlb_fleet" run --spec examples/fleet/smoke.json \
   --shards 2 --shard 0 --out "$FLEETDIR/s0.json"
