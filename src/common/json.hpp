@@ -5,6 +5,9 @@
 // doubles, booleans. Problem instances still travel in the text format of
 // src/model/io.hpp; JSON input exists for certificates only.
 //
+// set()/push() have `&&` overloads, so a chain on a temporary moves into its
+// parent: `arr.push(Json::object().set("k", 1))` never copies a subtree.
+//
 // The parser is meant for UNTRUSTED input (rtlb_check reads certificate
 // files from disk), so it is total: every malformed document raises
 // JsonParseError with an offset, integers that do not fit int64 fall back
@@ -58,10 +61,12 @@ class Json {
   }
 
   /// Object field; keeps insertion order. Only valid on objects.
-  Json& set(std::string key, Json value);
+  Json& set(std::string key, Json value) &;
+  Json&& set(std::string k, Json v) && { return std::move(set(std::move(k), std::move(v))); }
 
   /// Array element. Only valid on arrays.
-  Json& push(Json value);
+  Json& push(Json value) &;
+  Json&& push(Json value) && { return std::move(push(std::move(value))); }
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(value_); }
   bool is_bool() const { return std::holds_alternative<bool>(value_); }
@@ -102,7 +107,7 @@ class Json {
   using Members = std::vector<std::pair<std::string, Json>>;
   using Elements = std::vector<Json>;
   void dump_to(std::string& out, int indent, int depth) const;
-  static void escape_to(std::string& out, const std::string& s);
+  static void escape_to(std::string& out, std::string_view s);
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Members, Elements>
       value_;

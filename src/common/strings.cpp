@@ -13,18 +13,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> split_ws(std::string_view s) {
   std::vector<std::string_view> views;
   split_ws_views(s, views);

@@ -10,8 +10,17 @@ namespace rtlb {
 /// Strip leading/trailing whitespace.
 std::string_view trim(std::string_view s);
 
-/// Split on a delimiter character; empty fields are preserved.
-std::vector<std::string> split(std::string_view s, char delim);
+/// Call `f` on each `delim`-separated field of `s` (views into `s`); empty
+/// fields are preserved, so "" has one empty field.
+template <typename F>
+void for_each_field(std::string_view s, char delim, const F& f) {
+  for (std::size_t start = 0;;) {
+    const std::size_t end = s.find(delim, start);
+    f(s.substr(start, end == s.npos ? s.npos : end - start));
+    if (end == s.npos) return;
+    start = end + 1;
+  }
+}
 
 /// Split on arbitrary whitespace runs; empty fields are dropped.
 std::vector<std::string> split_ws(std::string_view s);

@@ -161,6 +161,13 @@ struct AnalysisResult {
   /// True if some task window cannot even contain the task ([E, L] shorter
   /// than C) -- a certificate that NO system meets the constraints.
   bool infeasible(const Application& app) const;
+
+  /// Every field, exactly: at least everything report_json() writes (the
+  /// report's other values derive from the Application), so two results of
+  /// one instance are equal iff their reports are byte-identical, except
+  /// where == is stricter (unreported fields, doubles past %.10g). The fleet
+  /// oracles compare results this way instead of diffing report text.
+  bool operator==(const AnalysisResult&) const = default;
 };
 
 /// Run all four steps. For SystemModel::Dedicated a platform is required;

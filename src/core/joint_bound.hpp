@@ -35,6 +35,8 @@ struct JointBound {
   /// Witness interval, as in ResourceBound.
   Time witness_t1 = 0;
   Time witness_t2 = 0;
+
+  bool operator==(const JointBound&) const = default;
 };
 
 /// Compute LB_{a,b} for every pair of RES members some task uses together.

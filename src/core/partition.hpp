@@ -20,12 +20,16 @@ struct PartitionBlock {
   std::vector<TaskId> tasks;
   Time start = 0;
   Time finish = 0;
+
+  bool operator==(const PartitionBlock&) const = default;
 };
 
 /// The partition of ST_r for one resource.
 struct ResourcePartition {
   ResourceId resource = kInvalidResource;
   std::vector<PartitionBlock> blocks;
+
+  bool operator==(const ResourcePartition&) const = default;
 };
 
 /// Figure 4 applied to an arbitrary task set: window-disjoint blocks in

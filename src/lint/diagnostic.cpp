@@ -101,7 +101,8 @@ constexpr std::array<DiagInfo, 37> kRegistry{{
     {"RTLB-E508", Severity::kError, "hyperperiod of the transaction periods overflows Time",
      "the lcm of the declared periods exceeds kTimeMax; make the periods harmonic or "
      "rescale the time unit"},
-    {"RTLB-E509", Severity::kError, "the workload lowers to more tasks than the budget allows",
+    {"RTLB-E509", Severity::kError,
+     "the workload lowers to more tasks or edges than the budget allows",
      "the horizon (hyperperiod, or a sporadic horizon) spans too many activations; make the "
      "periods harmonic, shorten the horizon, or rescale the time unit"},
     {"RTLB-W510", Severity::kWarning,

@@ -65,6 +65,8 @@ struct Diagnostic {
   /// empty when the model was built programmatically -- no SourceMap lines
   /// to anchor an edit to).
   std::vector<FixEdit> fixes;
+
+  bool operator==(const Diagnostic&) const = default;
 };
 
 /// Registry entry: the default severity and the one-line summary used by the

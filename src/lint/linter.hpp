@@ -48,6 +48,8 @@ struct LintResult {
 
   bool clean() const { return diagnostics.empty(); }
   bool has_errors() const { return errors > 0; }
+
+  bool operator==(const LintResult&) const = default;
 };
 
 /// Everything a pass may look at. `lines` and `platform` may be null;

@@ -29,11 +29,11 @@
 // for the recurrent half of the grammar).
 #pragma once
 
+#include <algorithm>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "src/model/application.hpp"
@@ -50,7 +50,8 @@ namespace rtlb {
 /// programmatically built model).
 struct SourceMap {
   std::vector<int> task_lines;
-  std::map<std::pair<TaskId, TaskId>, int> edge_lines;
+  /// (from, to, line) per edge, sorted: edge_line() binary-searches it.
+  std::vector<std::tuple<TaskId, TaskId, int>> edge_lines;
   std::vector<int> node_lines;
   std::vector<int> resource_lines;
 
@@ -58,8 +59,11 @@ struct SourceMap {
     return i < task_lines.size() ? task_lines[i] : 0;
   }
   int edge_line(TaskId from, TaskId to) const {
-    auto it = edge_lines.find({from, to});
-    return it != edge_lines.end() ? it->second : 0;
+    const auto it = std::lower_bound(edge_lines.begin(), edge_lines.end(),
+                                     std::tuple(from, to, 0));
+    const bool found = it != edge_lines.end() && std::get<0>(*it) == from &&
+                       std::get<1>(*it) == to;
+    return found ? std::get<2>(*it) : 0;
   }
   int node_line(std::size_t n) const {
     return n < node_lines.size() ? node_lines[n] : 0;
@@ -91,6 +95,9 @@ struct ParseOptions {
 };
 
 /// Parse an instance; throws ModelError with a line number on bad input.
+/// Lines end at '\n' only, as with std::getline (a '\r' stays part of its
+/// line, and reads as whitespace). The stream overload reads `in` to its end
+/// and parses that text.
 ProblemInstance parse_instance(std::istream& in, const ParseOptions& options = {});
 ProblemInstance parse_instance_string(const std::string& text, const ParseOptions& options = {});
 

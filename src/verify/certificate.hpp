@@ -53,6 +53,8 @@ struct WindowFact {
   std::vector<TaskId> merged_pred;
   /// G_i: successors merged when evaluating L_i (Figure 2 likewise).
   std::vector<TaskId> merged_succ;
+
+  bool operator==(const WindowFact&) const = default;
 };
 
 /// Step 2: the Theorem 5 fact separating one block boundary: every task of
@@ -61,6 +63,8 @@ struct WindowFact {
 struct SeparationFact {
   Time earlier_finish = 0;  ///< max L_i over all earlier blocks
   Time later_start = 0;     ///< min E_j over the next block
+
+  bool operator==(const SeparationFact&) const = default;
 };
 
 /// Step 2: the partition of ST_r with its boundary witnesses.
@@ -69,12 +73,16 @@ struct PartitionCert {
   std::vector<std::vector<TaskId>> blocks;
   /// One fact per boundary: size == blocks.size() - 1 (empty for <= 1 block).
   std::vector<SeparationFact> separations;
+
+  bool operator==(const PartitionCert&) const = default;
 };
 
 /// Step 3: one task's contribution Psi_i(t1, t2) to a witness interval.
 struct PsiTerm {
   TaskId task = kInvalidTask;
   Time psi = 0;
+
+  bool operator==(const PsiTerm&) const = default;
 };
 
 /// Step 3: the interval achieving the Eq. 6.3 peak, with its Theta decomposed
@@ -85,6 +93,8 @@ struct IntervalWitness {
   /// Theta: total demand forced into [t1, t2]; equals the sum of `terms`.
   Time demand = 0;
   std::vector<PsiTerm> terms;
+
+  bool operator==(const IntervalWitness&) const = default;
 };
 
 /// Step 3: LB_r with its witness. `witness` is required whenever bound > 0
@@ -93,6 +103,8 @@ struct BoundCert {
   ResourceId resource = kInvalidResource;
   std::int64_t bound = 0;
   std::optional<IntervalWitness> witness;
+
+  bool operator==(const BoundCert&) const = default;
 };
 
 /// EXTENSION: a conjunctive pair bound LB_{a,b} (same witness scheme; every
@@ -102,6 +114,8 @@ struct JointCert {
   ResourceId b = kInvalidResource;
   std::int64_t bound = 0;
   std::optional<IntervalWitness> witness;
+
+  bool operator==(const JointCert&) const = default;
 };
 
 /// Step 4, Eq. 7.1: cost >= sum of units * unit_cost, one term per analyzed
@@ -110,11 +124,15 @@ struct SharedCostTerm {
   ResourceId resource = kInvalidResource;
   std::int64_t units = 0;
   Cost unit_cost = 0;
+
+  bool operator==(const SharedCostTerm&) const = default;
 };
 
 struct SharedCostCert {
   Cost total = 0;
   std::vector<SharedCostTerm> terms;
+
+  bool operator==(const SharedCostCert&) const = default;
 };
 
 /// Step 4, Eq. 7.2 (dedicated model). When feasible, `node_counts` is an
@@ -148,6 +166,8 @@ struct DedicatedCostCert {
   /// joint-strengthened Eq. 7.2); determines the canonical row order the
   /// `dual` vector is indexed by.
   bool joint_rows = false;
+
+  bool operator==(const DedicatedCostCert&) const = default;
 };
 
 /// The full pipeline certificate for one analyze() run.
@@ -164,6 +184,8 @@ struct Certificate {
   std::vector<JointCert> joint;             ///< pair order (a < b)
   SharedCostCert shared_cost;
   std::optional<DedicatedCostCert> dedicated_cost;
+
+  bool operator==(const Certificate&) const = default;
 };
 
 /// Serialize to the on-disk JSON layout (see docs/CERTIFICATES.md).

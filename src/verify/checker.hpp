@@ -31,6 +31,8 @@ struct CheckFailure {
   std::string rule;     ///< stable rule id, see docs/CERTIFICATES.md
   std::string subject;  ///< e.g. "task 3", "resource 1", "row 4"
   std::string detail;
+
+  bool operator==(const CheckFailure&) const = default;
 };
 
 struct CheckReport {
@@ -39,6 +41,8 @@ struct CheckReport {
 
   /// One line per failure: "stage/rule subject: detail".
   std::string summary() const;
+
+  bool operator==(const CheckReport&) const = default;
 };
 
 /// Check `cert` against the instance. `platform` is required iff the

@@ -137,8 +137,14 @@ TEST(Strings, TrimAndSplit) {
   EXPECT_EQ(trim("  hi  "), "hi");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t\n "), "");
-  EXPECT_EQ(split("a,b,,c", ','), (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(split("", ','), std::vector<std::string>{""});
+  const auto fields = [](std::string_view s) {
+    std::vector<std::string> out;
+    for_each_field(s, ',', [&](std::string_view f) { out.emplace_back(f); });
+    return out;
+  };
+  EXPECT_EQ(fields("a,b,,c"), (std::vector<std::string>{"a", "b", "", "c"}));
+  EXPECT_EQ(fields("a,"), (std::vector<std::string>{"a", ""}));
+  EXPECT_EQ(fields(""), std::vector<std::string>{""});
   EXPECT_EQ(split_ws("  a \t b\nc "), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(split_ws("   ").empty());
 }
@@ -281,6 +287,73 @@ TEST(JsonParse, SetReplacesAnExistingKey) {
   EXPECT_EQ(doc.find("version")->as_int(), 99);
   EXPECT_EQ(doc.size(), 2u);
   EXPECT_EQ(doc.find("n")->as_int(), 2);
+}
+
+// The bytes every report, certificate and lint document is made of, pinned
+// so the DOM's builder and writer can change without the output moving.
+TEST(JsonDump, StringEscapesArePinned) {
+  EXPECT_EQ(Json("\"").dump(), R"("\"")");
+  EXPECT_EQ(Json("\\").dump(), R"("\\")");
+  EXPECT_EQ(Json("\n").dump(), R"("\n")");
+  EXPECT_EQ(Json("\r").dump(), R"("\r")");
+  EXPECT_EQ(Json("\t").dump(), R"("\t")");
+  EXPECT_EQ(Json("\b\f").dump(), R"("\u0008\u000c")");
+  EXPECT_EQ(Json("\x1f").dump(), R"("\u001f")");
+  EXPECT_EQ(Json("\x7f").dump(), "\"\x7f\"");  // DEL is not a control escape
+  EXPECT_EQ(Json(std::string("a\0b", 3)).dump(), R"("a\u0000b")");
+  // Multi-byte UTF-8 passes through untouched, also as an object key.
+  Json named = Json::object();
+  named.set("caf\xc3\xa9 \xce\x94t", "\xe2\x86\x92 r\xc3\xa9sum\xc3\xa9");
+  EXPECT_EQ(named.dump(), "{\"caf\xc3\xa9 \xce\x94t\":\"\xe2\x86\x92 r\xc3\xa9sum\xc3\xa9\"}");
+  EXPECT_EQ(Json("plain text, then \"quoted\"\ttail").dump(),
+            R"("plain text, then \"quoted\"\ttail")");
+}
+
+TEST(JsonDump, IntegersAndDoublesArePinned) {
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(), "-9223372036854775808");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::max()).dump(), "9223372036854775807");
+  EXPECT_EQ(Json(kTimeMax).dump(), "2305843009213693951");
+  EXPECT_EQ(Json(0).dump(), "0");
+  EXPECT_EQ(Json(-1).dump(), "-1");
+  EXPECT_EQ(Json(0.1).dump(), "0.1");
+  EXPECT_EQ(Json(1.0 / 3.0).dump(), "0.3333333333");
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(1e20).dump(), "1e+20");
+  EXPECT_EQ(Json(123456789012.0).dump(), "1.23456789e+11");
+  EXPECT_EQ(Json(4.0).dump(), "4");
+  EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).dump(), "null");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).dump(), "null");
+}
+
+TEST(JsonDump, NestedEmptiesAndUpsertArePinnedCompactAndPretty) {
+  Json inner = Json::array();
+  inner.push(Json::object()).push(Json::array()).push(Json::object().set("x", 1.5));
+  Json doc = Json::object();
+  doc.set("a", 1)
+      .set("empty_obj", Json::object())
+      .set("empty_arr", Json::array())
+      .set("nested", std::move(inner))
+      .set("a", "replaced")  // upsert keeps the key's first position
+      .set("n", Json());
+  EXPECT_EQ(doc.dump(), R"({"a":"replaced","empty_obj":{},"empty_arr":[],)"
+                       R"("nested":[{},[],{"x":1.5}],"n":null})");
+  EXPECT_EQ(doc.dump(2),
+            "{\n"
+            "  \"a\": \"replaced\",\n"
+            "  \"empty_obj\": {},\n"
+            "  \"empty_arr\": [],\n"
+            "  \"nested\": [\n"
+            "    {},\n"
+            "    [],\n"
+            "    {\n"
+            "      \"x\": 1.5\n"
+            "    }\n"
+            "  ],\n"
+            "  \"n\": null\n"
+            "}");
+  EXPECT_EQ(Json::object().dump(2), "{}");
+  EXPECT_EQ(Json::array().dump(2), "[]");
+  EXPECT_EQ(Json(7).dump(2), "7");
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <set>
 
 #include "src/common/checkpoint.hpp"
@@ -18,6 +20,7 @@
 #include "src/core/session.hpp"
 #include "src/fleet/runner.hpp"
 #include "src/model/io.hpp"
+#include "src/workload/paper_example.hpp"
 #include "src/workload/taskset_gen.hpp"
 
 namespace rtlb {
@@ -355,11 +358,125 @@ TEST(FleetOracle, PlantedCorruptionIsFlaggedExactly) {
   const DivergenceRecord& rec = run.aggregates.divergences[0];
   EXPECT_EQ(rec.global_index, 17u);
   EXPECT_EQ(rec.oracle, "parallel");
+  // The oracle compares values, but its message still quotes the first
+  // differing report byte, exactly as when it diffed report text.
+  EXPECT_EQ(rec.detail,
+            "4-thread engine diverged from serial: byte 1770: expected "
+            "...ds\":[{\"resource\":\"P1\",\"bound\":1,\"peak_density_num\":2,\"peak_d... "
+            "got ...ds\":[{\"resource\":\"P1\",\"bound\":2,\"peak_density_num\":2,\"peak_d...");
   EXPECT_EQ(rec.cell_index, 17u / spec.instances_per_cell);
   EXPECT_EQ(rec.instance_index, 17u % spec.instances_per_cell);
   EXPECT_EQ(rec.seed, spec.instance_seed(rec.cell_index, rec.instance_index));
   // The per-cell counter agrees with the global record list.
   EXPECT_EQ(run.aggregates.cells[rec.cell_index].divergences, 1u);
+}
+
+TEST(FleetOracle, ResultEqualityTracksReportBytes) {
+  // The parallel and session oracles compare AnalysisResults with ==, not
+  // their reports. Perturb every field the report serializes, one at a time:
+  // == must turn false exactly when the report bytes change.
+  ProblemInstance inst = paper_example();
+  AnalysisOptions options;
+  options.model = SystemModel::Dedicated;
+  options.lint_level = LintLevel::kReport;
+  options.check_certificates = true;
+  AnalysisResult base = analyze(*inst.app, options, &inst.platform);
+  ASSERT_TRUE(base.dedicated_cost && base.lint && base.certificate && base.certificate_check);
+  ASSERT_GE(base.partitions.size(), 2u);
+  ASSERT_FALSE(base.partitions[0].blocks.empty());
+  ASSERT_GE(base.bounds.size(), 2u);
+  ASSERT_FALSE(base.shared_cost.terms.empty());
+  ASSERT_FALSE(base.dedicated_cost->node_counts.empty());
+  // Give the optional lists one entry each, so their fields can be perturbed.
+  base.lint->diagnostics.push_back(Diagnostic{"RTLB-W101", Severity::kWarning, "task 'T1'",
+                                              "message", "hint", 3, 0, kInvalidResource,
+                                              {FixEdit{3, FixEdit::Kind::kReplaceLine, "x"}}});
+  base.certificate_check->failures.push_back(CheckFailure{"bound", "T3.psi", "resource 1", "d"});
+  const std::string base_bytes = report_json(*inst.app, base).dump();
+
+  using Perturb = std::function<void(AnalysisResult&)>;
+  const std::vector<std::pair<std::string, Perturb>> changes = {
+      {"est", [](AnalysisResult& r) { r.windows.est[0] += 1; }},
+      {"lct", [](AnalysisResult& r) { r.windows.lct[1] -= 1; }},
+      {"infeasible", [](AnalysisResult& r) { r.windows.lct[2] = r.windows.est[2]; }},
+      {"merged_pred", [](AnalysisResult& r) { r.windows.merged_pred[3].push_back(0); }},
+      {"merged_succ", [](AnalysisResult& r) { r.windows.merged_succ[0].push_back(3); }},
+      {"partition.resource",
+       [](AnalysisResult& r) { r.partitions[0].resource = r.partitions[1].resource; }},
+      {"block.start", [](AnalysisResult& r) { r.partitions[0].blocks[0].start += 1; }},
+      {"block.finish", [](AnalysisResult& r) { r.partitions[0].blocks[0].finish += 1; }},
+      {"block.tasks", [](AnalysisResult& r) { r.partitions[0].blocks[0].tasks.push_back(0); }},
+      {"blocks", [](AnalysisResult& r) { r.partitions[0].blocks.pop_back(); }},
+      {"bound.resource", [](AnalysisResult& r) { r.bounds[0].resource = r.bounds[1].resource; }},
+      {"bound", [](AnalysisResult& r) { r.bounds[0].bound += 1; }},
+      {"peak_density (same value)",
+       [](AnalysisResult& r) {
+         r.bounds[0].peak_density.num *= 2;
+         r.bounds[0].peak_density.den *= 2;
+       }},
+      {"witness_t1", [](AnalysisResult& r) { r.bounds[0].witness_t1 += 1; }},
+      {"witness_t2", [](AnalysisResult& r) { r.bounds[0].witness_t2 += 1; }},
+      {"witness_demand", [](AnalysisResult& r) { r.bounds[0].witness_demand += 1; }},
+      {"intervals_evaluated", [](AnalysisResult& r) { r.bounds[0].intervals_evaluated += 1; }},
+      {"use_partitioning", [](AnalysisResult& r) { r.lb_options.use_partitioning ^= true; }},
+      {"num_threads", [](AnalysisResult& r) { r.lb_options.num_threads += 1; }},
+      {"enable_pruning", [](AnalysisResult& r) { r.lb_options.enable_pruning ^= true; }},
+      {"shared.total", [](AnalysisResult& r) { r.shared_cost.total += 1; }},
+      {"term.resource",
+       [](AnalysisResult& r) { r.shared_cost.terms[0].resource = r.bounds[1].resource; }},
+      {"term.units", [](AnalysisResult& r) { r.shared_cost.terms[0].units += 1; }},
+      {"term.unit_cost", [](AnalysisResult& r) { r.shared_cost.terms[0].unit_cost += 1; }},
+      {"dedicated_cost", [](AnalysisResult& r) { r.dedicated_cost.reset(); }},
+      {"feasible", [](AnalysisResult& r) { r.dedicated_cost->feasible ^= true; }},
+      {"dedicated.total", [](AnalysisResult& r) { r.dedicated_cost->total += 1; }},
+      {"relaxation", [](AnalysisResult& r) { r.dedicated_cost->relaxation += 0.5; }},
+      {"relaxation -0", [](AnalysisResult& r) { r.dedicated_cost->relaxation = -0.0; }},
+      {"ilp_nodes", [](AnalysisResult& r) { r.dedicated_cost->ilp_nodes += 1; }},
+      {"node_counts", [](AnalysisResult& r) { r.dedicated_cost->node_counts[0] += 1; }},
+      {"lint", [](AnalysisResult& r) { r.lint.reset(); }},
+      {"lint.errors", [](AnalysisResult& r) { r.lint->errors += 1; }},
+      {"lint.warnings", [](AnalysisResult& r) { r.lint->warnings += 1; }},
+      {"lint.notes", [](AnalysisResult& r) { r.lint->notes += 1; }},
+      {"lint.truncated", [](AnalysisResult& r) { r.lint->truncated ^= true; }},
+      {"diag.code", [](AnalysisResult& r) { r.lint->diagnostics.back().code += "x"; }},
+      {"diag.severity",
+       [](AnalysisResult& r) { r.lint->diagnostics.back().severity = Severity::kNote; }},
+      {"diag.subject", [](AnalysisResult& r) { r.lint->diagnostics.back().subject += "x"; }},
+      {"diag.message", [](AnalysisResult& r) { r.lint->diagnostics.back().message += "x"; }},
+      {"diag.hint", [](AnalysisResult& r) { r.lint->diagnostics.back().hint += "x"; }},
+      {"diag.line", [](AnalysisResult& r) { r.lint->diagnostics.back().line += 1; }},
+      {"fix.line", [](AnalysisResult& r) { r.lint->diagnostics.back().fixes[0].line += 1; }},
+      {"fix.kind",
+       [](AnalysisResult& r) {
+         r.lint->diagnostics.back().fixes[0].kind = FixEdit::Kind::kDeleteLine;
+       }},
+      {"fix.text", [](AnalysisResult& r) { r.lint->diagnostics.back().fixes[0].text += "x"; }},
+      {"fixes", [](AnalysisResult& r) { r.lint->diagnostics.back().fixes.clear(); }},
+      {"certificate", [](AnalysisResult& r) { r.certificate.reset(); }},
+      {"certificate_check", [](AnalysisResult& r) { r.certificate_check.reset(); }},
+      {"check.valid", [](AnalysisResult& r) { r.certificate_check->valid ^= true; }},
+      {"failure.stage", [](AnalysisResult& r) { r.certificate_check->failures[0].stage += "x"; }},
+      {"failure.rule", [](AnalysisResult& r) { r.certificate_check->failures[0].rule += "x"; }},
+      {"failure.subject",
+       [](AnalysisResult& r) { r.certificate_check->failures[0].subject += "x"; }},
+      {"failure.detail", [](AnalysisResult& r) { r.certificate_check->failures[0].detail += "x"; }},
+  };
+  for (const auto& [name, perturb] : changes) {
+    AnalysisResult r = base;
+    perturb(r);
+    const bool bytes_differ = report_json(*inst.app, r).dump() != base_bytes;
+    EXPECT_TRUE(bytes_differ) << name << ": perturbation must reach the report";
+    EXPECT_EQ(r != base, bytes_differ) << name;
+  }
+
+  // Non-finite relaxations all render as null, and compare equal too.
+  AnalysisResult nan = base, inf = base;
+  nan.dedicated_cost->relaxation = std::numeric_limits<double>::quiet_NaN();
+  inf.dedicated_cost->relaxation = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(report_json(*inst.app, nan).dump(), report_json(*inst.app, inf).dump());
+  EXPECT_TRUE(nan == inf);
+  EXPECT_TRUE(nan == nan);
+  EXPECT_TRUE(base == AnalysisResult(base));
 }
 
 TEST(FleetOracle, CorruptionIsCaughtFromACheckpointResumeToo) {

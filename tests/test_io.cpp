@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "src/core/analysis.hpp"
 #include "src/model/io.hpp"
@@ -122,6 +123,78 @@ TEST(Io, ErrorsCarryLineNumbers) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("NOPE"), std::string::npos);
   }
+}
+
+/// What one parse produced: the serialized instance plus its source map and
+/// transaction names, or the ModelError text.
+std::string parse_outcome(const std::string& text, bool from_stream) {
+  try {
+    std::istringstream in(text);
+    const ProblemInstance inst = from_stream ? parse_instance(in) : parse_instance_string(text);
+    std::string out = serialize_instance(*inst.app, inst.platform);
+    for (int line : inst.lines.task_lines) out += " t" + std::to_string(line);
+    for (const auto& [from, to, line] : inst.lines.edge_lines) {
+      out += " e" + std::to_string(from) + ">" + std::to_string(to) + "@" + std::to_string(line);
+    }
+    for (int line : inst.lines.node_lines) out += " n" + std::to_string(line);
+    for (int line : inst.lines.resource_lines) out += " r" + std::to_string(line);
+    for (const Transaction& tr : inst.workload.transactions) out += " tr:" + tr.name;
+    return out;
+  } catch (const ModelError& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+/// Both entry points agree on `text`; returns their common outcome.
+std::string parse_both(const std::string& text) {
+  const std::string from_string = parse_outcome(text, false);
+  EXPECT_EQ(parse_outcome(text, true), from_string);
+  return from_string;
+}
+
+TEST(Io, StreamAndStringParsersAgreeOnLineEndings) {
+  const std::string lf =
+      "proctype P cost 1\n"
+      "task a comp 1 deadline 5 proc P\n"
+      "task b comp 1 deadline 5 proc P\n"
+      "edge a b msg 2\n";
+  const std::string expected = parse_both(lf);
+  EXPECT_EQ(expected.rfind("error", 0), std::string::npos) << expected;
+  EXPECT_NE(expected.find(" t2 t3 e0>1@4 r1"), std::string::npos) << expected;
+
+  std::string crlf;
+  for (char c : lf) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  EXPECT_EQ(parse_both(crlf), expected);                       // CRLF: '\r' trims away
+  EXPECT_EQ(parse_both(lf.substr(0, lf.size() - 1)), expected);  // no final newline
+  EXPECT_EQ(parse_both("\n\n" + lf + "\n\n"), parse_both("\n\n" + lf));
+
+  // Only '\n' ends a line: a lone '\r' joins two directives into one.
+  EXPECT_EQ(parse_both("proctype P cost 1\rtask a comp 1 deadline 5 proc P\n"),
+            "error: line 1: unknown key 'task'");
+  // An embedded NUL is an ordinary byte of its line (here, of a task name).
+  using namespace std::string_literals;
+  const std::string nul = parse_both("proctype P cost 1\ntask a\0z comp 1 deadline 5 proc P\n"s);
+  EXPECT_NE(nul.find("task a\0z comp 1 rel 0"s), std::string::npos) << nul;
+  // A comment-only file, with and without a final newline, is empty.
+  EXPECT_EQ(parse_both("# nothing here\n  # indented\n"), "");
+  EXPECT_EQ(parse_both("# nothing here"), "");
+  EXPECT_EQ(parse_both(""), "");
+  // A very long line (a 200000-byte comment tail) stays one line.
+  const std::string long_line = "task c comp 1 deadline 5 proc P # " + std::string(200000, 'x');
+  EXPECT_EQ(parse_both(lf + long_line + "\n"), "error: line 5: unknown key '#'");
+}
+
+TEST(Io, StreamAndStringParsersReportTheSameErrorLine) {
+  const std::string head =
+      "# header comment\n"
+      "proctype P cost 1\r\n"
+      "task a comp 1 deadline 5 proc P\n"
+      "\n"
+      "task b comp 1 deadline 5 proc P\n"
+      "edge a b msg 2\n";
+  EXPECT_EQ(parse_both(head + "edge a b msg 3\n"), "error: line 7: duplicate edge 0->1");
+  EXPECT_EQ(parse_both(head + "edge b b msg 3"), "error: line 7: self-loop on vertex 1");
+  EXPECT_EQ(parse_both(head + "# c\r\nedge a zz msg 1\r\n"), "error: line 8: unknown task 'zz'");
 }
 
 TEST(Io, RejectsUnknownDirective) {

@@ -116,6 +116,22 @@ cmp "$FLEETDIR/whole.json" "$FLEETDIR/merged.json" || {
   exit 1
 }
 
+# Oracle-off leg: the fleet path perfbench's fleet_small times (baseline
+# analysis and statistics only, every oracle off). Its report must equal the
+# all-oracle run's in everything but the analysis count.
+"$BUILD_DIR/tools/rtlb_fleet" run --spec examples/fleet/smoke.json --no-parallel \
+  --no-session --no-certificate --no-lint --out "$FLEETDIR/oracles_off.json"
+if command -v jq >/dev/null 2>&1; then
+  jq -S 'del(.aggregates.analyses)' "$FLEETDIR/whole.json" > "$FLEETDIR/whole.proj.json"
+  jq -S 'del(.aggregates.analyses)' "$FLEETDIR/oracles_off.json" > "$FLEETDIR/oracles_off.proj.json"
+  cmp "$FLEETDIR/whole.proj.json" "$FLEETDIR/oracles_off.proj.json" || {
+    echo "ci.sh: oracle-off fleet run disagrees with the all-oracle run" >&2
+    exit 1
+  }
+else
+  echo "ci.sh: jq not on PATH; skipping the oracle-off fleet comparison" >&2
+fi
+
 # Bench smoke + schema legs: one scaled-down rep of each recording bench
 # must run to completion and keep the key paths of its committed
 # BENCH_<name>.json -- values are machine-dependent and not compared.
