@@ -211,6 +211,49 @@ TEST_F(PeriodicTest, LoweringOverTheTaskBudgetIsRefusedBeforeAllocating) {
             kMaxLoweredTasks);
 }
 
+TEST_F(PeriodicTest, DenseTemplateAtTheTaskBudgetStillLowers) {
+  // A complete 10-task DAG (45 edges) over 104857 activations: 1048570
+  // tasks, within the task budget, and 45 * 104857 template edges plus
+  // 104856 chaining edges (one sink, one source), within the edge budget.
+  Transaction dense = simple("dense", 100, 1);
+  dense.kind = ReleaseKind::kSporadic;
+  dense.horizon = 100 * 104857;
+  for (std::size_t i = 1; i < 10; ++i) {
+    dense.tasks.push_back(dense.tasks[0]);
+    dense.tasks[i].name = "job" + std::to_string(i);
+    for (std::size_t j = 0; j < i; ++j) dense.edges.push_back({.from = j, .to = i});
+  }
+  Workload w;
+  w.transactions = {dense};
+  const Application app = lower_workload(cat_, w);  // validates: no RTLB-E509
+  EXPECT_EQ(app.num_tasks(), 1048570u);
+  EXPECT_EQ(app.dag().num_edges(), 45u * 104857 + 104856);
+}
+
+TEST_F(PeriodicTest, UnchainedLoweringBudgetsOnlyTemplateEdges) {
+  // 256 independent tasks over 514 activations: chaining would add
+  // 256 * 256 * 513 edges, over the edge budget; unchained it adds none.
+  Transaction wide = simple("wide", 10, 1);
+  wide.kind = ReleaseKind::kSporadic;
+  wide.horizon = 10 * 514;
+  for (int i = 1; i < 256; ++i) {
+    wide.tasks.push_back(wide.tasks[0]);
+    wide.tasks.back().name = "job" + std::to_string(i);
+  }
+  Workload w;
+  w.transactions = {wide};
+  EXPECT_EQ(static_cast<std::int64_t>(lowered_edge_count(wide, 1, /*chain_instances=*/true)),
+            std::int64_t{256} * 256 * 513);
+  ASSERT_GT(std::int64_t{256} * 256 * 513, kMaxLoweredEdges);
+  EXPECT_EQ(static_cast<std::int64_t>(lowered_edge_count(wide, 1, /*chain_instances=*/false)), 0);
+  EXPECT_THROW(validate_workload(cat_, w), ModelError);  // lint budgets the chained lowering
+  EXPECT_THROW(lower_workload(cat_, w, LowerOptions{.validate = false}), std::logic_error);
+  const Application app =
+      lower_workload(cat_, w, LowerOptions{.chain_instances = false, .validate = false});
+  EXPECT_EQ(app.num_tasks(), 256u * 514);
+  EXPECT_EQ(app.dag().num_edges(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Sporadic lowering: the densest legal release sequence over the horizon.
 
