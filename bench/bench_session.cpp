@@ -13,16 +13,21 @@
 //  (c) menu sweep: price variants of the node menu under the dedicated
 //      model -- windows/partitions/scans are platform-independent here, so
 //      the session re-solves only the covering ILP per variant.
-// Results go to BENCH_session.json (benchutil::export_json).
+// Results go to BENCH_session.json (benchutil::export_json) with
+// reps/hardware_concurrency/degraded recorded like BENCH_fleet.json; every
+// timing is best-of-reps. RTLB_BENCH_REPS overrides the rep count.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "src/core/report.hpp"
 #include "src/core/sensitivity.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/session.hpp"
 #include "src/workload/taskset_gen.hpp"
 
@@ -69,7 +74,8 @@ struct SweepTiming {
 
 /// (a) One-task-deadline deltas: what synthesis and annealing inner loops
 /// look like between candidate evaluations.
-SweepTiming time_delta_sweep(const Application& base, int queries, SessionStats* stats) {
+SweepTiming time_delta_sweep(const Application& base, int queries, int reps,
+                             SessionStats* stats) {
   SweepTiming timing;
   // `tick` keeps advancing across time_ms reps (and 24 % 5 != 0), so a task
   // revisited in a later rep gets a DIFFERENT deadline -- every query is a
@@ -87,7 +93,7 @@ SweepTiming time_delta_sweep(const Application& base, int queries, SessionStats*
       scaled.task(t).deadline = d;
       benchmark::DoNotOptimize(analyze(scaled));
     }
-  });
+  }, reps);
 
   AnalysisSession session(base);
   session.set_verify(false);  // timing run; correctness is ctest's job
@@ -104,7 +110,8 @@ SweepTiming time_delta_sweep(const Application& base, int queries, SessionStats*
 }
 
 /// (b) The global laxity sweep (every deadline rescaled per point).
-SweepTiming time_laxity_sweep(const Application& base, const std::vector<double>& factors) {
+SweepTiming time_laxity_sweep(const Application& base, const std::vector<double>& factors,
+                              int reps) {
   SweepTiming timing;
   timing.cold_ms = benchutil::time_ms([&] {
     for (double factor : factors) {
@@ -117,16 +124,17 @@ SweepTiming time_laxity_sweep(const Application& base, const std::vector<double>
       }
       benchmark::DoNotOptimize(analyze(scaled));
     }
-  });
+  }, reps);
   timing.warm_ms = benchutil::time_ms(
-      [&] { benchmark::DoNotOptimize(deadline_laxity_sweep(base, factors)); });
+      [&] { benchmark::DoNotOptimize(deadline_laxity_sweep(base, factors)); }, reps);
   return timing;
 }
 
 /// (c) Menu variants under the dedicated model: only the ILP differs when
 /// the merge behaviour of the menus coincides.
 SweepTiming time_menu_sweep(const Application& app,
-                            const std::vector<std::pair<std::string, DedicatedPlatform>>& menus) {
+                            const std::vector<std::pair<std::string, DedicatedPlatform>>& menus,
+                            int reps) {
   SweepTiming timing;
   AnalysisOptions options;
   options.model = SystemModel::Dedicated;
@@ -134,9 +142,9 @@ SweepTiming time_menu_sweep(const Application& app,
     for (const auto& [name, platform] : menus) {
       benchmark::DoNotOptimize(analyze(app, options, &platform));
     }
-  });
+  }, reps);
   timing.warm_ms =
-      benchutil::time_ms([&] { benchmark::DoNotOptimize(menu_variants(app, menus)); });
+      benchutil::time_ms([&] { benchmark::DoNotOptimize(menu_variants(app, menus)); }, reps);
   return timing;
 }
 
@@ -144,10 +152,14 @@ void run_report() {
   const std::size_t kGroups = 10;
   const std::size_t kPerGroup = 72;
   const int kQueries = 24;
+  const int reps = benchutil::rep_count(3);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // Every sweep runs with the default one worker (LowerBoundOptions).
+  const bool degraded = ThreadPool::resolve_threads(1) > hw;  // never, by construction
   DeltaWorkload delta = make_delta_workload(kGroups, kPerGroup);
 
   SessionStats delta_stats;
-  const SweepTiming delta_t = time_delta_sweep(*delta.app, kQueries, &delta_stats);
+  const SweepTiming delta_t = time_delta_sweep(*delta.app, kQueries, reps, &delta_stats);
 
   WorkloadParams params;
   params.seed = 61;
@@ -156,7 +168,7 @@ void run_report() {
   ProblemInstance inst = generate_workload(params);
   std::vector<double> factors;
   for (int k = 0; k < 16; ++k) factors.push_back(1.0 + 0.15 * k);
-  const SweepTiming laxity_t = time_laxity_sweep(*inst.app, factors);
+  const SweepTiming laxity_t = time_laxity_sweep(*inst.app, factors, reps);
 
   // Cost-variant menus: identical node shapes (same merge oracle answers),
   // different prices -- the "reprice the catalog" design loop.
@@ -170,7 +182,7 @@ void run_report() {
     }
     menus.emplace_back("reprice-" + std::to_string(v), m);
   }
-  const SweepTiming menu_t = time_menu_sweep(*inst.app, menus);
+  const SweepTiming menu_t = time_menu_sweep(*inst.app, menus, reps);
 
   Table t({"sweep", "queries", "cold ms", "warm ms", "speedup"});
   auto add_row = [&](const char* name, std::size_t queries, const SweepTiming& s) {
@@ -203,6 +215,9 @@ void run_report() {
   root.set("menu_sweep", sweep_json(menu_t));
   root.set("speedup", delta_t.speedup());
   root.set("session_stats", session_stats_json(delta_stats));
+  root.set("reps", static_cast<std::int64_t>(reps))
+      .set("hardware_concurrency", static_cast<std::int64_t>(hw))
+      .set("degraded", degraded);
   benchutil::export_json(root, "BENCH_session");
 }
 

@@ -21,6 +21,13 @@ using Time = std::int64_t;
 inline constexpr Time kTimeMax = std::numeric_limits<Time>::max() / 4;
 inline constexpr Time kTimeMin = -kTimeMax;
 
+/// The safe range of an EST/LCT endpoint, [-kSafeTime, kSafeTime]:
+/// compute_windows() refuses any window outside it (RTLB-E310), and the
+/// lint's interval analysis proves instances safe against it. One more
+/// chain step from inside adds a computation time plus a message, each at
+/// most kTimeMax, so 2 * kTimeMax of int64 headroom is left above it.
+inline constexpr Time kSafeTime = std::numeric_limits<Time>::max() / 2;
+
 /// Index of a task within an Application. Dense, 0-based.
 using TaskId = std::uint32_t;
 

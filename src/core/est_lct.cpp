@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "src/common/thread_pool.hpp"
@@ -67,6 +68,25 @@ FlatModel flatten(const Application& app) {
   return m;
 }
 
+/// Checked steps of the recurrences: on int64 overflow the result saturates
+/// at the int64 extreme the exact value lies beyond and `overflow` is set,
+/// so the sweep stays defined and the task is refused afterwards.
+Time checked_add(Time a, Time b, bool& overflow) {
+  Time r;
+  if (!__builtin_add_overflow(a, b, &r)) return r;
+  overflow = true;
+  return b > 0 ? std::numeric_limits<Time>::max() : std::numeric_limits<Time>::min();
+}
+
+Time checked_sub(Time a, Time b, bool& overflow) {
+  Time r;
+  if (!__builtin_sub_overflow(a, b, &r)) return r;
+  overflow = true;
+  return b > 0 ? std::numeric_limits<Time>::min() : std::numeric_limits<Time>::max();
+}
+
+bool in_safe_range(Time t) { return t >= -kSafeTime && t <= kSafeTime; }
+
 /// A merge candidate: its lms/emr term and the task, in the sort key order
 /// of Figures 2/3 ((key, id) -- the id tie-break keeps every downstream
 /// value, merge set, and certificate byte-identical on duplicate keys).
@@ -90,15 +110,17 @@ struct SweepScratch {
 /// Figure 2 for one task (successor LCTs already final). The candidate set
 /// grows by one task per step, so the lst(G) packing is maintained
 /// incrementally: splice the new task into the kept (lct desc, id asc)
-/// order and refold the prefix values from the splice point only.
-void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
+/// order and refold the prefix values from the splice point only. Returns
+/// whether L_i is in the safe range (and every term on the way was exact).
+bool lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
                   std::vector<Time>& lct, std::vector<std::vector<TaskId>>& merged_succ) {
   const auto& succ = app.successors(i);
   const auto msg = app.successor_messages(i);
   if (succ.empty()) {  // step 1
     lct[i] = m.deadline[i];
-    return;
+    return in_safe_range(lct[i]);
   }
+  bool overflow = false;
 
   // Step 2: split Succ_i into MS_i (pairwise mergeable, with lms evaluated
   // exactly once) and the rest, whose lms terms bind L unconditionally.
@@ -106,7 +128,7 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   Time l0 = m.deadline[i];
   for (std::size_t k = 0; k < succ.size(); ++k) {
     const TaskId j = succ[k];
-    const Time lms = lct[j] - m.comp[j] - msg[k];
+    const Time lms = checked_sub(checked_sub(lct[j], m.comp[j], overflow), msg[k], overflow);
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({lms, j});
@@ -157,8 +179,8 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
     s.packval.resize(s.packed.size());
     for (std::size_t q = pos; q < s.packed.size(); ++q) {
       const TaskId x = s.packed[q];
-      s.packval[q] =
-          (q == 0 ? lct[x] : std::min(s.packval[q - 1], lct[x])) - m.comp[x];
+      s.packval[q] = checked_sub(q == 0 ? lct[x] : std::min(s.packval[q - 1], lct[x]),
+                                 m.comp[x], overflow);
     }
     const Time lk = std::min({l0, s.packval.back(), s.suffix[k + 1]});
     if (lk < best) break;  // (d): strict drop is final
@@ -170,23 +192,25 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   lct[i] = best;  // step 4
   merged_succ[i].assign(s.order.begin(),
                         s.order.begin() + static_cast<std::ptrdiff_t>(improved_prefix));
+  return !overflow && in_safe_range(best);
 }
 
 /// Figure 3 for one task (predecessor ESTs already final); exact mirror.
-void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
+bool est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
                   std::vector<Time>& est, std::vector<std::vector<TaskId>>& merged_pred) {
   const auto& pred = app.predecessors(i);
   const auto msg = app.predecessor_messages(i);
   if (pred.empty()) {  // step 1
     est[i] = m.release[i];
-    return;
+    return in_safe_range(est[i]);
   }
+  bool overflow = false;
 
   s.cand.clear();
   Time e0 = m.release[i];  // step 2
   for (std::size_t k = 0; k < pred.size(); ++k) {
     const TaskId j = pred[k];
-    const Time emr = est[j] + m.comp[j] + msg[k];
+    const Time emr = checked_add(checked_add(est[j], m.comp[j], overflow), msg[k], overflow);
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({emr, j});
@@ -228,8 +252,8 @@ void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
     s.packval.resize(s.packed.size());
     for (std::size_t q = pos; q < s.packed.size(); ++q) {
       const TaskId x = s.packed[q];
-      s.packval[q] =
-          (q == 0 ? est[x] : std::max(s.packval[q - 1], est[x])) + m.comp[x];
+      s.packval[q] = checked_add(q == 0 ? est[x] : std::max(s.packval[q - 1], est[x]),
+                                 m.comp[x], overflow);
     }
     const Time ek = std::max({e0, s.packval.back(), s.suffix[k + 1]});
     if (ek > best) break;  // (d): strict rise is final
@@ -241,6 +265,7 @@ void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   est[i] = best;  // step 4
   merged_pred[i].assign(s.order.begin(),
                         s.order.begin() + static_cast<std::ptrdiff_t>(improved_prefix));
+  return !overflow && in_safe_range(best);
 }
 
 /// The parallel sweep decomposition: round r of the source sweep holds the
@@ -272,33 +297,12 @@ SweepPlan make_sweep_plan(const Application& app, std::span<const TaskId> topo) 
   return plan;
 }
 
-TaskWindows compute_windows_impl(const Application& app, const MergeOracle& oracle,
-                                 int num_threads) {
-  const std::size_t n = app.num_tasks();
-  TaskWindows w;
-  w.est.assign(n, 0);
-  w.lct.assign(n, 0);
-  w.merged_pred.resize(n);
-  w.merged_succ.resize(n);
-
-  const auto topo = app.dag().topological_order();
-  if (!topo) throw ModelError("compute_windows: precedence graph has a cycle");
-
-  const FlatModel m = flatten(app);
-  const unsigned workers =
-      num_threads == 1 ? 1 : ThreadPool::resolve_threads(num_threads);
-
-  if (workers <= 1 || n < 2) {
-    SweepScratch scratch;
-    scratch.cursor = oracle.cursor(app);
-    for (TaskId i : *topo) est_one_task(app, m, i, scratch, w.est, w.merged_pred);
-    for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
-      lct_one_task(app, m, *it, scratch, w.lct, w.merged_succ);
-    }
-    return w;
-  }
-
-  const SweepPlan plan = make_sweep_plan(app, *topo);
+/// The parallel sweeps: the SweepPlan's rounds in order, each chunked over
+/// `workers`. `run_task(task, lct_side, scratch)` evaluates one item.
+template <class RunTask>
+void run_rounds(const Application& app, const MergeOracle& oracle,
+                std::span<const TaskId> topo, unsigned workers, const RunTask& run_task) {
+  const SweepPlan plan = make_sweep_plan(app, topo);
   ThreadPool pool(workers);
   std::vector<SweepScratch> scratch(workers);
   for (SweepScratch& s : scratch) s.cursor = oracle.cursor(app);
@@ -319,26 +323,72 @@ TaskWindows compute_windows_impl(const Application& app, const MergeOracle& orac
     if (r < plan.lct_rounds.size()) {
       for (TaskId i : plan.lct_rounds[r]) items.push_back({i, true});
     }
-    auto run_item = [&](const Item& item, SweepScratch& s) {
-      if (item.lct_side) {
-        lct_one_task(app, m, item.task, s, w.lct, w.merged_succ);
-      } else {
-        est_one_task(app, m, item.task, s, w.est, w.merged_pred);
-      }
-    };
     // Chunked over the pool: worker c owns a contiguous slice and its own
     // arena. Tiny rounds (chains, narrow layers) run inline -- pool dispatch
     // would cost more than the round.
     const std::size_t chunks = std::min<std::size_t>(workers, items.size());
     if (chunks <= 1 || items.size() < 8) {
-      for (const Item& item : items) run_item(item, scratch[0]);
+      for (const Item& item : items) run_task(item.task, item.lct_side, scratch[0]);
       continue;
     }
     pool.parallel_for(chunks, [&](std::size_t c) {
       const std::size_t begin = items.size() * c / chunks;
       const std::size_t end = items.size() * (c + 1) / chunks;
-      for (std::size_t x = begin; x < end; ++x) run_item(items[x], scratch[c]);
+      for (std::size_t x = begin; x < end; ++x) {
+        run_task(items[x].task, items[x].lct_side, scratch[c]);
+      }
     });
+  }
+}
+
+ModelError window_out_of_range(const Application& app, TaskId i, const char* side) {
+  return ModelError("RTLB-E310: " + std::string(side) + " of task '" + app.task(i).name +
+                    "' leaves the safe Time range [-" + std::to_string(kSafeTime) + ", " +
+                    std::to_string(kSafeTime) + "]");
+}
+
+TaskWindows compute_windows_impl(const Application& app, const MergeOracle& oracle,
+                                 int num_threads) {
+  const std::size_t n = app.num_tasks();
+  TaskWindows w;
+  w.est.assign(n, 0);
+  w.lct.assign(n, 0);
+  w.merged_pred.resize(n);
+  w.merged_succ.resize(n);
+
+  const auto topo = app.dag().topological_order();
+  if (!topo) throw ModelError("compute_windows: precedence graph has a cycle");
+
+  const FlatModel m = flatten(app);
+  const unsigned workers =
+      num_threads == 1 ? 1 : ThreadPool::resolve_threads(num_threads);
+
+  // Workers only flag a task whose endpoint left the safe range (one slot
+  // per task and side); the refusal is raised after both sweeps.
+  std::vector<unsigned char> est_bad(n, 0), lct_bad(n, 0);
+  const auto run_task = [&](TaskId i, bool lct_side, SweepScratch& s) {
+    if (lct_side) {
+      lct_bad[i] = !lct_one_task(app, m, i, s, w.lct, w.merged_succ);
+    } else {
+      est_bad[i] = !est_one_task(app, m, i, s, w.est, w.merged_pred);
+    }
+  };
+  if (workers <= 1 || n < 2) {
+    SweepScratch scratch;
+    scratch.cursor = oracle.cursor(app);
+    for (TaskId i : *topo) run_task(i, false, scratch);
+    for (auto it = topo->rbegin(); it != topo->rend(); ++it) run_task(*it, true, scratch);
+  } else {
+    run_rounds(app, oracle, *topo, workers, run_task);
+  }
+
+  // The first flagged task in sweep order -- EST side topologically, then
+  // LCT side in reverse -- so the error is the same at any thread count.
+  for (TaskId i : *topo) {
+    if (est_bad[i]) throw window_out_of_range(app, i, "EST");
+  }
+  for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
+    if (lct_bad[*it]) throw window_out_of_range(app, *it, "LCT");
   }
   return w;
 }
@@ -368,6 +418,14 @@ TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
                "compute_windows diverged from the reference implementation");
   }
   return w;
+}
+
+TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
+                            int num_threads) {
+  if (platform != nullptr) {
+    return compute_windows(app, DedicatedMergeOracle(*platform), num_threads);
+  }
+  return compute_windows(app, SharedMergeOracle(), num_threads);
 }
 
 }  // namespace rtlb

@@ -27,6 +27,13 @@
 // of the model and its neighbors' already-final values, so the result is
 // bit-identical at any thread count (same discipline as the bound engine).
 //
+// RANGE. compute_windows() is the one overflow guarantee for the windows:
+// every lms/emr term and packing fold is checked int64 arithmetic, and every
+// endpoint it returns lies in [-kSafeTime, kSafeTime]. Otherwise it throws
+// ModelError("RTLB-E310: EST|LCT of task '<name>' ...") for the first such
+// task -- topologically on the EST side, else reverse-topologically on the
+// LCT side -- so the refusal names the same task at every thread count.
+//
 // Verification: compute_windows_reference() preserves the original
 // direct-from-the-figures implementation. Building with
 // -DRTLB_WINDOWS_REFERENCE=ON (or setting the RTLB_WINDOWS_REFERENCE
@@ -79,8 +86,14 @@ Time earliest_completion_of_set(const Application& app, const std::vector<Time>&
 /// topological order, EST in topological order). `num_threads` follows the
 /// bound-engine convention: 1 = serial (default), 0 = one worker per
 /// hardware thread, n > 1 = exactly n workers; the windows are bit-identical
-/// at every value.
+/// at every value. Throws ModelError naming RTLB-E310 when an endpoint would
+/// leave [-kSafeTime, kSafeTime] (see RANGE above).
 TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
+                            int num_threads = 1);
+
+/// The same under the model's merge oracle: DedicatedMergeOracle over
+/// `platform` when one is given, else SharedMergeOracle.
+TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
                             int num_threads = 1);
 
 /// The original per-merge-churn implementation, kept verbatim as the

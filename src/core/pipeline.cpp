@@ -1,8 +1,6 @@
 #include "src/core/pipeline.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <string>
 #include <utility>
 
 #include "src/common/thread_pool.hpp"
@@ -35,9 +33,10 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level) {
       return false;
     case LintLevel::kReport: {
       // validate()'s refusal set -- structural (RTLB-E0xx) errors -- plus a
-      // proved window overflow (RTLB-E310): computing those windows would
-      // be signed-overflow UB. Other semantic errors (window collapse,
-      // uncoverable tasks) are recorded but analyzed.
+      // proved window overflow (RTLB-E310), which kWindows would refuse
+      // anyway; refusing here reports absint's witness chain with it.
+      // Other semantic errors (window collapse, uncoverable tasks) are
+      // recorded but analyzed.
       bool refused = false;
       for (const Diagnostic& d : result.diagnostics) {
         refused |= d.severity == Severity::kError &&
@@ -56,22 +55,13 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level) {
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines) {
   LintGateArtifact gate;
-  if (level != LintLevel::kOff) {
-    LintResult result = lint(app, platform, lines, {}, &gate.windows);
-    if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
-    gate.lint = std::move(result);
+  if (level == LintLevel::kOff) {
+    app.validate();
     return gate;
   }
-  // The kReport criterion at kOff, which runs no lint: windows that absint
-  // proves overflow Time for every merge decision (RTLB-E310) are refused
-  // before the EST/LCT recurrences could compute them (signed-overflow UB).
-  app.validate();
-  const AbsIntResult absint = abstract_interpret(app, platform);
-  if (absint.verdict == AbsVerdict::kMustOverflow) {
-    throw ModelError("RTLB-E310: " + std::string(absint.worst_is_est ? "EST" : "LCT") +
-                     " of task '" + app.task(absint.worst_task).name +
-                     "' overflows Time for every merge decision");
-  }
+  LintResult result = lint(app, platform, lines, {}, &gate.windows);
+  if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
+  gate.lint = std::move(result);
   return gate;
 }
 
@@ -121,15 +111,12 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       const int threads = options.lower_bound.num_threads;
       // The lint's windows use the dedicated oracle iff a platform is
       // given; kWindows takes them only when that is the model's oracle.
+      // A recompute refuses out-of-range windows itself (RTLB-E310).
       if (gate.windows && dedicated == (platform != nullptr)) {
         windows.windows = std::move(*gate.windows);
         span.count("from_lint", 1);
-      } else if (dedicated) {
-        DedicatedMergeOracle oracle(*platform);
-        windows.windows = compute_windows(app, oracle, threads);
       } else {
-        SharedMergeOracle oracle;
-        windows.windows = compute_windows(app, oracle, threads);
+        windows.windows = compute_windows(app, dedicated ? platform : nullptr, threads);
       }
       windows.unchanged = cache.revalidate_windows(windows.windows);
       cache.record(Stage::kWindows, false);

@@ -9,10 +9,11 @@
 // glue), kept bit-identical by convention and test alone. run_pipeline()
 // is now the ONLY place that sequences stages:
 //
-//   kLintGate    pre-flight gate, run_lint_gate (Application::validate +
-//                the absint overflow proof at kOff, else a fresh lint +
-//                the refusal policy of lint_gate_refuses)
-//   kWindows     EST/LCT under the model's merge oracle
+//   kLintGate    pre-flight gate, run_lint_gate (Application::validate at
+//                kOff, else a fresh lint + the refusal policy of
+//                lint_gate_refuses)
+//   kWindows     EST/LCT under the model's merge oracle; refuses windows
+//                outside the safe Time range itself (RTLB-E310)
 //   kPartitions  per-resource window-disjoint blocks (Theorem 5)
 //   kBounds      LB_r per resource (+ conjunctive joint rows if asked)
 //   kCosts       Eq. 7.1 sum and, with a platform, the Section-7 ILP
@@ -69,9 +70,9 @@ std::span<const char* const> stage_names();
 struct LintGateArtifact {
   /// Diagnostics recorded on the result; nullopt at LintLevel::kOff.
   std::optional<LintResult> lint;
-  /// The EST/LCT windows the lint computed under absint's proof of
-  /// windows_safe() (dedicated merge oracle iff a platform was given);
-  /// nullopt at kOff, on a structurally broken model, or without the proof.
+  /// The EST/LCT windows the lint computed (dedicated merge oracle iff a
+  /// platform was given); nullopt at kOff, on a structurally broken model,
+  /// or when compute_windows() refused them as out of range (RTLB-E310).
   std::optional<TaskWindows> windows;
 };
 
@@ -174,10 +175,11 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level);
 
 /// The kLintGate stage -- run_pipeline() calls exactly this, and so does
 /// any tool that gates standalone: Application::validate() at kOff (throws
-/// ModelError), plus a ModelError naming RTLB-E310 when absint proves the
-/// windows overflow; otherwise lint the instance fresh and throw
-/// LintGateError when lint_gate_refuses(). `lines` (may be null) attributes
-/// findings to source lines, as rtlb_lint does.
+/// ModelError); otherwise lint the instance fresh and throw LintGateError
+/// when lint_gate_refuses(). `lines` (may be null) attributes findings to
+/// source lines, as rtlb_lint does. Windows out of range are refused by
+/// kWindows (compute_windows() throws ModelError naming RTLB-E310), so the
+/// gate needs no overflow proof of its own.
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines = nullptr);
 

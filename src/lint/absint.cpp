@@ -220,8 +220,10 @@ void absint_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
     Diagnostic d = sink.make(
         "RTLB-W311", task_subject(app, ai->worst_task),
         std::string(side) + " envelope reaches " + i128_str(ai->worst_value) +
-            ", beyond the provably exact range of " + i128_str(kSafeTime) +
-            " ticks; windows-dependent checks are skipped");
+            ", beyond the provably exact range of " + i128_str(kSafeTime) + " ticks; " +
+            (ctx.windows != nullptr
+                 ? "the computed windows stay within it"
+                 : "the computed windows leave it, so analysis refuses them (RTLB-E310)"));
     d.task = ai->worst_task;
     d.line = ctx.task_line(ai->worst_task);
     sink.emit(std::move(d));

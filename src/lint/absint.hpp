@@ -6,12 +6,13 @@
 // (Theta), and the Eq. 7.1/7.2 cost accumulations. abstract_interpret()
 // re-evaluates the same expressions in an interval domain over I128: every
 // derived quantity is bracketed by a [lo, hi] pair that is sound for EVERY
-// merge decision an oracle could take, so the linter can either prove --
-// before analyze() runs -- that no intermediate value can leave the safe
-// Time range, or pinpoint a concrete chain that must overflow. This replaces
-// the coarse whole-graph sum guard the lint driver used to gate window
-// computation on, and upgrades the after-the-fact E301/W302 spot checks from
-// "this input looks big" to a per-path proof.
+// merge decision an oracle could take, so the linter can either prove that
+// no window can leave the safe Time range [-kSafeTime, kSafeTime]
+// (src/common/types.hpp), or pinpoint a concrete chain that must overflow.
+// It upgrades the E301/W302 spot checks from "this input looks big" to a
+// per-path proof. It is a diagnostic, not a gate: compute_windows() itself
+// refuses (RTLB-E310) any window outside the safe range, and the
+// interpretation's job is to name the witness chain of that refusal.
 //
 // Domain. For task i with predecessors P (edge messages m_ji, computation
 // times C_j > 0 on a structurally clean model):
@@ -30,12 +31,13 @@
 // arithmetic saturates at kAbsIntSaturation, and the verdict is three-valued:
 //
 //   kProvedSafe    every endpoint within [-kSafeTime, kSafeTime] -- the
-//                  engine's int64 arithmetic is provably exact
+//                  engine's windows are provably in range
 //   kMayOverflow   some endpoint escapes the safe envelope but no value is
-//                  forced out of int64 (RTLB-W311)
+//                  forced out of int64 (RTLB-W311); whether the engine's
+//                  actual windows stay in range is the engine's call
 //   kMustOverflow  some est_lo/lct_hi is outside int64 for every merge
-//                  decision: the engine WILL wrap (RTLB-E310, with the
-//                  witness chain)
+//                  decision: the engine WILL refuse the windows (RTLB-E310,
+//                  with the witness chain)
 #pragma once
 
 #include <cstdint>
@@ -59,12 +61,6 @@ enum class AbsVerdict {
   kMayOverflow,
   kMustOverflow,
 };
-
-/// Every intermediate the engine computes stays exact in int64 as long as
-/// all window endpoints are within this envelope: one more chain step adds
-/// at most a computation time plus a message (2 * kTimeMax = INT64_MAX/2 -
-/// 1 of headroom above it).
-inline constexpr __int128 kSafeTime = static_cast<__int128>(INT64_MAX / 2);
 
 /// Saturation bound for the interval arithmetic itself (I128 products of
 /// catalog costs and demand sums can exceed even I128).
@@ -104,6 +100,8 @@ struct AbsIntResult {
   __int128 worst_value = 0;
   std::vector<TaskId> worst_chain;
 
+  /// No library caller: the engine guards its own range. Kept for the
+  /// benchmark's lint replay (perfbench/replay.cpp), its last user.
   bool windows_safe() const { return verdict == AbsVerdict::kProvedSafe; }
 };
 

@@ -63,7 +63,8 @@ constexpr std::array<DiagInfo, 37> kRegistry{{
     {"RTLB-W311", Severity::kWarning,
      "interval analysis cannot bound the window computation within the safe Time range",
      "some EST/LCT envelope endpoint exceeds kSafeTime (INT64_MAX/2); windows-dependent "
-     "checks are skipped because the engine's arithmetic is no longer provably exact"},
+     "checks run only while the computed windows stay within it, and analysis refuses "
+     "windows that leave it (RTLB-E310); rescale computation times and messages"},
     {"RTLB-W312", Severity::kWarning,
      "cost accumulation may overflow the Cost range",
      "the Eq. 7.1/7.2 envelope sum of cost_r x demand_r exceeds int64; rescale resource "

@@ -3,7 +3,7 @@
 #include <optional>
 #include <sstream>
 
-#include "src/core/mergeable.hpp"
+#include "src/core/est_lct.hpp"
 #include "src/lint/absint.hpp"
 #include "src/lint/dataflow.hpp"
 #include "src/lint/passes.hpp"
@@ -71,21 +71,16 @@ LintResult Linter::run(const Application& app, const DedicatedPlatform* platform
   }
   if (result.has_errors()) return result;
 
-  // The interpretation gates the window computation: windows are only
-  // materialized when every intermediate is provably within the safe
-  // range, so the linter itself can never trip the overflow it reports.
+  // The interpretation is the diagnostic (E310's witness chain, W311); the
+  // windows come from the engine, which guards its own range.
   const AbsIntResult absint = abstract_interpret(app, platform);
   ctx.absint = &absint;
   std::optional<TaskWindows> windows;
-  if (absint.windows_safe()) {
-    if (platform != nullptr) {
-      DedicatedMergeOracle oracle(*platform);
-      windows = compute_windows(app, oracle);
-    } else {
-      SharedMergeOracle oracle;
-      windows = compute_windows(app, oracle);
-    }
+  try {
+    windows = compute_windows(app, platform);
     ctx.windows = &*windows;
+  } catch (const ModelError&) {
+    // Refused (RTLB-E310): the model passes run without windows.
   }
   for (const LintPass& pass : passes_) {
     if (!pass.needs_valid_model) continue;

@@ -55,9 +55,8 @@ struct LintResult {
 /// Everything a pass may look at. `lines` and `platform` may be null;
 /// `absint` is filled by the driver once the structural pass found no errors
 /// (the interval interpretation needs an acyclic model with valid ids), and
-/// `windows` only when the interpretation additionally PROVED the window
-/// computation stays within the safe Time range -- the absint verdict
-/// replaced the old coarse whole-graph sum guard as the gate.
+/// `windows` then too unless compute_windows() refused them because an
+/// endpoint left the safe Time range (RTLB-E310).
 struct LintContext {
   const Application& app;
   const DedicatedPlatform* platform = nullptr;
@@ -126,11 +125,11 @@ class Linter {
   const std::vector<LintPass>& passes() const { return passes_; }
 
   /// The one lint driver: structural passes, then (on a structurally clean
-  /// model) abstract_interpret, the EST/LCT windows when absint proved them
-  /// safe, and the model passes. `windows_out` (may be null) receives those
-  /// windows, so a caller need not compute them again. They use the
-  /// dedicated merge oracle iff `platform` is given, and are set only when
-  /// the model passes ran and absint proved windows_safe().
+  /// model) abstract_interpret, the EST/LCT windows, and the model passes.
+  /// `windows_out` (may be null) receives those windows, so a caller need
+  /// not compute them again. They use the dedicated merge oracle iff
+  /// `platform` is given, and are set only when the model passes ran and
+  /// compute_windows() did not refuse them (RTLB-E310, out of range).
   LintResult run(const Application& app, const DedicatedPlatform* platform = nullptr,
                  const SourceMap* lines = nullptr, const LintOptions& options = {},
                  std::optional<TaskWindows>* windows_out = nullptr) const;

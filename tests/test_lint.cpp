@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -255,6 +256,15 @@ TEST_F(LintTest, AbsIntWarnsWhenWideFanInMayOverflow) {
   EXPECT_EQ(count_code(result, "RTLB-E301"), 0);  // exact demand sum fits
   EXPECT_EQ(count_code(result, "RTLB-W311"), 1);
   EXPECT_EQ(abstract_interpret(app_).verdict, AbsVerdict::kMayOverflow);
+  // absint only suspects the overflow; the engine's windows are in range,
+  // so the lint computes them, says so, and hands them on.
+  std::optional<TaskWindows> windows;
+  for (const Diagnostic& d : lint(app_, nullptr, nullptr, {}, &windows).diagnostics) {
+    if (d.code == "RTLB-W311") {
+      EXPECT_NE(d.message.find("the computed windows stay within it"), std::string::npos);
+    }
+  }
+  EXPECT_TRUE(windows.has_value());
 }
 
 TEST_F(LintTest, AbsIntWarnsWhenCostEnvelopeMayOverflow) {
@@ -463,6 +473,8 @@ TEST(LintCorpus, EachBadInstanceCarriesItsExpectedCode) {
       {"overflow.rtlb", "RTLB-W302", false},
       {"overflow_chain.rtlb", "RTLB-E310", true},
       {"overflow_chain.rtlb", "RTLB-W312", false},
+      {"may_overflow_chain.rtlb", "RTLB-E301", true},
+      {"may_overflow_chain.rtlb", "RTLB-W311", false},
       {"redundant_edge.rtlb", "RTLB-N421", false},
       {"dead_latency.rtlb", "RTLB-N423", false},
   };
@@ -471,6 +483,19 @@ TEST(LintCorpus, EachBadInstanceCarriesItsExpectedCode) {
     EXPECT_GE(count_code(result, c.code), 1) << c.file << " should carry " << c.code;
     if (c.is_error) {
       EXPECT_TRUE(result.has_errors()) << c.file;
+    }
+  }
+}
+
+TEST(LintCorpus, MayOverflowChainLintsWithoutWindows) {
+  // The engine refuses this W311 chain's windows (RTLB-E310), so the lint
+  // runs its model passes without them and its W311 says so.
+  const LintResult result = lint_corpus_file("may_overflow_chain.rtlb");
+  ASSERT_EQ(count_code(result, "RTLB-W311"), 1);
+  for (const Diagnostic& d : result.diagnostics) {
+    if (d.code == "RTLB-W311") {
+      EXPECT_NE(d.message.find("so analysis refuses them (RTLB-E310)"), std::string::npos)
+          << d.message;
     }
   }
 }

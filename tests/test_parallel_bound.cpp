@@ -486,7 +486,9 @@ TEST(RatioOverflow, BoundOnNearMaxWindowsIsExact) {
 
 TEST(RatioOverflow, DemandOverflowIsDetectedNotWrapped) {
   // Enough near-max tasks that Theta itself cannot be represented: the
-  // analysis must refuse loudly instead of returning a wrapped bound.
+  // analysis must refuse loudly instead of returning a wrapped bound. The
+  // windows end at kSafeTime, the widest the windows engine accepts (one
+  // tick further and compute_windows refuses them, RTLB-E310).
   const std::int64_t max = std::numeric_limits<std::int64_t>::max();
   ResourceCatalog cat;
   const ResourceId p = cat.add_processor_type("P", 1);
@@ -496,13 +498,15 @@ TEST(RatioOverflow, DemandOverflowIsDetectedNotWrapped) {
     t.name = "huge" + std::to_string(i);
     t.comp = max / 4 * 3;
     t.release = 0;
-    t.deadline = max - 1;
+    t.deadline = kSafeTime;
     t.proc = p;
     app.add_task(std::move(t));
   }
   SharedMergeOracle oracle;
   const TaskWindows w = compute_windows(app, oracle);
   EXPECT_THROW(resource_lower_bound(app, w, p), ModelError);
+  app.task(3).deadline = kSafeTime + 1;
+  EXPECT_THROW(compute_windows(app, oracle), ModelError);
 }
 
 }  // namespace

@@ -212,6 +212,33 @@ TEST(SessionErrors, ReplicatesColdThrowBehaviour) {
   EXPECT_NO_THROW(session.analyze());
 }
 
+TEST(SessionErrors, OutOfRangeWindowDeltaIsRefusedAndRevertMatchesCold) {
+  // A delta that drives a window out of the safe range is refused by the
+  // windows stage itself (RTLB-E310); reverting it restores a session whose
+  // next query equals a cold analyze() of the same model.
+  ProblemInstance inst = paper_example();
+  AnalysisOptions options;
+  options.model = SystemModel::Dedicated;
+  options.emit_certificates = true;
+  AnalysisSession session(*inst.app, options, &inst.platform);
+  session.analyze();
+  const TaskId sink = session.app().dag().sinks().front();
+  const Time deadline = session.app().task(sink).deadline;
+  session.set_deadline(sink, kSafeTime + 1);
+  try {
+    session.analyze();
+    ADD_FAILURE() << "a window beyond kSafeTime was not refused";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("RTLB-E310: LCT of task '" +
+                                         session.app().task(sink).name + "'"),
+              std::string::npos)
+        << e.what();
+  }
+  session.set_deadline(sink, deadline);
+  const AnalysisResult& warm = session.analyze();
+  EXPECT_TRUE(warm == analyze(session.app(), options, &inst.platform));
+}
+
 // ---------------------------------------------------------------------------
 // Workload sessions: template-level deltas must be indistinguishable from
 // tearing the session down and cold-analyzing the mutated workload.

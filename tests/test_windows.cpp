@@ -196,5 +196,70 @@ TEST_F(WindowsTieBreakTest, CertificatesByteIdenticalAcrossSerialParallelAndWarm
   EXPECT_EQ(cold_cert, certificate_json(*warm.certificate).dump(2));
 }
 
+/// The message of the ModelError compute_windows() throws, or "" if none.
+std::string refusal(const Application& app, int threads) {
+  SharedMergeOracle oracle;
+  try {
+    compute_windows(app, oracle, threads);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WindowsRange, OutOfRangeRefusalNamesTheSameTaskAtAnyThreadCount) {
+  // Eight 3-task chains, one processor type per layer (so nothing merges):
+  // every round holds 16 items, so 4 workers take the pool path. Chains 5
+  // and 6 carry kTimeMax computation times and messages, which pushes the
+  // ESTs of x2_5/x2_6 and the LCTs of x0_5/x0_6 out of the safe range. The
+  // refusal names the first EST task in topological order at every count.
+  ResourceCatalog cat;
+  Application app(cat);
+  std::vector<ResourceId> procs;
+  for (int layer = 0; layer < 3; ++layer) {
+    procs.push_back(cat.add_processor_type("P" + std::to_string(layer)));
+  }
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int chain = 0; chain < 8; ++chain) {
+      const bool huge = chain == 5 || chain == 6;
+      Task t;
+      t.name = "x" + std::to_string(layer) + "_" + std::to_string(chain);
+      t.comp = huge ? kTimeMax : 2;
+      t.release = 0;
+      t.deadline = huge ? kTimeMax : 100;
+      t.proc = procs[static_cast<std::size_t>(layer)];
+      const TaskId id = app.add_task(std::move(t));
+      if (layer > 0) app.add_edge(id - 8, id, huge ? kTimeMax : 1);
+    }
+  }
+  const std::string serial = refusal(app, 1);
+  EXPECT_NE(serial.find("RTLB-E310: EST of task 'x2_5'"), std::string::npos) << serial;
+  for (int threads : {4, 2, 8}) {
+    EXPECT_EQ(serial, refusal(app, threads)) << "threads " << threads;
+  }
+}
+
+TEST(WindowsRange, StepOneEndpointsAreRangeChecked) {
+  // Sources and sinks take r_i / d_i verbatim; they are checked too, and the
+  // range is inclusive at +-kSafeTime.
+  ResourceCatalog cat;
+  const ResourceId cpu = cat.add_processor_type("CPU");
+  auto solo = [&](Time release, Time deadline) {
+    Application app(cat);
+    Task t;
+    t.name = "solo";
+    t.comp = 1;
+    t.release = release;
+    t.deadline = deadline;
+    t.proc = cpu;
+    app.add_task(std::move(t));
+    return refusal(app, 1);
+  };
+  EXPECT_EQ(solo(-kSafeTime, kSafeTime), "");
+  EXPECT_NE(solo(0, kSafeTime + 1).find("RTLB-E310: LCT of task 'solo'"), std::string::npos);
+  EXPECT_NE(solo(-kSafeTime - 1, 10).find("RTLB-E310: EST of task 'solo'"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace rtlb

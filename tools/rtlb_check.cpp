@@ -114,7 +114,15 @@ int run_emit(const std::string& path, SystemModel model, bool model_given, bool 
     return 2;
   }
 
-  const AnalysisResult result = analyze(*inst.app, options, platform);
+  // A refusal past the gate (kWindows' RTLB-E310 on windows out of range)
+  // is malformed input too, reported the way load_instance reports it.
+  AnalysisResult result;
+  try {
+    result = analyze(*inst.app, options, platform);
+  } catch (const ModelError& e) {
+    std::fprintf(stderr, "%s: malformed instance: %s\n", path.c_str(), e.what());
+    return 2;
+  }
   std::printf("%s\n", certificate_json(*result.certificate).dump(2).c_str());
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
