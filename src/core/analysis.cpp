@@ -47,7 +47,7 @@ AnalysisResult analyze(const Application& app, const AnalysisOptions& options,
                        const DedicatedPlatform* platform) {
   // Thin driver: the staged sequencing (pre-flight gate, EST/LCT,
   // partitions, bounds, costs, certificate post-stage) lives solely in
-  // run_pipeline(); a cold call is the pipeline with an empty stage cache.
+  // run_pipeline(); a cold call is the pipeline with nothing to reuse.
   return run_pipeline(app, options, platform);
 }
 

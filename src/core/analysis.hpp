@@ -6,8 +6,8 @@
 //
 // This is the main entry point of the public API; the example programs and
 // most benches go through analyze(). Since the pipeline refactor, analyze()
-// is a thin driver over run_pipeline() (src/core/pipeline.hpp) with an
-// empty stage cache -- the staged sequencing, the pre-flight lint gate, the
+// is a thin driver over run_pipeline() (src/core/pipeline.hpp) with
+// nothing to reuse -- the staged sequencing, the pre-flight lint gate, the
 // certificate post-stage, and the per-stage instrumentation all live there,
 // shared bit-for-bit with the memoized AnalysisSession.
 #pragma once

@@ -15,6 +15,22 @@ constexpr const char* const kStageNames[kNumStages] = {
     "lint_gate", "windows", "partitions", "bounds", "costs",
 };
 
+/// The rows the Section-7 ILP reads from the bound stage: (resource, LB_r)
+/// per resource. Witnesses and work counters do not feed the program.
+bool same_bound_rows(const std::vector<ResourceBound>& a,
+                     const std::vector<ResourceBound>& b) {
+  return std::ranges::equal(a, b, [](const ResourceBound& x, const ResourceBound& y) {
+    return x.resource == y.resource && x.bound == y.bound;
+  });
+}
+
+/// The conjunctive rows the joint ILP reads: (a, b, LB_{a,b}).
+bool same_joint_rows(const std::vector<JointBound>& a, const std::vector<JointBound>& b) {
+  return std::ranges::equal(a, b, [](const JointBound& x, const JointBound& y) {
+    return x.a == y.a && x.b == y.b && x.bound == y.bound;
+  });
+}
+
 }  // namespace
 
 const char* stage_name(Stage stage) {
@@ -66,7 +82,7 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
 }
 
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
-                            const DedicatedPlatform* platform, StageCache& cache) {
+                            const DedicatedPlatform* platform, PipelineReuse& reuse) {
   const bool dedicated = options.model == SystemModel::Dedicated;
   if (dedicated && platform == nullptr) {
     throw ModelError("analyze: dedicated model requires a platform");
@@ -90,85 +106,72 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       span.count("diagnostics", static_cast<std::int64_t>(gate.lint->diagnostics.size()));
     }
     result.lint = std::move(gate.lint);
-    cache.record(Stage::kLintGate, false);
   }
 
-  // Stage kWindows: EST/LCT under the model's mergeability notion. A cache
-  // either serves the previous windows verbatim or, after a recompute,
-  // rules on value equality -- the verdict every downstream reuse keys on.
-  WindowsArtifact windows;
+  // Stage kWindows: EST/LCT under the model's mergeability notion. The
+  // lint's windows use the dedicated oracle iff a platform is given, so
+  // they are taken only when that is the model's oracle; otherwise a
+  // recompute, which refuses out-of-range windows itself (RTLB-E310).
+  // Windows are bit-identical at any worker count, so the serial lint's
+  // equal the threaded recompute.
   {
     ScopedSpan span(trace, stage_name(Stage::kWindows));
-    if (const TaskWindows* cached = cache.cached_windows()) {
-      windows.windows = *cached;
-      windows.unchanged = true;
-      cache.record(Stage::kWindows, true);
-      span.count("reused", 1);
+    if (gate.windows && dedicated == (platform != nullptr)) {
+      result.windows = std::move(*gate.windows);
+      span.count("from_lint", 1);
     } else {
-      // Same thread knob as the bound engine; the windows are bit-identical
-      // at any worker count, so the lint's windows and the cache verdict
-      // below are unaffected by it.
-      const int threads = options.lower_bound.num_threads;
-      // The lint's windows use the dedicated oracle iff a platform is
-      // given; kWindows takes them only when that is the model's oracle.
-      // A recompute refuses out-of-range windows itself (RTLB-E310).
-      if (gate.windows && dedicated == (platform != nullptr)) {
-        windows.windows = std::move(*gate.windows);
-        span.count("from_lint", 1);
-      } else {
-        windows.windows = compute_windows(app, dedicated ? platform : nullptr, threads);
-      }
-      windows.unchanged = cache.revalidate_windows(windows.windows);
-      cache.record(Stage::kWindows, false);
+      result.windows = compute_windows(app, dedicated ? platform : nullptr,
+                                       options.lower_bound.num_threads);
     }
     span.count("tasks", static_cast<std::int64_t>(app.num_tasks()));
   }
-  result.windows = std::move(windows.windows);
+  // Every later replay keys on this verdict: the same task structure with
+  // value-equal windows (a deadline already clipped to the same tick, a
+  // message off the critical path) leaves partitions unchanged, and with
+  // unchanged demand the bounds and joint rows too.
+  const AnalysisResult* prev = reuse.prev;
+  const bool windows_unchanged =
+      prev != nullptr && !reuse.structure_changed && result.windows == prev->windows;
+  const bool theta_unchanged = windows_unchanged && !reuse.demand_changed;
 
   // Stage kPartitions: a pure function of the task sets and windows
   // (recorded even when the bound evaluation is asked to run unpartitioned,
   // so callers can always inspect them).
-  PartitionsArtifact partitions;
   {
     ScopedSpan span(trace, stage_name(Stage::kPartitions));
-    if (const auto* cached = cache.cached_partitions(windows.unchanged)) {
-      partitions.partitions = *cached;
-      cache.record(Stage::kPartitions, true);
+    reuse.replayed_partitions = windows_unchanged;
+    if (windows_unchanged) {
+      result.partitions = prev->partitions;
       span.count("reused", 1);
     } else {
-      partitions.partitions = partition_all(app, result.windows);
-      cache.record(Stage::kPartitions, false);
+      result.partitions = partition_all(app, result.windows);
     }
     std::int64_t blocks = 0;
-    for (const ResourcePartition& p : partitions.partitions) {
+    for (const ResourcePartition& p : result.partitions) {
       blocks += static_cast<std::int64_t>(p.blocks.size());
     }
-    span.count("resources", static_cast<std::int64_t>(partitions.partitions.size()));
+    span.count("resources", static_cast<std::int64_t>(result.partitions.size()));
     span.count("blocks", blocks);
   }
-  result.partitions = std::move(partitions.partitions);
 
   // Stage kBounds: LB_r for every r in RES (+ the conjunctive extension
-  // rows), scanned over the kPartitions artifact. Stage-level reuse replays
-  // the whole vector; otherwise a block-level cache (when the StageCache
-  // carries one) reuses every partition block the delta left
-  // value-unchanged (Theorem 5 independence), and only missed blocks are
-  // scanned.
-  BoundsArtifact bounds;
+  // rows), scanned over the kPartitions product. Unchanged Theta inputs
+  // replay the whole vector; otherwise the block memo (when given) reuses
+  // every partition block the delta left value-unchanged (Theorem 5
+  // independence), and only missed blocks are scanned.
   {
     ScopedSpan span(trace, stage_name(Stage::kBounds));
     const std::uint64_t pool_before = ThreadPool::tasks_dispatched();
-    if (const auto* cached = cache.cached_bounds(windows.unchanged)) {
-      bounds.bounds = *cached;
-      cache.record(Stage::kBounds, true);
+    reuse.replayed_bounds = theta_unchanged;
+    if (theta_unchanged) {
+      result.bounds = prev->bounds;
       span.count("reused", 1);
     } else {
-      BlockScanCache* block_cache = cache.block_cache();
+      BlockScanCache* block_cache = reuse.blocks;
       const std::uint64_t hits = block_cache ? block_cache->hits() : 0;
       const std::uint64_t misses = block_cache ? block_cache->misses() : 0;
-      bounds.bounds = all_resource_bounds(app, result.windows, result.partitions,
+      result.bounds = all_resource_bounds(app, result.windows, result.partitions,
                                           options.lower_bound, block_cache);
-      cache.record(Stage::kBounds, false);
       if (block_cache != nullptr) {
         span.count("block_cache_hits", static_cast<std::int64_t>(block_cache->hits() - hits));
         span.count("block_cache_misses",
@@ -176,53 +179,44 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       }
     }
     if (options.joint_bounds) {
-      if (const auto* cached = cache.cached_joint(windows.unchanged)) {
-        bounds.joint = *cached;
-        cache.record_joint(true);
-      } else {
-        bounds.joint = joint_lower_bounds(app, result.windows);
-        cache.record_joint(false);
-      }
+      reuse.replayed_joint = theta_unchanged;
+      result.joint = theta_unchanged ? prev->joint : joint_lower_bounds(app, result.windows);
     }
     std::int64_t intervals = 0;
-    for (const ResourceBound& b : bounds.bounds) {
+    for (const ResourceBound& b : result.bounds) {
       intervals += static_cast<std::int64_t>(b.intervals_evaluated);
     }
     span.count("intervals_evaluated", intervals);
     span.count("pool_tasks",
                static_cast<std::int64_t>(ThreadPool::tasks_dispatched() - pool_before));
   }
-  result.bounds = std::move(bounds.bounds);
-  result.joint = std::move(bounds.joint);
   result.rebuild_bound_index();
 
   // Stage kCosts: Eq. 7.1 is a trivial sum, always recomputed; the
-  // dedicated ILP is only re-solved when a row it reads actually changed
-  // (bounds plateau under many deltas, so synthesis/annealing loops skip
-  // most solves).
-  CostsArtifact costs;
+  // dedicated ILP is only re-solved when a row it reads -- (resource, LB_r)
+  // and (a, b, LB_{a,b}) -- actually changed (bounds plateau under many
+  // deltas, so synthesis/annealing loops skip most solves).
   {
     ScopedSpan span(trace, stage_name(Stage::kCosts));
-    costs.shared = shared_cost_bound(app, result.bounds);
+    result.shared_cost = shared_cost_bound(app, result.bounds);
     if (platform != nullptr) {
-      if (const DedicatedCostBound* cached =
-              cache.cached_dedicated_cost(result.bounds, result.joint)) {
-        costs.dedicated = *cached;
-        cache.record(Stage::kCosts, true);
+      reuse.replayed_dedicated_cost =
+          prev != nullptr && prev->dedicated_cost.has_value() && !reuse.platform_changed &&
+          !reuse.structure_changed && same_bound_rows(prev->bounds, result.bounds) &&
+          same_joint_rows(prev->joint, result.joint);
+      if (reuse.replayed_dedicated_cost) {
+        result.dedicated_cost = prev->dedicated_cost;
         span.count("reused", 1);
       } else {
-        costs.dedicated =
+        result.dedicated_cost =
             options.joint_bounds
                 ? dedicated_cost_bound_joint(app, *platform, result.bounds, result.joint)
                 : dedicated_cost_bound(app, *platform, result.bounds);
-        cache.record(Stage::kCosts, false);
-        span.count("ilp_nodes", costs.dedicated->ilp_nodes);
+        span.count("ilp_nodes", result.dedicated_cost->ilp_nodes);
       }
     }
-    span.count("terms", static_cast<std::int64_t>(costs.shared.terms.size()));
+    span.count("terms", static_cast<std::int64_t>(result.shared_cost.terms.size()));
   }
-  result.shared_cost = std::move(costs.shared);
-  result.dedicated_cost = std::move(costs.dedicated);
 
   // Certificate post-stage: restate the result as checkable facts, and
   // (under check_certificates) have the independent checker re-judge them
@@ -244,7 +238,7 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
 
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
                             const DedicatedPlatform* platform) {
-  StageCache cold;
+  PipelineReuse cold;
   return run_pipeline(app, options, platform, cold);
 }
 

@@ -21,15 +21,14 @@
 // with certificate emit/check as a post-stage (not a Stage: it restates the
 // result, it does not produce analysis values).
 //
-// Reuse is delegated to a StageCache: before recomputing a stage the
-// pipeline offers the cache a chance to serve the previous artifact, and
-// after recomputing it reports the fresh value so the cache can revalidate
-// downstream decisions by VALUE (a recompute that changed nothing keeps
-// every later stage reusable). The default StageCache caches nothing --
-// that is the cold analyze() path; AnalysisSession passes its
-// dirty-flag/value-comparison cache. Either way the computed values are
-// bit-identical by construction: a cache may only serve an artifact that is
-// value-equal to what the recompute would produce.
+// Reuse is described by a PipelineReuse value: the previous result, what
+// may have changed since (the session's dirty flags), and a block memo.
+// The windows are always computed (or taken from the lint) and compared to
+// the previous ones by VALUE; equal windows, together with the flags, let
+// the later stages replay the previous products. The default value reuses
+// nothing -- that is the cold analyze() path; AnalysisSession passes its
+// flags. Either way the computed values are bit-identical by construction:
+// a stage only replays a product value-equal to what it would recompute.
 //
 // Instrumentation: when AnalysisOptions::trace names a Trace, the run
 // records a "pipeline" root span with one child span per stage and work
@@ -63,10 +62,9 @@ const char* stage_name(Stage stage);
 /// All five names in Stage order, for tools that validate traces.
 std::span<const char* const> stage_names();
 
-// -- Per-stage artifact structs. Each stage's output, exactly as it lands
-// -- on the AnalysisResult; the structs exist so caches and tests can talk
-// -- about one stage's product without carrying a whole result around.
-
+/// The kLintGate stage's product: run_lint_gate() returns it, and
+/// run_pipeline() records the lint on the result and hands the windows to
+/// kWindows.
 struct LintGateArtifact {
   /// Diagnostics recorded on the result; nullopt at LintLevel::kOff.
   std::optional<LintResult> lint;
@@ -76,93 +74,27 @@ struct LintGateArtifact {
   std::optional<TaskWindows> windows;
 };
 
-struct WindowsArtifact {
-  TaskWindows windows;
-  /// True when a StageCache established the windows are value-identical to
-  /// the previous query's (served verbatim OR recomputed equal), which is
-  /// what downstream reuse decisions key on.
-  bool unchanged = false;
-};
+/// What a repeated query may take over from the previous one, and what it
+/// took. AnalysisSession fills the inputs from its dirty flags; the default
+/// value reuses nothing, which is the cold path. run_pipeline() applies
+/// every reuse rule next to the stage it skips, and each rule is a proof,
+/// not a heuristic: a replayed product is value-equal to what the stage
+/// would recompute for the current inputs.
+struct PipelineReuse {
+  /// The previous completed result of the same session; null reuses nothing.
+  const AnalysisResult* prev = nullptr;
+  /// What may have changed since `prev`.
+  bool structure_changed = true;  ///< task sets, DAG, catalog ids
+  bool demand_changed = true;     ///< C_i or preemptive (the Theta inputs)
+  bool platform_changed = true;   ///< the node-type menu
+  /// Block memo for bound rescans (Theorem 5); null scans every block.
+  BlockScanCache* blocks = nullptr;
 
-struct PartitionsArtifact {
-  std::vector<ResourcePartition> partitions;
-};
-
-struct BoundsArtifact {
-  std::vector<ResourceBound> bounds;
-  std::vector<JointBound> joint;  ///< empty unless options.joint_bounds
-};
-
-struct CostsArtifact {
-  SharedCostBound shared;
-  std::optional<DedicatedCostBound> dedicated;
-};
-
-/// Per-stage reuse policy. run_pipeline() consults it before and after each
-/// stage; every default answers "nothing cached", which is the cold path.
-///
-/// CONTRACT: a cache may only return an artifact that is value-equal to
-/// what the stage recompute would produce for the current inputs -- reuse
-/// must be a proof, not a heuristic (AnalysisSession derives its proofs
-/// from dirty flags plus value comparison; see src/core/session.hpp).
-class StageCache {
- public:
-  virtual ~StageCache() = default;
-
-  /// kWindows: previous windows to serve verbatim, or nullptr to recompute.
-  virtual const TaskWindows* cached_windows() { return nullptr; }
-
-  /// Called after a windows recompute with the fresh value; return true
-  /// when it is value-equal to the previous query's windows (and the task
-  /// structure is unchanged), re-enabling downstream reuse.
-  virtual bool revalidate_windows(const TaskWindows& fresh) {
-    (void)fresh;
-    return false;
-  }
-
-  /// kPartitions / kBounds: previous artifacts, offered only the pipeline's
-  /// windows_unchanged verdict (a cache must still fold in its own
-  /// structure/demand knowledge).
-  virtual const std::vector<ResourcePartition>* cached_partitions(bool windows_unchanged) {
-    (void)windows_unchanged;
-    return nullptr;
-  }
-  virtual const std::vector<ResourceBound>* cached_bounds(bool windows_unchanged) {
-    (void)windows_unchanged;
-    return nullptr;
-  }
-  virtual const std::vector<JointBound>* cached_joint(bool windows_unchanged) {
-    (void)windows_unchanged;
-    return nullptr;
-  }
-
-  /// Block-level memo table for bound recomputes; null means cold (the
-  /// engine builds no block keys and scans every block). Stage-level reuse
-  /// above skips the scan entirely; this reuses individual untouched blocks
-  /// when the stage does rescan.
-  virtual BlockScanCache* block_cache() { return nullptr; }
-
-  /// kCosts: previous dedicated solve, offered the freshly computed rows it
-  /// would read -- return it only when those match the previous query's.
-  /// Only consulted when a platform is present.
-  virtual const DedicatedCostBound* cached_dedicated_cost(
-      const std::vector<ResourceBound>& bounds, const std::vector<JointBound>& joint) {
-    (void)bounds;
-    (void)joint;
-    return nullptr;
-  }
-
-  /// Accounting hook: called once per stage decision (kLintGate always
-  /// misses -- every query lints fresh; kCosts only reports when a
-  /// dedicated solve decision was made, matching the historical counters).
-  virtual void record(Stage stage, bool hit) {
-    (void)stage;
-    (void)hit;
-  }
-
-  /// Accounting for the conjunctive joint rows (a sub-product of kBounds);
-  /// called only when options.joint_bounds is set.
-  virtual void record_joint(bool hit) { (void)hit; }
+  /// Set by run_pipeline(): the products it replayed from `prev`.
+  bool replayed_partitions = false;
+  bool replayed_bounds = false;
+  bool replayed_joint = false;
+  bool replayed_dedicated_cost = false;
 };
 
 /// The kLintGate refusal policy -- the ONE place the four LintLevel
@@ -183,14 +115,15 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level);
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines = nullptr);
 
-/// Run all stages (plus the certificate post-stage) through `cache`,
-/// tracing into options.trace when set. This is the only function in the
-/// library that sequences compute_windows / partition_all /
-/// all_resource_bounds / *cost_bound* / joint_lower_bounds.
+/// Run all stages (plus the certificate post-stage), reusing what `reuse`
+/// allows and recording what was replayed on it, tracing into
+/// options.trace when set. This is the only function in the library that
+/// sequences compute_windows / partition_all / all_resource_bounds /
+/// *cost_bound* / joint_lower_bounds.
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
-                            const DedicatedPlatform* platform, StageCache& cache);
+                            const DedicatedPlatform* platform, PipelineReuse& reuse);
 
-/// Cold run: an empty StageCache (what analyze() forwards to).
+/// Cold run: reuses nothing (what analyze() forwards to).
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options = {},
                             const DedicatedPlatform* platform = nullptr);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/core/pipeline.hpp"
-#include "src/core/report.hpp"
 #include "src/lint/recurrent.hpp"
 #include "src/model/io.hpp"
 #include "src/workload/workload.hpp"
@@ -25,136 +24,6 @@ bool default_verify() {
   return env != nullptr && *env != '\0' && std::string_view(env) != "0";
 #endif
 }
-
-bool same_windows(const TaskWindows& a, const TaskWindows& b) {
-  return a == b;  // TaskWindows::operator==: every field, exact values
-}
-
-/// The rows the Section-7 ILP reads from the bound stage: (resource, LB_r)
-/// per resource. Witnesses and work counters do not feed the program.
-bool same_bound_rows(const std::vector<ResourceBound>& a,
-                     const std::vector<ResourceBound>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].resource != b[i].resource || a[i].bound != b[i].bound) return false;
-  }
-  return true;
-}
-
-/// The conjunctive rows the joint ILP reads: (a, b, LB_{a,b}).
-bool same_joint_rows(const std::vector<JointBound>& a, const std::vector<JointBound>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].a != b[i].a || a[i].b != b[i].b || a[i].bound != b[i].bound) return false;
-  }
-  return true;
-}
-
-/// Exact joint comparison for the verify cross-check (the JSON report does
-/// not serialize the joint rows, so they are compared field by field).
-bool same_joint_exact(const std::vector<JointBound>& a, const std::vector<JointBound>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].a != b[i].a || a[i].b != b[i].b || a[i].bound != b[i].bound ||
-        a[i].witness_t1 != b[i].witness_t1 || a[i].witness_t2 != b[i].witness_t2) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The session's answers to the pipeline's per-stage reuse questions: dirty
-/// FLAGS (what might have changed) plus value COMPARISON against the last
-/// completed result (what actually did). Constructed per query, so it
-/// captures the flags exactly as the mutators left them.
-class SessionStageCache final : public StageCache {
- public:
-  SessionStageCache(const AnalysisResult* prev, bool windows_dirty, bool demand_dirty,
-                    bool structure_dirty, bool platform_dirty, BlockScanCache& blocks,
-                    SessionStats& stats)
-      : prev_(prev),
-        windows_dirty_(windows_dirty),
-        demand_dirty_(demand_dirty),
-        structure_dirty_(structure_dirty),
-        platform_dirty_(platform_dirty),
-        blocks_(&blocks),
-        stats_(&stats) {}
-
-  const TaskWindows* cached_windows() override {
-    if (prev_ != nullptr && !windows_dirty_ && !structure_dirty_) return &prev_->windows;
-    return nullptr;
-  }
-
-  bool revalidate_windows(const TaskWindows& fresh) override {
-    // A delta that left every window value unchanged (a deadline already
-    // clipped to the same tick, a message on a non-critical path)
-    // revalidates everything downstream of the windows.
-    return prev_ != nullptr && !structure_dirty_ && same_windows(fresh, prev_->windows);
-  }
-
-  const std::vector<ResourcePartition>* cached_partitions(bool windows_unchanged) override {
-    if (windows_unchanged && prev_ != nullptr && !structure_dirty_) {
-      return &prev_->partitions;
-    }
-    return nullptr;
-  }
-
-  const std::vector<ResourceBound>* cached_bounds(bool windows_unchanged) override {
-    // Same windows and same Theta inputs mean the whole stage is a replay.
-    if (windows_unchanged && prev_ != nullptr && !demand_dirty_ && !structure_dirty_) {
-      return &prev_->bounds;
-    }
-    return nullptr;
-  }
-
-  const std::vector<JointBound>* cached_joint(bool windows_unchanged) override {
-    if (windows_unchanged && prev_ != nullptr && !demand_dirty_ && !structure_dirty_) {
-      return &prev_->joint;
-    }
-    return nullptr;
-  }
-
-  BlockScanCache* block_cache() override { return blocks_; }
-
-  const DedicatedCostBound* cached_dedicated_cost(
-      const std::vector<ResourceBound>& bounds,
-      const std::vector<JointBound>& joint) override {
-    // The ILP is only re-solved when a row it reads actually changed
-    // (bounds plateau under many deltas, so synthesis/annealing loops skip
-    // most solves).
-    if (prev_ != nullptr && prev_->dedicated_cost.has_value() && !platform_dirty_ &&
-        !structure_dirty_ && same_bound_rows(prev_->bounds, bounds) &&
-        same_joint_rows(prev_->joint, joint)) {
-      return &*prev_->dedicated_cost;
-    }
-    return nullptr;
-  }
-
-  void record(Stage stage, bool hit) override {
-    switch (stage) {
-      case Stage::kLintGate: ++stats_->gate_runs; break;
-      case Stage::kWindows: ++(hit ? stats_->window_hits : stats_->window_misses); break;
-      case Stage::kPartitions:
-        ++(hit ? stats_->partition_hits : stats_->partition_misses);
-        break;
-      case Stage::kBounds: ++(hit ? stats_->bound_hits : stats_->bound_misses); break;
-      case Stage::kCosts: ++(hit ? stats_->cost_hits : stats_->cost_misses); break;
-    }
-  }
-
-  void record_joint(bool hit) override {
-    ++(hit ? stats_->joint_hits : stats_->joint_misses);
-  }
-
- private:
-  const AnalysisResult* prev_;  ///< last completed result; null before the first
-  bool windows_dirty_;
-  bool demand_dirty_;
-  bool structure_dirty_;
-  bool platform_dirty_;
-  BlockScanCache* blocks_;
-  SessionStats* stats_;
-};
 
 }  // namespace
 
@@ -354,27 +223,40 @@ const AnalysisResult& AnalysisSession::analyze() {
 
   // Everything else -- the pre-flight gate (which runs on every non-hit
   // query so refusals and their exception types match a cold call exactly),
-  // stage sequencing, certificate emit/check -- is the shared pipeline; the
-  // session only answers its reuse questions through SessionStageCache.
-  // run_pipeline() builds a fresh result and throws before returning it on
-  // any refusal, so `result_` stays untouched until the query completes and
-  // a refused query leaves the session serving its last completed state.
-  SessionStageCache cache(have_result_ ? &result_ : nullptr, windows_dirty_,
-                          demand_dirty_, structure_dirty_, platform_dirty_,
-                          block_cache_, stats_);
-  AnalysisResult next = run_pipeline(app_, options_, platform(), cache);
+  // stage sequencing, the reuse rules, certificate emit/check -- is the
+  // shared pipeline; the session only hands it the previous result and its
+  // dirty flags. run_pipeline() builds a fresh result and throws before
+  // returning it on any refusal, so `result_` and the counters stay
+  // untouched until the query completes and a refused query leaves the
+  // session serving its last completed state.
+  PipelineReuse reuse{.prev = have_result_ ? &result_ : nullptr,
+                      .structure_changed = structure_dirty_,
+                      .demand_changed = demand_dirty_,
+                      .platform_changed = platform_dirty_,
+                      .blocks = &block_cache_};
+  AnalysisResult next = run_pipeline(app_, options_, platform(), reuse);
 
   if (verify_) {
     // The cross-check must not re-trace: a traced cold run would double
     // every span in the caller's Trace.
     AnalysisOptions cold_options = options_;
     cold_options.trace = nullptr;
-    const AnalysisResult cold = rtlb::analyze(app_, cold_options, platform());
-    RTLB_CHECK(report_string(app_, next) == report_string(app_, cold),
+    RTLB_CHECK(next == rtlb::analyze(app_, cold_options, platform()),
                "AnalysisSession result diverged from cold analyze()");
-    RTLB_CHECK(same_joint_exact(next.joint, cold.joint),
-               "AnalysisSession joint bounds diverged from cold analyze()");
     ++stats_.verified;
+  }
+
+  // Every non-hit query lints fresh and computes (or takes over) its
+  // windows; the later stages count a hit when they were replayed.
+  ++stats_.gate_runs;
+  ++stats_.window_misses;
+  ++(reuse.replayed_partitions ? stats_.partition_hits : stats_.partition_misses);
+  ++(reuse.replayed_bounds ? stats_.bound_hits : stats_.bound_misses);
+  if (options_.joint_bounds) {
+    ++(reuse.replayed_joint ? stats_.joint_hits : stats_.joint_misses);
+  }
+  if (platform_) {
+    ++(reuse.replayed_dedicated_cost ? stats_.cost_hits : stats_.cost_misses);
   }
 
   result_ = std::move(next);

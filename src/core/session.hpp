@@ -10,8 +10,9 @@
 //   lint gate      app + platform + lint_level              never (a fresh
 //                                                           lint hands its
 //                                                           windows on)
-//   EST/LCT        comp, release, deadline, messages, DAG,  none of those
-//                  model (+ platform when Dedicated)        changed
+//   EST/LCT        comp, release, deadline, messages, DAG,  never (the lint's
+//                  model (+ platform when Dedicated)        or recomputed;
+//                                                           compared by value)
 //   partitions     task sets + window VALUES                windows content-
 //                                                           equal, structure
 //                                                           unchanged
@@ -40,11 +41,12 @@
 // mismatch. The property test (tests/test_session.cpp) drives randomized
 // delta sequences through both paths.
 //
-// Since the pipeline refactor the session no longer sequences stages
-// itself: a non-hit query runs run_pipeline() (src/core/pipeline.hpp) with
-// a StageCache implementation that answers the pipeline's reuse questions
-// from the table above -- the same stage code, in the same order, as a cold
-// analyze(); only the cache policy differs.
+// The session does not sequence stages itself: a non-hit query runs
+// run_pipeline() (src/core/pipeline.hpp) with a PipelineReuse value
+// holding the previous result, the dirty flags and the block cache. The
+// pipeline applies the rules of the table above next to the stages they
+// skip -- the same stage code, in the same order, as a cold analyze() --
+// and reports which stages it replayed.
 #pragma once
 
 #include <cstdint>
@@ -56,18 +58,19 @@
 
 namespace rtlb {
 
-/// Per-stage reuse counters of one AnalysisSession, fed by the pipeline's
-/// StageCache accounting hooks (src/core/pipeline.hpp) -- every stage of
-/// every non-hit query records exactly one hit or miss. "Hit" means the
-/// stage's previous output was served without recomputation (for blocks:
-/// served from the BlockScanCache); a query that short-circuits entirely
-/// (query_hits) does not also count per-stage hits.
+/// Per-stage reuse counters of one AnalysisSession, folded from what each
+/// run_pipeline() call reports it replayed (src/core/pipeline.hpp) -- every
+/// stage of every completed non-hit query records exactly one hit or miss;
+/// a refused query records nothing. "Hit" means the stage's previous output
+/// was served without recomputation (for blocks: served from the
+/// BlockScanCache); a query that short-circuits entirely (query_hits) does
+/// not also count per-stage hits.
 struct SessionStats {
   std::uint64_t queries = 0;      ///< analyze() calls that completed
   std::uint64_t query_hits = 0;   ///< ... of which returned the cached result
 
-  /// kLintGate executions that passed (refused queries throw before being
-  /// counted). Every gate run lints fresh; nothing of it is reused.
+  /// kLintGate runs of completed non-hit queries. Every gate run lints
+  /// fresh; nothing of it is reused.
   std::uint64_t gate_runs = 0;
 
   /// Always zero: every gate run lints fresh, with no per-pass reuse.
@@ -76,8 +79,11 @@ struct SessionStats {
   std::uint64_t lint_pass_hits = 0;
   std::uint64_t lint_pass_misses = 0;
 
-  std::uint64_t window_hits = 0;  ///< kWindows served verbatim
-  std::uint64_t window_misses = 0;
+  /// Always zero: every query computes its windows (or takes the lint's).
+  /// Retained with its session_stats_json key, like lint_pass_hits, because
+  /// perfbench's session_deltas workload reads it.
+  std::uint64_t window_hits = 0;
+  std::uint64_t window_misses = 0;  ///< kWindows runs, one per non-hit query
 
   std::uint64_t partition_hits = 0;  ///< kPartitions reused (windows value-equal)
   std::uint64_t partition_misses = 0;
@@ -169,8 +175,8 @@ class AnalysisSession {
   /// without platform, validate()/lint gate refusals).
   const AnalysisResult& analyze();
 
-  /// Cross-check every query against a cold analyze() (bit-for-bit, via the
-  /// JSON report plus the joint rows). Defaults to on when built with
+  /// Cross-check every query against a cold analyze() (bit-for-bit, by
+  /// AnalysisResult::operator==). Defaults to on when built with
   /// RTLB_SESSION_VERIFY or run with the RTLB_SESSION_VERIFY environment
   /// variable set to a non-empty value other than "0".
   void set_verify(bool verify) { verify_ = verify; }

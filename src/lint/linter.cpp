@@ -55,8 +55,6 @@ Linter::Linter() {
   passes_.push_back({"hygiene", true, hygiene_lint_pass});
 }
 
-void Linter::register_pass(LintPass pass) { passes_.push_back(std::move(pass)); }
-
 LintResult Linter::run(const Application& app, const DedicatedPlatform* platform,
                        const SourceMap* lines, const LintOptions& options,
                        std::optional<TaskWindows>* windows_out) const {

@@ -119,9 +119,6 @@ class Linter {
  public:
   Linter();
 
-  /// Append a custom pass after the standard ones.
-  void register_pass(LintPass pass);
-
   const std::vector<LintPass>& passes() const { return passes_; }
 
   /// The one lint driver: structural passes, then (on a structurally clean

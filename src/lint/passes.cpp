@@ -62,7 +62,11 @@ void structural_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
         emit("RTLB-E005", "R_i contains processor type '" + cat.name(r) + "'");
       }
     }
-    if (t.deadline < t.release || t.deadline - t.release < t.comp) {
+    // deadline - release overflows only for a window wider than any Time,
+    // which no computation time exceeds.
+    Time span = 0;
+    const bool wide = __builtin_sub_overflow(t.deadline, t.release, &span);
+    if (t.deadline < t.release || (!wide && span < t.comp)) {
       const char* code = t.deadline < t.release ? "RTLB-E008" : "RTLB-E009";
       std::string message =
           t.deadline < t.release

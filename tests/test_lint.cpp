@@ -500,6 +500,16 @@ TEST(LintCorpus, MayOverflowChainLintsWithoutWindows) {
   }
 }
 
+TEST(LintCorpus, WideWindowIsNeitherInvertedNorShort) {
+  // deadline - release is past INT64_MAX here: the window checks must read
+  // the window as wide (no E008/E009), while the range passes still warn.
+  const LintResult result = lint_corpus_file("wide_window.rtlb");
+  EXPECT_GE(count_code(result, "RTLB-W302"), 1);
+  EXPECT_EQ(count_code(result, "RTLB-W311"), 1);
+  EXPECT_EQ(count_code(result, "RTLB-E008"), 0);
+  EXPECT_EQ(count_code(result, "RTLB-E009"), 0);
+}
+
 TEST(LintCorpus, ErrorDiagnosticsOnTasksCarrySourceLines) {
   const LintResult result = lint_corpus_file("window_collapse.rtlb");
   ASSERT_TRUE(result.has_errors());

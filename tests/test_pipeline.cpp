@@ -1,7 +1,7 @@
 // The unified pipeline (src/core/pipeline.hpp) and its instrumentation.
 //
 // Three contracts are pinned here:
-//  * run_pipeline() with an empty StageCache IS the cold analyze() --
+//  * run_pipeline() with nothing to reuse IS the cold analyze() --
 //    bit-for-bit across bounds, witnesses, costs, and certificates, for
 //    every config x seed of the randomized corpus (the same corpus style
 //    test_session.cpp drives), and regardless of whether a Trace is

@@ -3,8 +3,8 @@
 // The property test drives randomized sequences of deadline / message /
 // comp / preemptive / platform deltas over generated workloads, with the
 // session's own cross-check enabled AND an explicit result comparison here
-// (belt and braces: the internal check uses the JSON report, the external
-// one compares the structures field by field).
+// (belt and braces: the internal check compares AnalysisResult values, the
+// external one the JSON report plus the joint rows).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,6 +178,39 @@ TEST(SessionStatsTest, UntouchedBlocksHitTheCacheAcrossADelta) {
   const SessionStats after = session.stats();
   EXPECT_GT(after.block_hits, before.block_hits);  // the P2 block replayed
   EXPECT_GT(after.block_misses, before.block_misses);  // the P1 block rescanned
+}
+
+TEST(SessionStatsTest, PreemptiveDeltaRecomputesWindowsAndReplaysPartitions) {
+  // set_preemptive changes Theta only (Theorem 3 vs 4), never a window: the
+  // query recomputes the windows, finds them value-equal, replays the
+  // partitions, and rescans the bounds -- with the P2 block, which the
+  // toggled task is not in, served from the block cache.
+  ResourceCatalog cat;
+  const ResourceId p1 = cat.add_processor_type("P1", 1);
+  const ResourceId p2 = cat.add_processor_type("P2", 1);
+  Application app(cat);
+  for (const auto& [name, proc] : {std::pair{"a1", p1}, {"a2", p1}, {"b1", p2}, {"b2", p2}}) {
+    Task t;
+    t.name = name;
+    t.comp = 3;
+    t.deadline = 7;
+    t.proc = proc;
+    app.add_task(std::move(t));
+  }
+
+  AnalysisSession session(std::move(app));
+  session.set_verify(true);
+  session.analyze();
+  const SessionStats before = session.stats();
+  session.set_preemptive(0, !session.app().task(0).preemptive);
+  const AnalysisResult& warm = session.analyze();
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.window_misses, before.window_misses + 1);
+  EXPECT_EQ(after.window_hits, 0u);
+  EXPECT_EQ(after.partition_hits, before.partition_hits + 1);
+  EXPECT_EQ(after.bound_misses, before.bound_misses + 1);
+  EXPECT_GT(after.block_hits, before.block_hits);
+  EXPECT_TRUE(warm == analyze(session.app()));
 }
 
 TEST(SessionStatsTest, DedicatedIlpReusedOnBoundPlateau) {
