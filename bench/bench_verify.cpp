@@ -12,11 +12,16 @@
 //                  auditor pays via tools/rtlb_check, without the pipeline
 //   round-trip     certificate_json -> dump -> parse_certificate_text, the
 //                  serialization cost of shipping the certificate
-// Results go to BENCH_verify.json (benchutil::export_json).
+// Results go to BENCH_verify.json (benchutil::export_json) with
+// reps/hardware_concurrency/degraded; every timing is serial, so no row is
+// ever degraded. RTLB_BENCH_REPS overrides the best-of rep count (CI smoke
+// uses 1).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -51,6 +56,8 @@ AnalysisOptions verify_options(bool emit, bool check) {
 }
 
 void run_report() {
+  const int reps = benchutil::rep_count(5);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   Table t({"tasks", "analyze ms", "+emit ms", "+check ms", "check-only ms",
            "round-trip ms", "cert KiB", "check overhead"});
   Json series = Json::array();
@@ -60,22 +67,22 @@ void run_report() {
     const Application& app = *inst.app;
     const DedicatedPlatform* platform = &inst.platform;
 
-    const double analyze_ms =
-        benchutil::time_ms([&] { analyze(app, verify_options(false, false), platform); });
-    const double emit_ms =
-        benchutil::time_ms([&] { analyze(app, verify_options(true, false), platform); });
-    const double check_ms =
-        benchutil::time_ms([&] { analyze(app, verify_options(true, true), platform); });
+    const double analyze_ms = benchutil::time_ms(
+        [&] { analyze(app, verify_options(false, false), platform); }, reps);
+    const double emit_ms = benchutil::time_ms(
+        [&] { analyze(app, verify_options(true, false), platform); }, reps);
+    const double check_ms = benchutil::time_ms(
+        [&] { analyze(app, verify_options(true, true), platform); }, reps);
 
     const AnalysisResult result = analyze(app, verify_options(true, false), platform);
     const Certificate& cert = *result.certificate;
     const double check_only_ms =
-        benchutil::time_ms([&] { check_certificate(cert, app, platform); });
+        benchutil::time_ms([&] { check_certificate(cert, app, platform); }, reps);
     const std::string text = certificate_json(cert).dump(2);
     const double round_trip_ms = benchutil::time_ms([&] {
       const Certificate reparsed = parse_certificate_text(certificate_json(cert).dump(2));
       benchmark::DoNotOptimize(reparsed.num_tasks);
-    });
+    }, reps);
 
     const double overhead = analyze_ms > 0 ? check_ms / analyze_ms : 0.0;
     char a[32], e[32], c[32], co[32], rt[32], kib[32], ov[32];
@@ -100,13 +107,16 @@ void run_report() {
     series.push(std::move(point));
   }
 
-  std::printf("== certificate layer cost (dedicated model, joint rows) ==\n%s\n",
-              t.to_string().c_str());
+  std::printf("== certificate layer cost (dedicated model, joint rows, best of %d) ==\n%s\n",
+              reps, t.to_string().c_str());
   benchutil::export_csv(t, "BENCH_verify");
 
   Json root = Json::object();
-  root.set("config", "dedicated+joint");
-  root.set("series", std::move(series));
+  root.set("config", "dedicated+joint")
+      .set("reps", static_cast<std::int64_t>(reps))
+      .set("hardware_concurrency", static_cast<std::int64_t>(hw))
+      .set("degraded", false)
+      .set("series", std::move(series));
   benchutil::export_json(root, "BENCH_verify");
 }
 

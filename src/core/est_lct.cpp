@@ -305,7 +305,8 @@ void run_rounds(const Application& app, const MergeOracle& oracle,
   const SweepPlan plan = make_sweep_plan(app, topo);
   ThreadPool pool(workers);
   std::vector<SweepScratch> scratch(workers);
-  for (SweepScratch& s : scratch) s.cursor = oracle.cursor(app);
+  std::vector<std::unique_ptr<MergeOracle::Cursor>> cursors = oracle.cursors(app, workers);
+  for (unsigned c = 0; c < workers; ++c) scratch[c].cursor = std::move(cursors[c]);
 
   // One item = one task on one side; every item writes only its own slots,
   // so values are thread-count independent by construction.
@@ -375,7 +376,7 @@ TaskWindows compute_windows_impl(const Application& app, const MergeOracle& orac
   };
   if (workers <= 1 || n < 2) {
     SweepScratch scratch;
-    scratch.cursor = oracle.cursor(app);
+    scratch.cursor = std::move(oracle.cursors(app, 1).front());
     for (TaskId i : *topo) run_task(i, false, scratch);
     for (auto it = topo->rbegin(); it != topo->rend(); ++it) run_task(*it, true, scratch);
   } else {

@@ -7,17 +7,18 @@
 //
 // Two query shapes are offered:
 //  - mergeable(): judge an arbitrary materialized set in one call.
-//  - cursor(): an incremental membership test for the greedy merge loops of
+//  - cursors(): incremental membership tests for the greedy merge loops of
 //    Figures 2 and 3, whose candidate sets grow by exactly one task per
-//    step. A cursor carries the set state (processor type, accumulated
-//    resource union) across steps so each extension costs O(|R_t|) instead
-//    of re-deriving the whole union -- the per-candidate churn the windows
-//    hot path used to pay. try_add(t) answers exactly
+//    step. A cursor carries the set state (processor type, or the running
+//    AND of the members' node-type host masks) across steps, so each
+//    extension costs O(1) shared / O(node types / 64) dedicated instead of
+//    re-deriving the whole union. try_add(t) answers exactly
 //    mergeable(current set + {t}), by definition.
 #pragma once
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/model/application.hpp"
 #include "src/model/platform.hpp"
@@ -45,30 +46,35 @@ class MergeOracle {
     virtual bool try_add(TaskId t) = 0;
   };
 
-  /// Cursor factory. The default adapter materializes the set and re-asks
-  /// mergeable() on every try_add, so derived oracles keep exact semantics
-  /// without implementing incremental state; both built-in oracles override
-  /// it with O(1)/O(|R_t|) incremental checks. The oracle (and `app`) must
-  /// outlive the cursor.
-  virtual std::unique_ptr<Cursor> cursor(const Application& app) const;
+  /// Cursor factory: `count` independent cursors (one per worker) over
+  /// per-application tables built once per call. The default adapter
+  /// materializes the set and re-asks mergeable() on every try_add, so
+  /// derived oracles keep exact semantics without implementing incremental
+  /// state; both built-in oracles override it. The oracle (and `app`) must
+  /// outlive the cursors.
+  virtual std::vector<std::unique_ptr<Cursor>> cursors(const Application& app,
+                                                       std::size_t count) const;
 };
 
 /// Definition 1: mergeable iff all tasks share a processor type.
 class SharedMergeOracle final : public MergeOracle {
  public:
   bool mergeable(const Application& app, std::span<const TaskId> tasks) const override;
-  std::unique_ptr<Cursor> cursor(const Application& app) const override;
+  std::vector<std::unique_ptr<Cursor>> cursors(const Application& app,
+                                               std::size_t count) const override;
 };
 
 /// Definition 2: mergeable iff all tasks share a processor type AND some node
-/// type carries that processor plus the union of their resource sets.
+/// type carries that processor plus the union of their resource sets, i.e.
+/// iff the AND of the tasks' DedicatedPlatform::host_mask is non-zero.
 class DedicatedMergeOracle final : public MergeOracle {
  public:
   /// The platform must outlive the oracle.
   explicit DedicatedMergeOracle(const DedicatedPlatform& platform) : platform_(&platform) {}
 
   bool mergeable(const Application& app, std::span<const TaskId> tasks) const override;
-  std::unique_ptr<Cursor> cursor(const Application& app) const override;
+  std::vector<std::unique_ptr<Cursor>> cursors(const Application& app,
+                                               std::size_t count) const override;
 
  private:
   const DedicatedPlatform* platform_;

@@ -69,11 +69,13 @@ std::vector<std::size_t> DedicatedPlatform::hosts_for(const Task& t) const {
   return out;
 }
 
-bool DedicatedPlatform::some_node_hosts(ResourceId proc_type,
-                                        const std::vector<ResourceId>& required) const {
-  return std::any_of(nodes_.begin(), nodes_.end(), [&](const NodeType& n) {
-    return n.can_host(proc_type, required);
-  });
+std::vector<std::uint64_t> DedicatedPlatform::host_mask(
+    ResourceId proc, const std::vector<ResourceId>& resources) const {
+  std::vector<std::uint64_t> mask(mask_words(), 0);
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (nodes_[n].can_host(proc, resources)) mask[n / 64] |= std::uint64_t{1} << (n % 64);
+  }
+  return mask;
 }
 
 }  // namespace rtlb

@@ -87,10 +87,16 @@ class DedicatedPlatform {
   /// application is trivially infeasible on this platform.
   std::vector<std::size_t> hosts_for(const Task& t) const;
 
-  /// True iff some single node type provides a processor of type `proc_type`
-  /// plus the whole union `required` -- the dedicated-model mergeability
-  /// condition (Definition 2(ii)).
-  bool some_node_hosts(ResourceId proc_type, const std::vector<ResourceId>& required) const;
+  /// 64-bit words in a host mask: one bit per node type.
+  std::size_t mask_words() const { return (nodes_.size() + 63) / 64; }
+
+  /// eta_i as a bitset: bit n % 64 of word n / 64 is set iff node type n can
+  /// host a task with processor type `proc` and resource set `resources`.
+  /// A set of tasks is mergeable (Definition 2(ii)) iff the AND of its
+  /// members' masks is non-zero: a node has one processor type, and it
+  /// carries a union iff it carries every member.
+  std::vector<std::uint64_t> host_mask(ResourceId proc,
+                                       const std::vector<ResourceId>& resources) const;
 
  private:
   std::vector<NodeType> nodes_;

@@ -78,59 +78,78 @@ class Checker {
 
   // ---- Definitions 1/2, re-derived from the model ------------------------
 
-  bool merge_ok(std::span<const TaskId> tasks) const {
-    if (tasks.size() <= 1 && !cert_.dedicated) return true;
-    if (tasks.empty()) return true;
-    const ResourceId proc = app_.task(tasks[0]).proc;
-    for (TaskId t : tasks) {
-      if (app_.task(t).proc != proc) return false;
-    }
-    if (!cert_.dedicated) return true;
-    std::vector<ResourceId> required;
-    for (TaskId t : tasks) {
-      const auto& res = app_.task(t).resources;
-      required.insert(required.end(), res.begin(), res.end());
-    }
-    std::sort(required.begin(), required.end());
-    required.erase(std::unique(required.begin(), required.end()), required.end());
-    return platform_->some_node_hosts(proc, required);
+  /// A growing set under Definitions 1/2: merge_reset starts it at {seed},
+  /// merge_add extends it by `t` if it stays mergeable; both say whether it
+  /// is. Definition 2 keeps the AND of the members' host masks (one row of
+  /// mask_words_ per task): a node type hosts the set iff its bit survives.
+  bool merge_reset(TaskId seed) {
+    merge_proc_ = app_.task(seed).proc;
+    std::fill(merge_acc_.begin(), merge_acc_.end(), ~std::uint64_t{0});
+    return merge_add(seed);
   }
 
-  // ---- Section 4 folds over the CERTIFICATE windows ----------------------
+  bool merge_add(TaskId t) {
+    if (app_.task(t).proc != merge_proc_) return false;
+    if (!cert_.dedicated) return true;
+    const std::uint64_t* mask = host_masks_.data() + t * mask_words_;
+    std::uint64_t common = 0;
+    for (std::size_t w = 0; w < mask_words_; ++w) common |= merge_acc_[w] & mask[w];
+    if (common == 0) return false;
+    for (std::size_t w = 0; w < mask_words_; ++w) merge_acc_[w] &= mask[w];
+    return true;
+  }
 
-  /// ect(A): earliest completion of A run sequentially, each task starting
-  /// no earlier than its (certified) EST.
-  I128 ect(std::span<const TaskId> tasks) const {
-    std::vector<TaskId> order(tasks.begin(), tasks.end());
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      if (est_[a] != est_[b]) return est_[a] < est_[b];
-      return a < b;
-    });
-    I128 completion = static_cast<I128>(est_[order[0]]) + app_.task(order[0]).comp;
+  // ---- Section 4 over the CERTIFICATE windows ----------------------------
+  //
+  // Written for Figure 3 (EST). Figure 2 (LCT) is its mirror image under
+  // time reversal t -> -t: L_j becomes an EST, lms the negated emr, lst(A)
+  // the negated ect(A), and the maximum of Eq. 4.1 the negated minimum of
+  // Eq. 4.5. A Side names the view; at() reads a window in it.
+
+  struct Side {
+    int sign;                  ///< +1 EST (Figure 3), -1 LCT (Figure 2)
+    const char* rule;          ///< "T1" / "T2"
+    const char* source_rule;   ///< "T1.source" / "T2.sink"
+    const char* source_name;   ///< "the release time" / "the deadline"
+    const char* neighbours;    ///< "predecessors" / "successors"
+    const char* value;         ///< "E" / "L"
+    const char* set;           ///< "M" / "G"
+    const char* equation;      ///< "4.5" / "4.1"
+    const char* optimum;       ///< "minimum" / "maximum"
+  };
+  static constexpr Side kEst{+1, "T1", "T1.source", "the release time", "predecessors",
+                             "E", "M", "4.5", "minimum"};
+  static constexpr Side kLct{-1, "T2", "T2.sink", "the deadline", "successors",
+                             "L", "G", "4.1", "maximum"};
+
+  I128 at(const Side& s, TaskId j) const {
+    return s.sign > 0 ? static_cast<I128>(est_[j]) : -static_cast<I128>(lct_[j]);
+  }
+
+  /// The ect order of a side: by window time, ties by id.
+  bool before(const Side& s, TaskId a, TaskId b) const {
+    return at(s, a) != at(s, b) ? at(s, a) < at(s, b) : a < b;
+  }
+
+  /// ect(A) of a side for A in `before` order: the earliest completion of A
+  /// run sequentially, each task starting no earlier than its window time.
+  I128 ect(const Side& s, std::span<const TaskId> order) const {
+    I128 completion = at(s, order[0]) + app_.task(order[0]).comp;
     for (std::size_t k = 1; k < order.size(); ++k) {
-      const I128 start = std::max<I128>(completion, est_[order[k]]);
-      completion = start + app_.task(order[k]).comp;
+      completion = std::max(completion, at(s, order[k])) + app_.task(order[k]).comp;
     }
     return completion;
   }
 
-  /// lst(A): latest start of A run sequentially, each completing by its
-  /// (certified) LCT.
-  I128 lst(std::span<const TaskId> tasks) const {
-    std::vector<TaskId> order(tasks.begin(), tasks.end());
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      if (lct_[a] != lct_[b]) return lct_[a] > lct_[b];
-      return a < b;
-    });
-    I128 start = static_cast<I128>(lct_[order[0]]) - app_.task(order[0]).comp;
-    for (std::size_t k = 1; k < order.size(); ++k) {
-      const I128 completion = std::min<I128>(start, lct_[order[k]]);
-      start = completion - app_.task(order[k]).comp;
-    }
-    return start;
+  /// Insert `t` into order_, kept in `before` order.
+  void insert_ordered(const Side& s, TaskId t) {
+    order_.insert(std::upper_bound(order_.begin(), order_.end(), t,
+                                   [&](TaskId a, TaskId b) { return before(s, a, b); }),
+                  t);
   }
 
-  /// A Figure 2/3 candidate: its lms/emr term, computed once, and the task.
+  /// A Figure 2/3 candidate: its emr (or negated lms) term, computed once,
+  /// and the task.
   struct Keyed {
     I128 key;
     TaskId id;
@@ -188,8 +207,9 @@ class Checker {
              "facts must be sorted by task id");
         return false;
       }
-      if (w.est < kTimeMin || w.est > kTimeMax || w.lct < kTimeMin || w.lct > kTimeMax) {
-        fail("meta", "meta.range", task_name(i), "window endpoint outside [-kTimeMax, kTimeMax]");
+      if (w.est < -kSafeTime || w.est > kSafeTime || w.lct < -kSafeTime || w.lct > kSafeTime) {
+        fail("meta", "meta.range", task_name(i),
+             "window endpoint outside [-kSafeTime, kSafeTime]");
         return false;
       }
       est_[i] = w.est;
@@ -198,207 +218,126 @@ class Checker {
     return true;
   }
 
-  /// Figure 3 (EST) re-judged for one task: the certified E_i must be the
-  /// minimum of Eq. 4.5 over the mergeable PREFIXES of the candidate order,
-  /// which (strict-rise argument, see est_lct.cpp) equals what the greedy
-  /// committed to. Theorem 1's guarantee rides on exactly this minimum.
-  void check_est(TaskId i) {
-    const auto& pred = app_.predecessors(i);
-    const I128 claimed = est_[i];
-    if (pred.empty()) {
-      if (claimed != app_.task(i).release) {
-        fail("windows", "T1.source", task_name(i),
-             "no predecessors: E must equal the release time " +
-                 std::to_string(app_.task(i).release));
+  /// Figure 3 (EST) or, mirrored, Figure 2 (LCT) re-judged for one task:
+  /// the certified E_i must be the minimum of Eq. 4.5 over the mergeable
+  /// PREFIXES of the candidate order, which (strict-rise argument, see
+  /// est_lct.cpp) equals what the greedy committed to. Theorems 1/2 ride on
+  /// exactly this optimum.
+  void check_side(TaskId i, const Side& s) {
+    const bool est_side = s.sign > 0;
+    const auto& nb = est_side ? app_.predecessors(i) : app_.successors(i);
+    const auto msg = est_side ? app_.predecessor_messages(i) : app_.successor_messages(i);
+    const std::vector<TaskId>& merged =
+        est_side ? cert_.windows[i].merged_pred : cert_.windows[i].merged_succ;
+    const Time source = est_side ? app_.task(i).release : app_.task(i).deadline;
+    const I128 claimed = at(s, i);
+    const std::string rule = s.rule;
+    if (nb.empty()) {
+      if (claimed != s.sign * static_cast<I128>(source)) {
+        fail("windows", s.source_rule, task_name(i),
+             std::string("no ") + s.neighbours + ": " + s.value + " must equal " +
+                 s.source_name + " " + std::to_string(source));
       }
-      if (!cert_.windows[i].merged_pred.empty()) {
-        fail("windows", "T1.merge-set", task_name(i),
-             "no predecessors: M must be empty");
+      if (!merged.empty()) {
+        fail("windows", rule + ".merge-set", task_name(i),
+             std::string("no ") + s.neighbours + ": " + s.set + " must be empty");
       }
       return;
     }
 
-    // Candidate order of Figure 3: individually mergeable predecessors by
-    // decreasing emr (earliest message receipt j -> i), ties by id.
-    std::vector<Keyed> mp;
-    I128 e0 = app_.task(i).release;
-    const auto pred_msg = app_.predecessor_messages(i);
-    for (std::size_t k = 0; k < pred.size(); ++k) {
-      const TaskId j = pred[k];
-      const I128 emr = static_cast<I128>(est_[j]) + app_.task(j).comp + pred_msg[k];
-      const TaskId pair[] = {i, j};
-      if (merge_ok(pair)) {
-        mp.push_back({emr, j});
+    // Candidate order: individually mergeable neighbours by decreasing key
+    // (emr of j -> i; mirrored, increasing lms of i -> j), ties by id.
+    std::vector<Keyed> cand;
+    I128 e0 = s.sign * static_cast<I128>(source);
+    for (std::size_t k = 0; k < nb.size(); ++k) {
+      const TaskId j = nb[k];
+      const I128 key = at(s, j) + app_.task(j).comp + msg[k];
+      if (merge_reset(i) && merge_add(j)) {
+        cand.push_back({key, j});
       } else {
-        e0 = std::max(e0, emr);
+        e0 = std::max(e0, key);
       }
     }
-    std::sort(mp.begin(), mp.end(), [](const Keyed& a, const Keyed& b) {
+    std::sort(cand.begin(), cand.end(), [](const Keyed& a, const Keyed& b) {
       if (a.key != b.key) return a.key > b.key;
       return a.id < b.id;
     });
-    // unmerged[k] = e0 folded with every emr not in the prefix P_k.
-    std::vector<I128> unmerged(mp.size() + 1, e0);
-    for (std::size_t k = mp.size(); k-- > 0;) {
-      unmerged[k] = std::max(unmerged[k + 1], mp[k].key);
+    // unmerged[k] = e0 folded with every key not in the prefix P_k.
+    std::vector<I128> unmerged(cand.size() + 1, e0);
+    for (std::size_t k = cand.size(); k-- > 0;) {
+      unmerged[k] = std::max(unmerged[k + 1], cand[k].key);
     }
 
     // Eq. 4.5 over every mergeable prefix P_k (mergeability is subset-closed
     // for both oracles, so prefixes past the first non-mergeable one are out).
-    bool found = false;
-    I128 best = 0;
-    std::vector<TaskId> prefix{i};  // includes i for the oracle
-    for (std::size_t k = 0; k <= mp.size(); ++k) {
-      if (k > 0) {
-        prefix.push_back(mp[k - 1].id);
-        if (!merge_ok(prefix)) break;
-      }
-      I128 value = unmerged[k];
-      if (k > 0) value = std::max(value, ect(std::span(prefix).subspan(1)));
-      if (!found || value < best) {
-        best = value;
-        found = true;
-      }
+    // The running merge test includes i; order_ holds P_k in ect order.
+    I128 best = unmerged[0];
+    merge_reset(i);
+    order_.clear();
+    for (std::size_t k = 1; k <= cand.size(); ++k) {
+      if (!merge_add(cand[k - 1].id)) break;
+      insert_ordered(s, cand[k - 1].id);
+      best = std::min(best, std::max(unmerged[k], ect(s, order_)));
     }
     if (claimed != best) {
-      fail("windows", "T1.min-prefix", task_name(i),
-           "E = " + i128_str(claimed) + " but the minimum of Eq. 4.5 over mergeable merge-set prefixes is " +
-               i128_str(best));
+      fail("windows", rule + ".min-prefix", task_name(i),
+           std::string(s.value) + " = " + i128_str(s.sign * claimed) + " but the " + s.optimum +
+               " of Eq. " + s.equation + " over mergeable merge-set prefixes is " +
+               i128_str(s.sign * best));
     }
 
-    // The recorded M_i must itself be a mergeable predecessor subset whose
-    // Eq. 4.5 value attains E_i.
-    const std::vector<TaskId>& merged = cert_.windows[i].merged_pred;
-    std::vector<TaskId> sorted_pred(pred.begin(), pred.end());
-    std::sort(sorted_pred.begin(), sorted_pred.end());
+    // The recorded merge set must itself be a mergeable neighbour subset
+    // whose Eq. 4.5 value attains the claimed window.
+    std::vector<TaskId> sorted_nb(nb.begin(), nb.end());
+    std::sort(sorted_nb.begin(), sorted_nb.end());
     std::vector<TaskId> sorted_merged(merged.begin(), merged.end());
     std::sort(sorted_merged.begin(), sorted_merged.end());
     if (std::adjacent_find(sorted_merged.begin(), sorted_merged.end()) != sorted_merged.end() ||
-        !std::includes(sorted_pred.begin(), sorted_pred.end(), sorted_merged.begin(),
+        !std::includes(sorted_nb.begin(), sorted_nb.end(), sorted_merged.begin(),
                        sorted_merged.end())) {
-      fail("windows", "T1.merge-set", task_name(i),
-           "M is not a duplicate-free subset of the predecessors");
+      fail("windows", rule + ".merge-set", task_name(i),
+           std::string(s.set) + " is not a duplicate-free subset of the " + s.neighbours);
       return;
     }
-    std::vector<TaskId> with_i{i};
-    with_i.insert(with_i.end(), merged.begin(), merged.end());
-    if (!merge_ok(with_i)) {
-      fail("windows", "T1.merge-set", task_name(i), "M u {i} is not mergeable (Definition 1/2)");
+    bool mergeable = merge_reset(i);
+    order_.clear();
+    for (TaskId j : merged) {
+      mergeable = mergeable && merge_add(j);
+      insert_ordered(s, j);
+    }
+    if (!mergeable) {
+      fail("windows", rule + ".merge-set", task_name(i),
+           std::string(s.set) + " u {i} is not mergeable (Definition 1/2)");
       return;
     }
     I128 attained = e0;
-    for (const Keyed& c : mp) {
+    for (const Keyed& c : cand) {
       if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), c.id)) {
         attained = std::max(attained, c.key);
       }
     }
-    if (!merged.empty()) attained = std::max(attained, ect(merged));
+    if (!merged.empty()) attained = std::max(attained, ect(s, order_));
     if (attained != claimed) {
-      fail("windows", "T1.attained", task_name(i),
-           "Eq. 4.5 over the recorded M gives " + i128_str(attained) + ", not E = " +
-               i128_str(claimed));
-    }
-  }
-
-  /// Figure 2 (LCT), the mirror image: maximum of Eq. 4.1 over mergeable
-  /// prefixes (Theorem 2).
-  void check_lct(TaskId i) {
-    const auto& succ = app_.successors(i);
-    const I128 claimed = lct_[i];
-    if (succ.empty()) {
-      if (claimed != app_.task(i).deadline) {
-        fail("windows", "T2.sink", task_name(i),
-             "no successors: L must equal the deadline " +
-                 std::to_string(app_.task(i).deadline));
-      }
-      if (!cert_.windows[i].merged_succ.empty()) {
-        fail("windows", "T2.merge-set", task_name(i),
-             "no successors: G must be empty");
-      }
-      return;
-    }
-
-    // Mirror: mergeable successors by increasing lms (latest message send
-    // i -> j), ties by id.
-    std::vector<Keyed> ms;
-    I128 l0 = app_.task(i).deadline;
-    const auto succ_msg = app_.successor_messages(i);
-    for (std::size_t k = 0; k < succ.size(); ++k) {
-      const TaskId j = succ[k];
-      const I128 lms = static_cast<I128>(lct_[j]) - app_.task(j).comp - succ_msg[k];
-      const TaskId pair[] = {i, j};
-      if (merge_ok(pair)) {
-        ms.push_back({lms, j});
-      } else {
-        l0 = std::min(l0, lms);
-      }
-    }
-    std::sort(ms.begin(), ms.end(), [](const Keyed& a, const Keyed& b) {
-      if (a.key != b.key) return a.key < b.key;
-      return a.id < b.id;
-    });
-    std::vector<I128> unmerged(ms.size() + 1, l0);
-    for (std::size_t k = ms.size(); k-- > 0;) {
-      unmerged[k] = std::min(unmerged[k + 1], ms[k].key);
-    }
-
-    bool found = false;
-    I128 best = 0;
-    std::vector<TaskId> prefix{i};
-    for (std::size_t k = 0; k <= ms.size(); ++k) {
-      if (k > 0) {
-        prefix.push_back(ms[k - 1].id);
-        if (!merge_ok(prefix)) break;
-      }
-      I128 value = unmerged[k];
-      if (k > 0) value = std::min(value, lst(std::span(prefix).subspan(1)));
-      if (!found || value > best) {
-        best = value;
-        found = true;
-      }
-    }
-    if (claimed != best) {
-      fail("windows", "T2.min-prefix", task_name(i),
-           "L = " + i128_str(claimed) + " but the maximum of Eq. 4.1 over mergeable merge-set prefixes is " +
-               i128_str(best));
-    }
-
-    const std::vector<TaskId>& merged = cert_.windows[i].merged_succ;
-    std::vector<TaskId> sorted_succ(succ.begin(), succ.end());
-    std::sort(sorted_succ.begin(), sorted_succ.end());
-    std::vector<TaskId> sorted_merged(merged.begin(), merged.end());
-    std::sort(sorted_merged.begin(), sorted_merged.end());
-    if (std::adjacent_find(sorted_merged.begin(), sorted_merged.end()) != sorted_merged.end() ||
-        !std::includes(sorted_succ.begin(), sorted_succ.end(), sorted_merged.begin(),
-                       sorted_merged.end())) {
-      fail("windows", "T2.merge-set", task_name(i),
-           "G is not a duplicate-free subset of the successors");
-      return;
-    }
-    std::vector<TaskId> with_i{i};
-    with_i.insert(with_i.end(), merged.begin(), merged.end());
-    if (!merge_ok(with_i)) {
-      fail("windows", "T2.merge-set", task_name(i), "G u {i} is not mergeable (Definition 1/2)");
-      return;
-    }
-    I128 attained = l0;
-    for (const Keyed& c : ms) {
-      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), c.id)) {
-        attained = std::min(attained, c.key);
-      }
-    }
-    if (!merged.empty()) attained = std::min(attained, lst(merged));
-    if (attained != claimed) {
-      fail("windows", "T2.attained", task_name(i),
-           "Eq. 4.1 over the recorded G gives " + i128_str(attained) + ", not L = " +
-               i128_str(claimed));
+      fail("windows", rule + ".attained", task_name(i),
+           std::string("Eq. ") + s.equation + " over the recorded " + s.set + " gives " +
+               i128_str(s.sign * attained) + ", not " + s.value + " = " +
+               i128_str(s.sign * claimed));
     }
   }
 
   void check_windows() {
+    if (cert_.dedicated) {
+      mask_words_ = platform_->mask_words();
+      for (TaskId i = 0; i < app_.num_tasks(); ++i) {
+        const std::vector<std::uint64_t> mask =
+            platform_->host_mask(app_.task(i).proc, app_.task(i).resources);
+        host_masks_.insert(host_masks_.end(), mask.begin(), mask.end());
+      }
+    }
+    merge_acc_.resize(mask_words_);
     for (TaskId i = 0; i < app_.num_tasks(); ++i) {
-      check_est(i);
-      check_lct(i);
+      check_side(i, kEst);
+      check_side(i, kLct);
     }
   }
 
@@ -871,6 +810,12 @@ class Checker {
   const Application& app_;
   const DedicatedPlatform* platform_;
   std::vector<Time> est_, lct_;
+  /// Definition 2: one host-mask row of mask_words_ per task, and the
+  /// running set of merge_reset/merge_add.
+  std::size_t mask_words_ = 0;
+  std::vector<std::uint64_t> host_masks_, merge_acc_;
+  ResourceId merge_proc_ = kInvalidResource;
+  std::vector<TaskId> order_;  ///< a merge set in ect order
   CheckReport report_;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mergeable.hpp"
+#include "tests/wide_menu.hpp"
 
 namespace rtlb {
 namespace {
@@ -89,6 +90,38 @@ TEST_F(MergeableTest, DedicatedStillRequiresSameProcType) {
   const TaskId z = add(p2_, {});
   const TaskId xz[] = {x, z};
   EXPECT_FALSE(oracle.mergeable(app_, xz));
+}
+
+// A menu wider than one mask word: merging x with y needs node type 69, in
+// word 1. On every ordered triple of distinct tasks, each cursor step agrees
+// with mergeable() on the grown set, with and without that node type.
+TEST(MergeableWideMenu, CursorAgreesWithMergeablePastTheFirstMaskWord) {
+  WideMenu m;
+  ASSERT_EQ(m.wide.mask_words(), 2u);
+  ASSERT_EQ(m.narrow.mask_words(), 2u);
+  const TaskId xy[] = {m.x, m.y};
+  const TaskId all[] = {m.x, m.y, m.i, m.u, m.v};
+  for (const DedicatedPlatform* plat : {&m.wide, &m.narrow}) {
+    DedicatedMergeOracle oracle(*plat);
+    EXPECT_EQ(oracle.mergeable(m.app, xy), plat == &m.wide);
+    const auto cursor = std::move(oracle.cursors(m.app, 1).front());
+    for (TaskId s : all) {
+      for (TaskId t : all) {
+        for (TaskId w : all) {
+          if (s == t || s == w || t == w) continue;
+          std::vector<TaskId> set{s};
+          cursor->reset(s);
+          for (TaskId next : {t, w}) {
+            std::vector<TaskId> grown = set;
+            grown.push_back(next);
+            const bool merged = cursor->try_add(next);
+            EXPECT_EQ(merged, oracle.mergeable(m.app, grown)) << s << " " << t << " " << w;
+            if (merged) set = std::move(grown);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

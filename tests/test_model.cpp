@@ -50,7 +50,7 @@ TEST(NodeType, UnitsAndCoverage) {
   EXPECT_FALSE(n.can_host(p, {b}));
 }
 
-TEST(DedicatedPlatform, HostsForAndSomeNodeHosts) {
+TEST(DedicatedPlatform, HostsForAndHostMask) {
   ResourceCatalog cat;
   const ResourceId p1 = cat.add_processor_type("P1");
   const ResourceId p2 = cat.add_processor_type("P2");
@@ -67,8 +67,11 @@ TEST(DedicatedPlatform, HostsForAndSomeNodeHosts) {
   EXPECT_EQ(plat.hosts_for(t), std::vector<std::size_t>{1});
   t.resources.clear();
   EXPECT_EQ(plat.hosts_for(t), (std::vector<std::size_t>{0, 1}));
-  EXPECT_TRUE(plat.some_node_hosts(p2, {}));
-  EXPECT_FALSE(plat.some_node_hosts(p2, {r}));
+  EXPECT_EQ(plat.mask_words(), 1u);
+  EXPECT_EQ(plat.host_mask(p1, {}), std::vector<std::uint64_t>{0b011});
+  EXPECT_EQ(plat.host_mask(p1, {r}), std::vector<std::uint64_t>{0b010});
+  EXPECT_EQ(plat.host_mask(p2, {}), std::vector<std::uint64_t>{0b100});
+  EXPECT_EQ(plat.host_mask(p2, {r}), std::vector<std::uint64_t>{0});
 }
 
 TEST(DedicatedPlatform, RejectsBadNodeTypes) {

@@ -24,6 +24,7 @@
 #include "src/verify/emit.hpp"
 #include "src/workload/paper_example.hpp"
 #include "src/workload/taskset_gen.hpp"
+#include "tests/wide_menu.hpp"
 
 namespace rtlb {
 namespace {
@@ -143,6 +144,39 @@ TEST(CertifyShipped, EveryExampleInstanceValidates) {
   check_shipped_instance("radar.rtlb");
 }
 
+// Windows past kTimeMax but inside the engine's [-kSafeTime, kSafeTime]:
+// the checker accepts the whole range the engine guarantees.
+TEST(CertifyRange, WindowsBeyondTimeMaxCheckValid) {
+  const std::string path =
+      std::string(RTLB_SOURCE_DIR) + "/examples/instances/bad/far_windows.rtlb";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  ProblemInstance inst = parse_instance(in);
+  const AnalysisResult result = analyze(*inst.app, checked_options(SystemModel::Shared));
+  EXPECT_GT(result.windows.lct[1], kTimeMax);
+  ASSERT_TRUE(result.certificate_check.has_value());
+  EXPECT_TRUE(result.certificate_check->valid) << result.certificate_check->summary();
+  const CheckReport reparsed = check_certificate(
+      parse_certificate_text(certificate_json(*result.certificate).dump()), *inst.app, nullptr);
+  EXPECT_TRUE(reparsed.valid) << reparsed.summary();
+}
+
+// A menu wider than one host-mask word: the merge sets M_i = {x, y} and
+// G_i = {u, v} need node type 69 (mask word 1). The certificate checks valid
+// on that menu and its merge sets are refused once node type 69 is gone.
+TEST(CertifyWideMenu, MergeSetsPastTheFirstMaskWord) {
+  WideMenu m;
+  const AnalysisResult result =
+      analyze(m.app, checked_options(SystemModel::Dedicated), &m.wide);
+  ASSERT_TRUE(result.certificate_check.has_value());
+  EXPECT_TRUE(result.certificate_check->valid) << result.certificate_check->summary();
+  EXPECT_EQ(result.certificate->windows[m.i].merged_pred.size(), 2u);
+  const CheckReport narrow = check_certificate(*result.certificate, m.app, &m.narrow);
+  EXPECT_FALSE(narrow.valid);
+  EXPECT_TRUE(has_rule(narrow, "T1.merge-set")) << rules_of(narrow);
+  EXPECT_TRUE(has_rule(narrow, "T2.merge-set")) << rules_of(narrow);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized corpus: 3 configurations x 3 seeds, certified on the serial,
 // multi-threaded, and session-warm paths, with bit-identical bounds across
@@ -245,7 +279,9 @@ TEST_F(CertifyMutations, MetaFields) {
   expect_rejected("window count", "meta.windows",
                   [](Certificate& c) { c.windows.pop_back(); });
   expect_rejected("est out of range", "meta.range",
-                  [](Certificate& c) { c.windows[0].est = kTimeMax * 2; });
+                  [](Certificate& c) { c.windows[0].est = kSafeTime + 1; });
+  expect_rejected("lct out of range", "meta.range",
+                  [](Certificate& c) { c.windows[0].lct = -kSafeTime - 1; });
   // A dedicated certificate checked without a platform is a meta mismatch.
   const CheckReport report = check_certificate(cert_, *inst_.app, nullptr);
   EXPECT_FALSE(report.valid);

@@ -23,6 +23,7 @@
 #include "src/verify/certificate.hpp"
 #include "src/verify/checker.hpp"
 #include "src/workload/taskset_gen.hpp"
+#include "tests/wide_menu.hpp"
 
 namespace rtlb {
 namespace {
@@ -74,6 +75,46 @@ TEST(WindowsProperty, FlatEngineMatchesReference) {
       const TaskWindows flat = compute_windows(*inst.app, oracle);
       const TaskWindows ref = compute_windows_reference(*inst.app, oracle);
       EXPECT_EQ(flat, ref) << "shape " << static_cast<int>(p.shape) << " seed " << seed;
+    }
+  }
+}
+
+// Menus wider than one host-mask word. On the fixture, only node type 69
+// (word 1) lets Figures 2/3 merge i's predecessors and successors whole. On
+// the generated workloads, 64 node types of a processor no task uses are put
+// in front of the menu, so every host sits past the first word and the
+// windows must not change.
+TEST(WindowsProperty, MultiWordMenusMatchReference) {
+  WideMenu m;
+  for (const DedicatedPlatform* plat : {&m.wide, &m.narrow}) {
+    DedicatedMergeOracle oracle(*plat);
+    const TaskWindows ref = compute_windows_reference(m.app, oracle);
+    EXPECT_EQ(compute_windows(m.app, oracle, 1), ref);
+    EXPECT_EQ(compute_windows(m.app, oracle, 4), ref);
+  }
+  const TaskWindows wide = compute_windows(m.app, DedicatedMergeOracle(m.wide));
+  EXPECT_EQ(wide.est[m.i], 4);
+  EXPECT_EQ(wide.lct[m.i], 96);
+  EXPECT_EQ(wide.merged_pred[m.i], (std::vector<TaskId>{m.x, m.y}));
+  EXPECT_EQ(wide.merged_succ[m.i].size(), 2u);
+  const TaskWindows narrow = compute_windows(m.app, DedicatedMergeOracle(m.narrow));
+  EXPECT_EQ(narrow.est[m.i], 12);
+  EXPECT_EQ(narrow.lct[m.i], 88);
+
+  for (const WorkloadParams& base : suite_configs()) {
+    for (std::uint64_t seed : kSeeds) {
+      WorkloadParams p = base;
+      p.seed = seed;
+      ProblemInstance inst = generate_workload(p);
+      const ResourceId pad = inst.catalog->add_processor_type("PAD");
+      DedicatedPlatform padded;
+      for (int n = 0; n < 64; ++n) padded.add_node_type(NodeType{"pad", pad, {}, 1});
+      for (const NodeType& node : inst.platform.node_types()) padded.add_node_type(node);
+      DedicatedMergeOracle oracle(padded);
+      const TaskWindows flat = compute_windows(*inst.app, oracle);
+      EXPECT_EQ(flat, compute_windows_reference(*inst.app, oracle));
+      EXPECT_EQ(flat, compute_windows(*inst.app, DedicatedMergeOracle(inst.platform)))
+          << "shape " << static_cast<int>(p.shape) << " seed " << seed;
     }
   }
 }

@@ -143,7 +143,7 @@ fi
 # short; RTLB_CSV_DIR keeps the fresh JSON out of the tree. Entries are
 # <record name>:<bench binary>.
 for leg in pipeline:bench_pipeline fleet:bench_fleet workloads:bench_workloads \
-           lower_bound:bench_contention session:bench_session; do
+           lower_bound:bench_contention session:bench_session verify:bench_verify; do
   name="${leg%%:*}"
   binary="${leg#*:}"
   RTLB_BENCH_REPS=1 RTLB_CSV_DIR="$BUILD_DIR" \
