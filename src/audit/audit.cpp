@@ -37,7 +37,7 @@ void audit_file(const Manifest& manifest, const std::string& root,
   ++out.files_scanned;
 
   LintResult batch;
-  DiagnosticSink sink(batch, LintOptions{}, all_audit_info());
+  DiagnosticSink sink(batch, LintOptions{}, audit_info);
   for (const Rule& rule : manifest.rules) run_rule(rule, src, sink);
 
   for (Diagnostic& d : batch.diagnostics) {
@@ -92,7 +92,7 @@ Result run_audit(const Manifest& manifest, const std::string& root,
 }
 
 std::string baseline_key(const Finding& f) {
-  return f.file + "\t" + f.diag.code + "\t" + f.diag.subject;
+  return f.file + "\t" + std::string(f.diag.code) + "\t" + f.diag.subject;
 }
 
 void apply_baseline(Result& result, const std::set<std::string>& baseline) {
@@ -105,10 +105,10 @@ std::string format_audit_text(const Result& result, bool quiet_hints) {
   std::ostringstream out;
   for (const Finding& f : result.findings) {
     Diagnostic d = f.diag;
-    if (quiet_hints) d.hint.clear();
+    if (quiet_hints) d.hint = {};
     if (f.baselined) {
-      d.message += " (baselined)";
-      d.hint.clear();
+      d.message = std::string(d.message) + " (baselined)";
+      d.hint = {};
     }
     out << format_diagnostic(d, f.file) << "\n";
   }
@@ -136,11 +136,11 @@ Json audit_json(const Result& result) {
     Json entry = Json::object();
     entry.set("file", f.file)
         .set("line", f.diag.line)
-        .set("code", f.diag.code)
+        .set("code", std::string(f.diag.code))
         .set("severity", severity_name(f.diag.severity))
         .set("subject", f.diag.subject)
-        .set("message", f.diag.message)
-        .set("hint", f.diag.hint)
+        .set("message", std::string(f.diag.message))
+        .set("hint", std::string(f.diag.hint))
         .set("baselined", f.baselined);
     findings.push(std::move(entry));
   }

@@ -52,15 +52,12 @@ constexpr std::array<DiagInfo, 9> kRegistry{{
      "bounded and carry the proof in an `audit-ok` justification"},
 }};
 
+constexpr auto kByCode = index_by_code(kRegistry);
+
 }  // namespace
 
 std::span<const DiagInfo> all_audit_info() { return kRegistry; }
 
-const DiagInfo* audit_info(std::string_view code) {
-  for (const DiagInfo& info : kRegistry) {
-    if (code == info.code) return &info;
-  }
-  return nullptr;
-}
+const DiagInfo* audit_info(std::string_view code) { return find_code(kByCode, code); }
 
 }  // namespace rtlb

@@ -49,7 +49,7 @@ std::string module_of(const std::string& path) {
   return path.substr(4, slash - 4);
 }
 
-bool SourceFile::suppressed(const std::string& code, int line) const {
+bool SourceFile::suppressed(std::string_view code, int line) const {
   for (int l : {line, line - 1}) {
     auto [lo, hi] = suppressions.equal_range(l);
     for (auto it = lo; it != hi; ++it) {

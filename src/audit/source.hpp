@@ -14,6 +14,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rtlb::audit {
@@ -57,7 +58,7 @@ struct SourceFile {
 
   /// True when a finding for `code` at `line` is covered by an honoured
   /// suppression (same line, or a whole-line comment on the line above).
-  bool suppressed(const std::string& code, int line) const;
+  bool suppressed(std::string_view code, int line) const;
 };
 
 /// Tokenize `text` (the contents of `path`). Never throws on malformed

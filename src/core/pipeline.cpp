@@ -75,7 +75,7 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
     app.validate();
     return gate;
   }
-  LintResult result = lint(app, platform, lines, {}, &gate.windows);
+  LintResult result = lint(app, platform, lines, {}, &gate.windows, &gate.partitions);
   if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
   gate.lint = std::move(result);
   return gate;
@@ -114,9 +114,10 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   // recompute, which refuses out-of-range windows itself (RTLB-E310).
   // Windows are bit-identical at any worker count, so the serial lint's
   // equal the threaded recompute.
+  const bool from_lint = gate.windows && dedicated == (platform != nullptr);
   {
     ScopedSpan span(trace, stage_name(Stage::kWindows));
-    if (gate.windows && dedicated == (platform != nullptr)) {
+    if (from_lint) {
       result.windows = std::move(*gate.windows);
       span.count("from_lint", 1);
     } else {
@@ -136,13 +137,17 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
 
   // Stage kPartitions: a pure function of the task sets and windows
   // (recorded even when the bound evaluation is asked to run unpartitioned,
-  // so callers can always inspect them).
+  // so callers can always inspect them). Windows taken from the lint come
+  // with the lint's partitions of them.
   {
     ScopedSpan span(trace, stage_name(Stage::kPartitions));
     reuse.replayed_partitions = windows_unchanged;
     if (windows_unchanged) {
       result.partitions = prev->partitions;
       span.count("reused", 1);
+    } else if (from_lint) {
+      result.partitions = std::move(gate.partitions);
+      span.count("from_lint", 1);
     } else {
       result.partitions = partition_all(app, result.windows);
     }

@@ -14,7 +14,9 @@
 //                lint_gate_refuses)
 //   kWindows     EST/LCT under the model's merge oracle; refuses windows
 //                outside the safe Time range itself (RTLB-E310)
-//   kPartitions  per-resource window-disjoint blocks (Theorem 5)
+//   kPartitions  per-resource window-disjoint blocks (Theorem 5); the
+//                lint's whenever kWindows took the lint's windows and the
+//                previous query's are not replayed
 //   kBounds      LB_r per resource (+ conjunctive joint rows if asked)
 //   kCosts       Eq. 7.1 sum and, with a platform, the Section-7 ILP
 //
@@ -64,7 +66,7 @@ std::span<const char* const> stage_names();
 
 /// The kLintGate stage's product: run_lint_gate() returns it, and
 /// run_pipeline() records the lint on the result and hands the windows to
-/// kWindows.
+/// kWindows and the partitions to kPartitions.
 struct LintGateArtifact {
   /// Diagnostics recorded on the result; nullopt at LintLevel::kOff.
   std::optional<LintResult> lint;
@@ -72,6 +74,8 @@ struct LintGateArtifact {
   /// platform was given); nullopt at kOff, on a structurally broken model,
   /// or when compute_windows() refused them as out of range (RTLB-E310).
   std::optional<TaskWindows> windows;
+  /// partition_all() of `windows`; meaningful only when `windows` is set.
+  std::vector<ResourcePartition> partitions;
 };
 
 /// What a repeated query may take over from the previous one, and what it

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "src/lint/passes.hpp"
+
 namespace rtlb {
 
 __int128 abs_sat_add(__int128 a, __int128 b) {
@@ -43,20 +45,6 @@ namespace {
 
 constexpr __int128 kInt64Max = static_cast<__int128>(INT64_MAX);
 constexpr __int128 kInt64Min = static_cast<__int128>(INT64_MIN);
-
-std::string task_subject(const Application& app, TaskId i) {
-  return "task '" + app.task(i).name + "' (#" + std::to_string(i) + ")";
-}
-
-std::string chain_names(const Application& app, const std::vector<TaskId>& chain) {
-  std::string out;
-  for (std::size_t k = 0; k < chain.size(); ++k) {
-    if (k > 0) out += " -> ";
-    out += app.task(chain[k]).name.empty() ? "#" + std::to_string(chain[k])
-                                           : app.task(chain[k]).name;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -207,26 +195,20 @@ void absint_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
 
   if (ai->verdict == AbsVerdict::kMustOverflow) {
     const char* side = ai->worst_is_est ? "EST" : "LCT";
-    Diagnostic d = sink.make(
-        "RTLB-E310", task_subject(app, ai->worst_task),
+    sink.emit(task_finding(
+        ctx, sink, "RTLB-E310", ai->worst_task,
         std::string(side) + " chain sum reaches " + i128_str(ai->worst_value) +
             " for every merge decision (int64 holds " + std::to_string(INT64_MAX) +
-            "); witness chain: " + chain_names(app, ai->worst_chain));
-    d.task = ai->worst_task;
-    d.line = ctx.task_line(ai->worst_task);
-    sink.emit(std::move(d));
+            "); witness chain: " + chain_names(app, ai->worst_chain)));
   } else if (ai->verdict == AbsVerdict::kMayOverflow) {
     const char* side = ai->worst_is_est ? "EST" : "LCT";
-    Diagnostic d = sink.make(
-        "RTLB-W311", task_subject(app, ai->worst_task),
+    sink.emit(task_finding(
+        ctx, sink, "RTLB-W311", ai->worst_task,
         std::string(side) + " envelope reaches " + i128_str(ai->worst_value) +
             ", beyond the provably exact range of " + i128_str(kSafeTime) + " ticks; " +
             (ctx.windows != nullptr
                  ? "the computed windows stay within it"
-                 : "the computed windows leave it, so analysis refuses them (RTLB-E310)"));
-    d.task = ai->worst_task;
-    d.line = ctx.task_line(ai->worst_task);
-    sink.emit(std::move(d));
+                 : "the computed windows leave it, so analysis refuses them (RTLB-E310)")));
   }
 
   if (ai->cost_may_overflow) {

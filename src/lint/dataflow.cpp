@@ -6,28 +6,11 @@
 
 #include "src/core/explain.hpp"
 #include "src/lint/absint.hpp"
+#include "src/lint/passes.hpp"
 
 namespace rtlb {
 
 namespace {
-
-std::string task_subject(const Application& app, TaskId i) {
-  return "task '" + app.task(i).name + "' (#" + std::to_string(i) + ")";
-}
-
-std::string edge_subject(const Application& app, TaskId from, TaskId to) {
-  return "edge " + app.task(from).name + " -> " + app.task(to).name;
-}
-
-std::string chain_names(const Application& app, const std::vector<TaskId>& chain) {
-  std::string out;
-  for (std::size_t k = 0; k < chain.size(); ++k) {
-    if (k > 0) out += " -> ";
-    out += app.task(chain[k]).name.empty() ? "#" + std::to_string(chain[k])
-                                           : app.task(chain[k]).name;
-  }
-  return out;
-}
 
 /// N421: edges the transitive reduction drops and whose message is free.
 /// (A redundant edge with a non-zero message still contributes a latency
@@ -82,18 +65,33 @@ void chain_determined_windows(const LintContext& ctx, DiagnosticSink& sink) {
         min_task = c;
       }
     }
-    Diagnostic d = sink.make(
-        "RTLB-N422", task_subject(app, i),
+    sink.emit(task_finding(
+        ctx, sink, "RTLB-N422", i,
         "window [E=" + std::to_string(w.est[i]) + ", L=" + std::to_string(w.lct[i]) +
             "] is set entirely by the chain " + chain_names(app, chain) +
             " (neither rel=" + std::to_string(t.release) + " nor D=" +
             std::to_string(t.deadline) + " binds); minimum slack along the chain is " +
-            std::to_string(min_slack) + " at task '" + app.task(min_task).name + "'");
-    d.task = i;
-    d.line = ctx.task_line(i);
-    sink.emit(std::move(d));
+            std::to_string(min_slack) + " at task '" + app.task(min_task).name + "'"));
   }
 }
+
+/// The largest of a task's window terms, the neighbour that gave it, and the
+/// runner-up. Edges are unique (Dag::add_edge), so the largest over every
+/// neighbour but one is O(1) per edge.
+struct TopTwo {
+  __int128 best;
+  __int128 second;
+  TaskId arg = kInvalidTask;
+
+  void add(__int128 value, TaskId from) {
+    second = std::max(second, std::min(best, value));
+    if (value > best) {
+      best = value;
+      arg = from;
+    }
+  }
+  __int128 without(TaskId u) const { return u == arg ? second : best; }
+};
 
 /// N423: messages that can never be the binding term of either adjacent
 /// window. Proved from the absint intervals: even the LARGEST value u's
@@ -104,6 +102,33 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
   const Application& app = ctx.app;
   const AbsIntResult& ai = *ctx.absint;
 
+  // Per task: the EST floor terms of its predecessors (over the release) and
+  // the negated LCT ceiling terms of its successors (over the deadline).
+  std::vector<TopTwo> est_floor;
+  std::vector<TopTwo> lct_ceil;
+  for (TaskId v = 0; v < app.num_tasks(); ++v) {
+    const __int128 release = app.task(v).release;
+    TopTwo& floor = est_floor.emplace_back(release, release);
+    const auto& pred = app.predecessors(v);
+    const auto pred_msg = app.predecessor_messages(v);
+    for (std::size_t q = 0; q < pred.size(); ++q) {
+      const TaskId j = pred[q];
+      floor.add(abs_sat_add(abs_sat_add(ai.est[j].lo, static_cast<__int128>(app.task(j).comp)),
+                            pred_msg[q] < 0 ? static_cast<__int128>(pred_msg[q]) : 0),
+                j);
+    }
+    const __int128 deadline = app.task(v).deadline;
+    TopTwo& ceil = lct_ceil.emplace_back(-deadline, -deadline);
+    const auto& succ = app.successors(v);
+    const auto succ_msg = app.successor_messages(v);
+    for (std::size_t q = 0; q < succ.size(); ++q) {
+      const TaskId j = succ[q];
+      ceil.add(-abs_sat_add(abs_sat_add(ai.lct[j].hi, -static_cast<__int128>(app.task(j).comp)),
+                            succ_msg[q] < 0 ? -static_cast<__int128>(succ_msg[q]) : 0),
+               j);
+    }
+  }
+
   for (TaskId u = 0; u < app.num_tasks(); ++u) {
     const auto& succ = app.successors(u);
     const auto succ_msg = app.successor_messages(u);
@@ -113,42 +138,24 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
       if (m <= 0) continue;  // zero messages are N402's finding
 
       // EST side of v: floor over v's OTHER constraints.
-      __int128 est_floor = static_cast<__int128>(app.task(v).release);
-      const auto& pred = app.predecessors(v);
-      const auto pred_msg = app.predecessor_messages(v);
-      for (std::size_t q = 0; q < pred.size(); ++q) {
-        const TaskId j = pred[q];
-        if (j == u) continue;
-        const __int128 contrib = abs_sat_add(
-            abs_sat_add(ai.est[j].lo, static_cast<__int128>(app.task(j).comp)),
-            pred_msg[q] < 0 ? static_cast<__int128>(pred_msg[q]) : 0);
-        est_floor = std::max(est_floor, contrib);
-      }
+      const __int128 floor = est_floor[v].without(u);
       const __int128 est_term = abs_sat_add(
           abs_sat_add(ai.est[u].hi, static_cast<__int128>(app.task(u).comp)), m);
-      if (est_term > est_floor) continue;
+      if (est_term > floor) continue;
 
       // LCT side of u: ceiling over u's OTHER constraints.
-      __int128 lct_ceil = static_cast<__int128>(app.task(u).deadline);
-      for (std::size_t q = 0; q < succ.size(); ++q) {
-        const TaskId j = succ[q];
-        if (j == v) continue;
-        const __int128 contrib = abs_sat_add(
-            abs_sat_add(ai.lct[j].hi, -static_cast<__int128>(app.task(j).comp)),
-            succ_msg[q] < 0 ? -static_cast<__int128>(succ_msg[q]) : 0);
-        lct_ceil = std::min(lct_ceil, contrib);
-      }
+      const __int128 ceil = -lct_ceil[u].without(v);
       const __int128 lct_term = abs_sat_add(
           abs_sat_add(ai.lct[v].lo, -static_cast<__int128>(app.task(v).comp)), -m);
-      if (lct_term < lct_ceil) continue;
+      if (lct_term < ceil) continue;
 
       Diagnostic d = sink.make(
           "RTLB-N423", edge_subject(app, u, v),
           "message latency (msg " + std::to_string(succ_msg[k]) +
               ") can never bind: the EST term tops out at " + i128_str(est_term) +
-              " against a floor of " + i128_str(est_floor) +
+              " against a floor of " + i128_str(floor) +
               ", and the send-deadline bottoms out at " + i128_str(lct_term) +
-              " against a ceiling of " + i128_str(lct_ceil));
+              " against a ceiling of " + i128_str(ceil));
       d.line = ctx.edge_line(u, v);
       sink.emit(std::move(d));
     }

@@ -112,6 +112,8 @@ constexpr std::array<DiagInfo, 37> kRegistry{{
      "more than one processor of this type no matter the schedule"},
 }};
 
+constexpr auto kByCode = index_by_code(kRegistry);
+
 }  // namespace
 
 const char* severity_name(Severity s) {
@@ -125,11 +127,11 @@ const char* severity_name(Severity s) {
 
 std::span<const DiagInfo> all_diag_info() { return kRegistry; }
 
-const DiagInfo* diag_info(std::string_view code) {
-  for (const DiagInfo& info : kRegistry) {
-    if (code == info.code) return &info;
-  }
-  return nullptr;
+const DiagInfo* diag_info(std::string_view code) { return find_code(kByCode, code); }
+
+const DiagInfo* find_code(std::span<const CodeIndexEntry> index, std::string_view code) {
+  const auto it = std::ranges::lower_bound(index, code, {}, &CodeIndexEntry::first);
+  return it != index.end() && it->first == code ? it->second : nullptr;
 }
 
 std::string format_diagnostic(const Diagnostic& d, const std::string& filename) {
@@ -148,8 +150,8 @@ std::string format_diagnostic(const Diagnostic& d, const std::string& filename) 
     out += ": ";
   }
   out += d.message;
-  out += " [" + d.code + "]";
-  if (!d.hint.empty()) out += "\n  hint: " + d.hint;
+  out.append(" [").append(d.code).append("]");
+  if (!d.hint.empty()) out.append("\n  hint: ").append(d.hint);
   return out;
 }
 

@@ -13,10 +13,18 @@
 //   RTLB-E2xx/W2xx     platform coverage (shared and dedicated models)
 //   RTLB-E3xx/W3xx     numeric safety near kTimeMax
 //   RTLB-W4xx/N4xx     hygiene (advice; never blocks analysis)
+//
+// A Diagnostic's code, hint and default message are views of the static
+// registry, so building a finding copies no registry text; only a message
+// a pass formats is an owned string.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -48,15 +56,40 @@ struct FixEdit {
   bool operator==(const FixEdit&) const = default;
 };
 
+/// A finding's message: the registry summary by reference, or text a pass
+/// formatted, owned. It compares and renders by text, so which of the two a
+/// finding holds never shows.
+class DiagMessage {
+ public:
+  DiagMessage() = default;
+  DiagMessage(std::string text) : owned_(std::move(text)) {}
+  /// `text` must be static (registry storage): it is not copied.
+  static DiagMessage borrowed(const char* text) {
+    DiagMessage m;
+    m.borrowed_ = text;
+    return m;
+  }
+
+  std::string_view view() const { return borrowed_ ? std::string_view(borrowed_) : owned_; }
+  operator std::string_view() const { return view(); }
+  bool operator==(const DiagMessage& other) const { return view() == other.view(); }
+  bool operator==(std::string_view other) const { return view() == other; }
+
+ private:
+  const char* borrowed_ = nullptr;
+  std::string owned_;
+};
+
 /// One finding. `subject` names the offending entity ("task 'alert' (#2)",
 /// "edge T1 -> T2", "resource 'camera'"); `message` describes the violation
 /// without repeating the subject; `hint` is optional fix-it guidance.
+/// `code` and `hint` view static text: the registry entry, or a literal.
 struct Diagnostic {
-  std::string code;        // stable registry code, e.g. "RTLB-E101"
+  std::string_view code;   // stable registry code, e.g. "RTLB-E101"
   Severity severity = Severity::kError;
   std::string subject;     // may be empty (whole-instance findings)
-  std::string message;
-  std::string hint;        // may be empty
+  DiagMessage message;
+  std::string_view hint;   // may be empty
   int line = 0;            // 1-based source line when the model came from a
                            // file (SourceMap); 0 = unknown/programmatic
   TaskId task = kInvalidTask;
@@ -83,6 +116,22 @@ std::span<const DiagInfo> all_diag_info();
 
 /// Lookup; nullptr for an unknown code.
 const DiagInfo* diag_info(std::string_view code);
+
+/// A registry's (code, entry) pairs sorted by code, for find_code().
+/// Registries list codes in documentation order, which is not lexical
+/// (RTLB-E310 follows RTLB-N403), so each builds this index once, at
+/// compile time.
+using CodeIndexEntry = std::pair<std::string_view, const DiagInfo*>;
+template <std::size_t N>
+constexpr std::array<CodeIndexEntry, N> index_by_code(const std::array<DiagInfo, N>& registry) {
+  std::array<CodeIndexEntry, N> index{};
+  for (std::size_t i = 0; i < N; ++i) index[i] = {registry[i].code, &registry[i]};
+  std::ranges::sort(index);
+  return index;
+}
+
+/// Binary search of an index_by_code(); nullptr for an unknown code.
+const DiagInfo* find_code(std::span<const CodeIndexEntry> index, std::string_view code);
 
 /// Render one diagnostic as a compiler-style line (plus an indented hint
 /// line when present):

@@ -28,19 +28,14 @@ bool DiagnosticSink::emit(Diagnostic d) {
 
 Diagnostic DiagnosticSink::make(const char* code, std::string subject,
                                 std::string message) const {
-  const DiagInfo* info = nullptr;
-  for (const DiagInfo& entry : registry_) {
-    if (std::string_view(entry.code) == code) {
-      info = &entry;
-      break;
-    }
-  }
+  const DiagInfo* info = lookup_(code);
   RTLB_CHECK(info != nullptr, "unregistered diagnostic code");
   Diagnostic d;
   d.code = info->code;
   d.severity = info->severity;
   d.subject = std::move(subject);
-  d.message = message.empty() ? info->summary : std::move(message);
+  d.message = message.empty() ? DiagMessage::borrowed(info->summary)
+                              : DiagMessage(std::move(message));
   d.hint = info->fixit;
   return d;
 }
@@ -57,7 +52,8 @@ Linter::Linter() {
 
 LintResult Linter::run(const Application& app, const DedicatedPlatform* platform,
                        const SourceMap* lines, const LintOptions& options,
-                       std::optional<TaskWindows>* windows_out) const {
+                       std::optional<TaskWindows>* windows_out,
+                       std::vector<ResourcePartition>* partitions_out) const {
   LintResult result;
   DiagnosticSink sink(result, options);
   LintContext ctx{app, platform, lines, nullptr, nullptr};
@@ -74,18 +70,24 @@ LintResult Linter::run(const Application& app, const DedicatedPlatform* platform
   const AbsIntResult absint = abstract_interpret(app, platform);
   ctx.absint = &absint;
   std::optional<TaskWindows> windows;
+  std::vector<ResourcePartition> partitions;
   try {
     windows = compute_windows(app, platform);
     ctx.windows = &*windows;
   } catch (const ModelError&) {
     // Refused (RTLB-E310): the model passes run without windows.
   }
+  if (windows) {
+    partitions = partition_all(app, *windows);
+    ctx.partitions = &partitions;
+  }
   for (const LintPass& pass : passes_) {
     if (!pass.needs_valid_model) continue;
     if (sink.capped()) break;
     pass.run(ctx, sink);
   }
-  if (windows_out != nullptr && windows) *windows_out = std::move(windows);
+  if (windows && partitions_out != nullptr) *partitions_out = std::move(partitions);
+  if (windows && windows_out != nullptr) *windows_out = std::move(windows);
   return result;
 }
 
@@ -96,8 +98,9 @@ const Linter& default_linter() {
 
 LintResult lint(const Application& app, const DedicatedPlatform* platform,
                 const SourceMap* lines, const LintOptions& options,
-                std::optional<TaskWindows>* windows_out) {
-  return default_linter().run(app, platform, lines, options, windows_out);
+                std::optional<TaskWindows>* windows_out,
+                std::vector<ResourcePartition>* partitions_out) {
+  return default_linter().run(app, platform, lines, options, windows_out, partitions_out);
 }
 
 namespace {
@@ -110,7 +113,7 @@ std::string gate_summary(const LintResult& result) {
     if (d.severity != Severity::kError) continue;
     out << "; first: ";
     if (!d.subject.empty()) out << d.subject << ": ";
-    out << d.message << " [" << d.code << "]";
+    out << d.message.view() << " [" << d.code << "]";
     break;
   }
   return out.str();
@@ -142,11 +145,11 @@ Json lint_json(const LintResult& result) {
   Json diags = Json::array();
   for (const Diagnostic& d : result.diagnostics) {
     Json entry = Json::object();
-    entry.set("code", d.code)
+    entry.set("code", std::string(d.code))
         .set("severity", severity_name(d.severity))
         .set("subject", d.subject)
-        .set("message", d.message)
-        .set("hint", d.hint)
+        .set("message", std::string(d.message))
+        .set("hint", std::string(d.hint))
         .set("line", d.line);
     if (!d.fixes.empty()) {
       Json fixes = Json::array();

@@ -20,6 +20,7 @@
 
 #include "src/common/json.hpp"
 #include "src/core/est_lct.hpp"
+#include "src/core/partition.hpp"
 #include "src/lint/diagnostic.hpp"
 #include "src/model/application.hpp"
 #include "src/model/io.hpp"
@@ -56,13 +57,16 @@ struct LintResult {
 /// `absint` is filled by the driver once the structural pass found no errors
 /// (the interval interpretation needs an acyclic model with valid ids), and
 /// `windows` then too unless compute_windows() refused them because an
-/// endpoint left the safe Time range (RTLB-E310).
+/// endpoint left the safe Time range (RTLB-E310). Linter::run sets
+/// `partitions` (partition_all over `windows`) whenever it sets `windows`;
+/// a caller running the passes one at a time may leave it null.
 struct LintContext {
   const Application& app;
   const DedicatedPlatform* platform = nullptr;
   const SourceMap* lines = nullptr;
   const TaskWindows* windows = nullptr;
   const AbsIntResult* absint = nullptr;
+  const std::vector<ResourcePartition>* partitions = nullptr;
 
   /// Line of task i's declaration; 0 when unknown.
   int task_line(TaskId i) const { return lines ? lines->task_line(i) : 0; }
@@ -77,22 +81,23 @@ struct LintContext {
 
 /// Collects diagnostics for one run, applying werror promotion and the
 /// max_errors cap. Passes call emit(); everything else is bookkeeping.
-/// `registry` is the code table make() resolves against -- the lint registry
+/// `lookup` is the registry make() resolves codes in -- the lint registry
 /// by default; the audit subsystem passes its own (src/audit/registry.hpp)
 /// so the two code spaces stay disjoint.
 class DiagnosticSink {
  public:
-  DiagnosticSink(LintResult& result, const LintOptions& options,
-                 std::span<const DiagInfo> registry = all_diag_info())
-      : result_(&result), options_(options), registry_(registry) {}
+  using Lookup = const DiagInfo* (*)(std::string_view code);
+
+  DiagnosticSink(LintResult& result, const LintOptions& options, Lookup lookup = diag_info)
+      : result_(&result), options_(options), lookup_(lookup) {}
 
   /// Record `d` (severity defaulted from the registry for d.code; a pass may
   /// pre-set a different severity only by filling d.severity AFTER setting
   /// code via make()). Returns false once the error cap is reached.
   bool emit(Diagnostic d);
 
-  /// Convenience: registry-backed constructor. `message` defaults to the
-  /// registry summary when empty.
+  /// Convenience: registry-backed constructor. The code, the hint and, when
+  /// `message` is empty, the message view the registry entry's text.
   Diagnostic make(const char* code, std::string subject, std::string message = "") const;
 
   bool capped() const { return capped_; }
@@ -100,7 +105,7 @@ class DiagnosticSink {
  private:
   LintResult* result_;
   LintOptions options_;
-  std::span<const DiagInfo> registry_;
+  Lookup lookup_;
   bool capped_ = false;
 };
 
@@ -122,14 +127,17 @@ class Linter {
   const std::vector<LintPass>& passes() const { return passes_; }
 
   /// The one lint driver: structural passes, then (on a structurally clean
-  /// model) abstract_interpret, the EST/LCT windows, and the model passes.
-  /// `windows_out` (may be null) receives those windows, so a caller need
-  /// not compute them again. They use the dedicated merge oracle iff
-  /// `platform` is given, and are set only when the model passes ran and
-  /// compute_windows() did not refuse them (RTLB-E310, out of range).
+  /// model) abstract_interpret, the EST/LCT windows, their partitions, and
+  /// the model passes. `windows_out` (may be null) receives those windows,
+  /// so a caller need not compute them again. They use the dedicated merge
+  /// oracle iff `platform` is given, and are set only when the model passes
+  /// ran and compute_windows() did not refuse them (RTLB-E310, out of
+  /// range). `partitions_out` (may be null) receives partition_all() of
+  /// those windows, under the same condition.
   LintResult run(const Application& app, const DedicatedPlatform* platform = nullptr,
                  const SourceMap* lines = nullptr, const LintOptions& options = {},
-                 std::optional<TaskWindows>* windows_out = nullptr) const;
+                 std::optional<TaskWindows>* windows_out = nullptr,
+                 std::vector<ResourcePartition>* partitions_out = nullptr) const;
 
  private:
   std::vector<LintPass> passes_;
@@ -138,11 +146,12 @@ class Linter {
 /// The shared default-constructed Linter behind lint().
 const Linter& default_linter();
 
-/// One-shot convenience over default_linter(); `windows_out` as in
-/// Linter::run.
+/// One-shot convenience over default_linter(); `windows_out` and
+/// `partitions_out` as in Linter::run.
 LintResult lint(const Application& app, const DedicatedPlatform* platform = nullptr,
                 const SourceMap* lines = nullptr, const LintOptions& options = {},
-                std::optional<TaskWindows>* windows_out = nullptr);
+                std::optional<TaskWindows>* windows_out = nullptr,
+                std::vector<ResourcePartition>* partitions_out = nullptr);
 
 /// Thrown by analyze() when the pre-flight gate refuses an instance; carries
 /// the full batch of diagnostics so callers can print them all.

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "src/core/partition.hpp"
 #include "src/lint/fixit.hpp"
 
 namespace rtlb {
-
-namespace {
 
 std::string task_subject(const Application& app, TaskId i) {
   return "task '" + app.task(i).name + "' (#" + std::to_string(i) + ")";
@@ -19,6 +18,26 @@ std::string task_subject(const Application& app, TaskId i) {
 std::string edge_subject(const Application& app, TaskId from, TaskId to) {
   return "edge " + app.task(from).name + " -> " + app.task(to).name;
 }
+
+Diagnostic task_finding(const LintContext& ctx, const DiagnosticSink& sink, const char* code,
+                        TaskId i, std::string message) {
+  Diagnostic d = sink.make(code, task_subject(ctx.app, i), std::move(message));
+  d.task = i;
+  d.line = ctx.task_line(i);
+  return d;
+}
+
+std::string chain_names(const Application& app, const std::vector<TaskId>& chain) {
+  std::string out;
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    if (k > 0) out += " -> ";
+    out += app.task(chain[k]).name.empty() ? "#" + std::to_string(chain[k])
+                                           : app.task(chain[k]).name;
+  }
+  return out;
+}
+
+namespace {
 
 std::string catalog_subject(const Application& app, ResourceId r) {
   return std::string(app.catalog().is_processor(r) ? "processor type '" : "resource '") +
@@ -43,10 +62,7 @@ void structural_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
     const Task& t = app.task(i);
     auto emit = [&](const char* code, std::string message = "") {
-      Diagnostic d = sink.make(code, task_subject(app, i), std::move(message));
-      d.task = i;
-      d.line = ctx.task_line(i);
-      sink.emit(std::move(d));
+      sink.emit(task_finding(ctx, sink, code, i, std::move(message)));
     };
 
     if (t.comp <= 0) emit("RTLB-E001", "computation time must be positive");
@@ -73,9 +89,7 @@ void structural_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
               ? "deadline " + std::to_string(t.deadline) + " precedes release " +
                     std::to_string(t.release)
               : "window [rel, D] shorter than computation time";
-      Diagnostic d = sink.make(code, task_subject(app, i), std::move(message));
-      d.task = i;
-      d.line = ctx.task_line(i);
+      Diagnostic d = task_finding(ctx, sink, code, i, std::move(message));
       // Repair: the smallest window leaving POSITIVE slack (deficit + 1) --
       // fixing to the exact boundary would trade the error for a fresh
       // zero-slack W102/W103 and break the strictly-fewer-findings contract.
@@ -89,20 +103,26 @@ void structural_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
   }
 
   // Duplicate non-empty names (empty names are legal for programmatic
-  // throwaway models and are not a join key).
-  std::map<std::string, TaskId> first_seen;
+  // throwaway models and are not a join key). Sorted by (name, id), each
+  // run of one name starts at its first declaration.
+  std::vector<std::pair<std::string_view, TaskId>> by_name;
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    const std::string& name = app.task(i).name;
-    if (name.empty()) continue;
-    auto [it, inserted] = first_seen.try_emplace(name, i);
-    if (!inserted) {
-      Diagnostic d = sink.make("RTLB-E006", task_subject(app, i),
-                               "duplicate task name (first declared as #" +
-                                   std::to_string(it->second) + ")");
-      d.task = i;
-      d.line = ctx.task_line(i);
-      sink.emit(std::move(d));
+    if (!app.task(i).name.empty()) by_name.emplace_back(app.task(i).name, i);
+  }
+  std::ranges::sort(by_name);
+  std::vector<std::pair<TaskId, TaskId>> duplicates;  // (task, first declared)
+  for (std::size_t k = 1, first = 0; k < by_name.size(); ++k) {
+    if (by_name[k].first != by_name[first].first) {
+      first = k;
+    } else {
+      duplicates.emplace_back(by_name[k].second, by_name[first].second);
     }
+  }
+  std::ranges::sort(duplicates);
+  for (const auto& [i, first] : duplicates) {
+    sink.emit(task_finding(ctx, sink, "RTLB-E006", i,
+                           "duplicate task name (first declared as #" +
+                               std::to_string(first) + ")"));
   }
 
   if (!app.dag().is_acyclic()) {
@@ -116,13 +136,11 @@ void temporal_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
     const Time slack = ctx.windows->slack(app, i);
     if (slack < 0) {
-      Diagnostic d = sink.make(
-          "RTLB-E101", task_subject(app, i),
+      Diagnostic d = task_finding(
+          ctx, sink, "RTLB-E101", i,
           "derived window [E=" + std::to_string(ctx.windows->est[i]) +
               ", L=" + std::to_string(ctx.windows->lct[i]) + "] cannot contain C=" +
               std::to_string(app.task(i).comp) + " (slack " + std::to_string(slack) + ")");
-      d.task = i;
-      d.line = ctx.task_line(i);
       // Repair only when raising THIS task's deadline provably raises L_i:
       // the task is a sink and its own deadline is the binding constraint.
       // (Interior tasks inherit L_i from downstream -- widening their
@@ -136,25 +154,19 @@ void temporal_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
       }
       sink.emit(std::move(d));
     } else if (slack == 0 && !app.task(i).preemptive) {
-      Diagnostic d = sink.make(
-          "RTLB-W102", task_subject(app, i),
+      sink.emit(task_finding(
+          ctx, sink, "RTLB-W102", i,
           "non-preemptive task has zero derived slack; its start time is fixed at E=" +
-              std::to_string(ctx.windows->est[i]));
-      d.task = i;
-      d.line = ctx.task_line(i);
-      sink.emit(std::move(d));
+              std::to_string(ctx.windows->est[i])));
     } else if (slack == 0) {
       // Preemptive sibling of W102: with L - E == C the task saturates its
       // window, so Psi contributes the full C over [E, L] and preemption
       // offers no real flexibility.
-      Diagnostic d = sink.make(
-          "RTLB-W103", task_subject(app, i),
+      sink.emit(task_finding(
+          ctx, sink, "RTLB-W103", i,
           "preemptive task has a tight window [E=" + std::to_string(ctx.windows->est[i]) +
               ", L=" + std::to_string(ctx.windows->lct[i]) + "] exactly equal to C=" +
-              std::to_string(app.task(i).comp));
-      d.task = i;
-      d.line = ctx.task_line(i);
-      sink.emit(std::move(d));
+              std::to_string(app.task(i).comp)));
     }
   }
 }
@@ -200,11 +212,7 @@ void platform_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
     if (!ctx.platform->hosts_for(t).empty()) continue;
     std::string req = "processor '" + cat.name(t.proc) + "'";
     for (ResourceId r : t.resources) req += " + '" + cat.name(r) + "'";
-    Diagnostic d = sink.make("RTLB-E202", task_subject(app, i),
-                             "no node type in the menu provides " + req);
-    d.task = i;
-    d.line = ctx.task_line(i);
-    sink.emit(std::move(d));
+    sink.emit(task_finding(ctx, sink, "RTLB-E202", i, "no node type in the menu provides " + req));
   }
 
   // W203: menu entries that host nothing only enlarge the ILP.
@@ -233,17 +241,19 @@ void numeric_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
   const Application& app = ctx.app;
 
   // E301: Theta sums per resource must stay representable; a wrapped demand
-  // would silently corrupt LB_r.
-  for (ResourceId r : app.resource_set()) {
-    Time sum = 0;
-    bool overflow = false;
-    for (const Task& t : app.tasks()) {
-      if (t.uses(r) && __builtin_add_overflow(sum, t.comp, &sum)) {
-        overflow = true;
-        break;
-      }
-    }
-    if (overflow) {
+  // would silently corrupt LB_r. One pass over the tasks: add_task keeps R_i
+  // unique and free of proc, so a task counts once per resource it uses.
+  std::vector<Time> demand(app.catalog().size(), 0);
+  std::vector<bool> overflow(app.catalog().size(), false);
+  for (const Task& t : app.tasks()) {
+    auto add = [&](ResourceId r) {
+      if (!overflow[r]) overflow[r] = __builtin_add_overflow(demand[r], t.comp, &demand[r]);
+    };
+    add(t.proc);
+    for (ResourceId r : t.resources) add(r);
+  }
+  for (ResourceId r = 0; r < app.catalog().size(); ++r) {
+    if (overflow[r]) {
       Diagnostic d = sink.make("RTLB-E301", catalog_subject(app, r),
                                "total computation demand overflows the Time range");
       d.resource = r;
@@ -259,11 +269,9 @@ void numeric_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
                               t.release < kTimeMin || t.deadline > kTimeMax ||
                               t.deadline < kTimeMin;
     if (!out_of_range) continue;
-    Diagnostic d = sink.make("RTLB-W302", task_subject(app, i),
-                             "comp/rel/deadline magnitude beyond kTimeMax (" +
-                                 std::to_string(kTimeMax) + ")");
-    d.task = i;
-    d.line = ctx.task_line(i);
+    Diagnostic d = task_finding(ctx, sink, "RTLB-W302", i,
+                                "comp/rel/deadline magnitude beyond kTimeMax (" +
+                                    std::to_string(kTimeMax) + ")");
     // Repair: clamp every timing into [kTimeMin, kTimeMax]. Only offered
     // when the clamped window still holds the clamped computation time --
     // otherwise the fix would trade a warning for a structural error.
@@ -302,10 +310,7 @@ void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
   if (app.dag().num_edges() > 0) {
     for (TaskId i = 0; i < app.num_tasks(); ++i) {
       if (app.dag().in_degree(i) > 0 || app.dag().out_degree(i) > 0) continue;
-      Diagnostic d = sink.make("RTLB-W401", task_subject(app, i));
-      d.task = i;
-      d.line = ctx.task_line(i);
-      sink.emit(std::move(d));
+      sink.emit(task_finding(ctx, sink, "RTLB-W401", i));
     }
   }
 
@@ -323,7 +328,9 @@ void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
   // N403: resources whose ST_r never splits -- the Theorem-5 speedup does
   // not apply, so the full quadratic interval scan runs for them.
   if (ctx.windows != nullptr) {
-    for (const ResourcePartition& p : partition_all(app, *ctx.windows)) {
+    std::vector<ResourcePartition> own;
+    if (ctx.partitions == nullptr) own = partition_all(app, *ctx.windows);
+    for (const ResourcePartition& p : ctx.partitions != nullptr ? *ctx.partitions : own) {
       if (p.blocks.size() != 1 || p.blocks[0].tasks.size() < 2) continue;
       Diagnostic d =
           sink.make("RTLB-N403", catalog_subject(app, p.resource),

@@ -3,9 +3,23 @@
 // Each pass appends to the sink and never mutates the model.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "src/lint/linter.hpp"
 
 namespace rtlb {
+
+/// The subjects findings name: "task 'alert' (#2)", "edge a -> b", and a
+/// chain "a -> b -> #7" (a task without a name shows as its id).
+std::string task_subject(const Application& app, TaskId i);
+std::string edge_subject(const Application& app, TaskId from, TaskId to);
+std::string chain_names(const Application& app, const std::vector<TaskId>& chain);
+
+/// A registry-backed finding about task i (sink.make()): its subject, task
+/// id and declaration line filled in.
+Diagnostic task_finding(const LintContext& ctx, const DiagnosticSink& sink, const char* code,
+                        TaskId i, std::string message = "");
 
 /// RTLB-E001..E009: per-task scalar checks (computation time, catalog ids,
 /// release/deadline window), duplicate non-empty task names, precedence
@@ -28,7 +42,8 @@ void platform_lint_pass(const LintContext& ctx, DiagnosticSink& sink);
 void numeric_lint_pass(const LintContext& ctx, DiagnosticSink& sink);
 
 /// RTLB-W401/N402/N403: isolated tasks (in a DAG that has edges), zero-size
-/// messages, single-block partitions. Requires ctx.windows for N403.
+/// messages, single-block partitions. Requires ctx.windows for N403, which
+/// reads ctx.partitions (or partitions the windows itself when it is null).
 void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink);
 
 }  // namespace rtlb

@@ -101,7 +101,8 @@ void Application::validate() const {
   structural_lint_pass(LintContext{*this}, sink);
   for (const Diagnostic& d : result.diagnostics) {
     if (d.severity != Severity::kError) continue;
-    throw ModelError(d.subject.empty() ? d.message : d.subject + ": " + d.message);
+    const std::string message(d.message);
+    throw ModelError(d.subject.empty() ? message : d.subject + ": " + message);
   }
 }
 

@@ -25,7 +25,8 @@ void validate_workload(const ResourceCatalog& catalog, const Workload& workload)
   const LintResult result = lint_workload(catalog, workload);
   for (const Diagnostic& d : result.diagnostics) {
     if (d.severity != Severity::kError) continue;
-    throw ModelError(d.subject.empty() ? d.message : d.subject + ": " + d.message);
+    const std::string message(d.message);
+    throw ModelError(d.subject.empty() ? message : d.subject + ": " + message);
   }
 }
 

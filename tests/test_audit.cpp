@@ -94,7 +94,7 @@ const std::vector<Planted>& planted() {
 std::vector<Planted> as_tuples(const Result& r) {
   std::vector<Planted> got;
   for (const Finding& f : r.findings) {
-    got.push_back({f.file.c_str(), f.diag.line, f.diag.code.c_str()});
+    got.push_back({f.file.c_str(), f.diag.line, f.diag.code.data()});  // registry text
   }
   return got;
 }
@@ -115,7 +115,7 @@ TEST(AuditCorpus, EveryPlantedViolationFlaggedAtExactLine) {
 TEST(AuditCorpus, EveryAuditCodeIsExercisedByTheCorpus) {
   const Result result = run_audit(repo_manifest(), kCorpusRoot);
   std::set<std::string> seen;
-  for (const Finding& f : result.findings) seen.insert(f.diag.code);
+  for (const Finding& f : result.findings) seen.emplace(f.diag.code);
   seen.insert("RTLB-A302");  // also via the suppression test above
   for (const DiagInfo& info : all_audit_info()) {
     EXPECT_TRUE(seen.count(info.code) > 0) << info.code << " never fires on the corpus";
@@ -144,7 +144,7 @@ Result audit_snippet(const std::string& path, const std::string& text) {
   // driver would, via a temp-free in-process scan.
   const SourceFile src = scan_source(path, text);
   LintResult batch;
-  DiagnosticSink sink(batch, LintOptions{}, all_audit_info());
+  DiagnosticSink sink(batch, LintOptions{}, audit_info);
   for (const Rule& rule : repo_manifest().rules) run_rule(rule, src, sink);
   Result out;
   out.files_scanned = 1;
@@ -160,7 +160,7 @@ Result audit_snippet(const std::string& path, const std::string& text) {
 
 std::set<std::string> codes_of(const Result& r) {
   std::set<std::string> codes;
-  for (const Finding& f : r.findings) codes.insert(f.diag.code);
+  for (const Finding& f : r.findings) codes.emplace(f.diag.code);
   return codes;
 }
 

@@ -389,7 +389,8 @@ TEST(FleetOracle, ResultEqualityTracksReportBytes) {
   ASSERT_FALSE(base.dedicated_cost->node_counts.empty());
   // Give the optional lists one entry each, so their fields can be perturbed.
   base.lint->diagnostics.push_back(Diagnostic{"RTLB-W101", Severity::kWarning, "task 'T1'",
-                                              "message", "hint", 3, 0, kInvalidResource,
+                                              std::string("message"), "hint", 3, 0,
+                                              kInvalidResource,
                                               {FixEdit{3, FixEdit::Kind::kReplaceLine, "x"}}});
   base.certificate_check->failures.push_back(CheckFailure{"bound", "T3.psi", "resource 1", "d"});
   const std::string base_bytes = report_json(*inst.app, base).dump();
@@ -438,12 +439,13 @@ TEST(FleetOracle, ResultEqualityTracksReportBytes) {
       {"lint.warnings", [](AnalysisResult& r) { r.lint->warnings += 1; }},
       {"lint.notes", [](AnalysisResult& r) { r.lint->notes += 1; }},
       {"lint.truncated", [](AnalysisResult& r) { r.lint->truncated ^= true; }},
-      {"diag.code", [](AnalysisResult& r) { r.lint->diagnostics.back().code += "x"; }},
+      {"diag.code", [](AnalysisResult& r) { r.lint->diagnostics.back().code = "RTLB-W101x"; }},
       {"diag.severity",
        [](AnalysisResult& r) { r.lint->diagnostics.back().severity = Severity::kNote; }},
       {"diag.subject", [](AnalysisResult& r) { r.lint->diagnostics.back().subject += "x"; }},
-      {"diag.message", [](AnalysisResult& r) { r.lint->diagnostics.back().message += "x"; }},
-      {"diag.hint", [](AnalysisResult& r) { r.lint->diagnostics.back().hint += "x"; }},
+      {"diag.message",
+       [](AnalysisResult& r) { r.lint->diagnostics.back().message = std::string("messagex"); }},
+      {"diag.hint", [](AnalysisResult& r) { r.lint->diagnostics.back().hint = "hintx"; }},
       {"diag.line", [](AnalysisResult& r) { r.lint->diagnostics.back().line += 1; }},
       {"fix.line", [](AnalysisResult& r) { r.lint->diagnostics.back().fixes[0].line += 1; }},
       {"fix.kind",
@@ -468,6 +470,15 @@ TEST(FleetOracle, ResultEqualityTracksReportBytes) {
     EXPECT_TRUE(bytes_differ) << name << ": perturbation must reach the report";
     EXPECT_EQ(r != base, bytes_differ) << name;
   }
+
+  // A message a pass formatted equal to the registry summary is the same
+  // finding as the summary by reference: equal, and rendered alike.
+  AnalysisResult owned = base, borrowed = base;
+  const char* summary = diag_info("RTLB-E001")->summary;
+  owned.lint->diagnostics.back().message = std::string(summary);
+  borrowed.lint->diagnostics.back().message = DiagMessage::borrowed(summary);
+  EXPECT_TRUE(owned == borrowed);
+  EXPECT_EQ(report_json(*inst.app, owned).dump(), report_json(*inst.app, borrowed).dump());
 
   // Non-finite relaxations all render as null, and compare equal too.
   AnalysisResult nan = base, inf = base;

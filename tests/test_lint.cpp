@@ -24,7 +24,7 @@ namespace {
 
 std::set<std::string> codes_of(const LintResult& result) {
   std::set<std::string> codes;
-  for (const Diagnostic& d : result.diagnostics) codes.insert(d.code);
+  for (const Diagnostic& d : result.diagnostics) codes.emplace(d.code);
   return codes;
 }
 
@@ -116,6 +116,25 @@ TEST_F(LintTest, StructuralPassFlagsEveryViolation) {
   // Structurally broken instances run no model-interpreting pass.
   EXPECT_EQ(result.warnings, 0);
   EXPECT_EQ(result.notes, 0);
+}
+
+TEST_F(LintTest, DuplicateNamesAreReportedInTaskOrderAgainstTheFirstDeclaration) {
+  // "dup" at #0, #2, #5 and "twin" at #1, #4 interleave; "twin" sorts after
+  // "dup", so the findings must still come in task order. Empty names are
+  // not a join key and never duplicate.
+  for (const char* name : {"dup", "twin", "dup", "", "twin", "dup", ""}) {
+    app_.add_task(make_task(name, 1, 0, 10, cpu_));
+  }
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const Diagnostic& d : lint_and_track(app_).diagnostics) {
+    if (d.code == "RTLB-E006") got.emplace_back(d.subject, std::string(d.message));
+  }
+  const std::vector<std::pair<std::string, std::string>> expected{
+      {"task 'dup' (#2)", "duplicate task name (first declared as #0)"},
+      {"task 'twin' (#4)", "duplicate task name (first declared as #1)"},
+      {"task 'dup' (#5)", "duplicate task name (first declared as #0)"},
+  };
+  EXPECT_EQ(got, expected);
 }
 
 TEST_F(LintTest, ValidateDelegatesAndKeepsWording) {
@@ -218,6 +237,34 @@ TEST_F(LintTest, NumericSafetyChecks) {
   EXPECT_EQ(count_code(result, "RTLB-E101"), 0);
 }
 
+TEST_F(LintTest, DemandOverflowCountsEachResourceOncePerTaskInResourceOrder) {
+  // 4 x kTimeMax fits in a Time, 5 x does not. The DSP tasks come first and
+  // name the camera twice: the model keeps R_i unique, so each counts it
+  // once and the camera holds 4 x; a fifth camera user then overflows it
+  // together with DSP, before the CPU tasks overflow CPU -- yet findings
+  // come in resource order.
+  for (int k = 0; k < 4; ++k) {
+    app_.add_task(make_task("d" + std::to_string(k), kTimeMax, 0, kTimeMax, dsp_,
+                            {camera_, camera_}));
+  }
+  for (int k = 0; k < 5; ++k) {
+    app_.add_task(make_task("c" + std::to_string(k), kTimeMax, 0, kTimeMax, cpu_));
+  }
+  auto e301_subjects = [](const LintResult& result) {
+    std::vector<std::string> subjects;
+    for (const Diagnostic& d : result.diagnostics) {
+      if (d.code == "RTLB-E301") subjects.push_back(d.subject);
+    }
+    return subjects;
+  };
+  EXPECT_EQ(e301_subjects(lint_and_track(app_)),
+            std::vector<std::string>{"processor type 'CPU'"});
+  app_.add_task(make_task("d4", kTimeMax, 0, kTimeMax, dsp_, {camera_}));
+  EXPECT_EQ(e301_subjects(lint_and_track(app_)),
+            (std::vector<std::string>{"processor type 'CPU'", "processor type 'DSP'",
+                                      "resource 'camera'"}));
+}
+
 TEST_F(LintTest, HygieneChecks) {
   const TaskId a = app_.add_task(make_task("a", 2, 0, 20, cpu_));
   const TaskId b = app_.add_task(make_task("b", 2, 0, 20, cpu_));
@@ -261,7 +308,8 @@ TEST_F(LintTest, AbsIntWarnsWhenWideFanInMayOverflow) {
   std::optional<TaskWindows> windows;
   for (const Diagnostic& d : lint(app_, nullptr, nullptr, {}, &windows).diagnostics) {
     if (d.code == "RTLB-W311") {
-      EXPECT_NE(d.message.find("the computed windows stay within it"), std::string::npos);
+      EXPECT_NE(d.message.view().find("the computed windows stay within it"),
+                std::string::npos);
     }
   }
   EXPECT_TRUE(windows.has_value());
@@ -294,8 +342,97 @@ TEST_F(LintTest, DataflowNamesTheChainDeterminingAWindow) {
   for (const Diagnostic& d : result.diagnostics) {
     if (d.code != "RTLB-N422") continue;
     EXPECT_EQ(d.task, b);
-    EXPECT_NE(d.message.find("a -> b -> c"), std::string::npos) << d.message;
+    EXPECT_NE(d.message.view().find("a -> b -> c"), std::string::npos) << d.message.view();
   }
+}
+
+/// N423 by its definition, edge by edge: the EST floor over all of v's other
+/// predecessors and the LCT ceiling over all of u's other successors,
+/// recomputed for every edge u -> v (O(sum of deg^2)). Returns each finding
+/// as "subject: message", in emission order.
+std::vector<std::string> dead_latency_reference(const Application& app) {
+  const AbsIntResult ai = abstract_interpret(app);
+  std::vector<std::string> out;
+  for (TaskId u = 0; u < app.num_tasks(); ++u) {
+    const auto& succ = app.successors(u);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId v = succ[k];
+      const Time msg = app.successor_messages(u)[k];
+      if (msg <= 0) continue;
+      __int128 floor = app.task(v).release;
+      for (TaskId j : app.predecessors(v)) {
+        if (j != u) floor = std::max(floor, abs_sat_add(ai.est[j].lo, app.task(j).comp));
+      }
+      const __int128 est_term = abs_sat_add(abs_sat_add(ai.est[u].hi, app.task(u).comp), msg);
+      if (est_term > floor) continue;
+      __int128 ceil = app.task(u).deadline;
+      for (TaskId j : succ) {
+        if (j != v) ceil = std::min(ceil, abs_sat_add(ai.lct[j].hi, -app.task(j).comp));
+      }
+      const __int128 lct_term = abs_sat_add(abs_sat_add(ai.lct[v].lo, -app.task(v).comp), -msg);
+      if (lct_term < ceil) continue;
+      out.push_back("edge " + app.task(u).name + " -> " + app.task(v).name +
+                    ": message latency (msg " + std::to_string(msg) +
+                    ") can never bind: the EST term tops out at " + i128_str(est_term) +
+                    " against a floor of " + i128_str(floor) +
+                    ", and the send-deadline bottoms out at " + i128_str(lct_term) +
+                    " against a ceiling of " + i128_str(ceil));
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> dead_latency_findings(const Application& app) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : lint_and_track(app).diagnostics) {
+    if (d.code == "RTLB-N423") out.push_back(d.subject + ": " + std::string(d.message));
+  }
+  return out;
+}
+
+TEST(LintProperty, DeadLatencyMatchesThePerEdgeDefinition) {
+  ResourceCatalog cat;
+  const ResourceId cpu = cat.add_processor_type("CPU", 1);
+
+  // Ties: p and q give v the same floor term, so leaving out either one
+  // leaves the other's; u's edge into v is dead on both sides.
+  Application tie(cat);
+  const TaskId p = tie.add_task(make_task("p", 4, 0, 100, cpu));
+  const TaskId q = tie.add_task(make_task("q", 4, 0, 100, cpu));
+  const TaskId u = tie.add_task(make_task("u", 1, 0, 97, cpu));
+  const TaskId v = tie.add_task(make_task("v", 1, 0, 100, cpu));
+  const TaskId w = tie.add_task(make_task("w", 1, 0, 100, cpu));
+  tie.add_edge(p, v, 2);
+  tie.add_edge(q, v, 3);
+  tie.add_edge(u, v, 2);
+  tie.add_edge(u, w, 1);
+  const std::vector<std::string> tie_expected = dead_latency_reference(tie);
+  EXPECT_EQ(tie_expected.size(), 1u);
+  EXPECT_EQ(dead_latency_findings(tie), tie_expected);
+
+  // Random DAGs with small, often equal timings, so floors and ceilings tie.
+  std::size_t findings = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto draw = [&](Time lo, Time hi) { return std::uniform_int_distribution<Time>(lo, hi)(rng); };
+    Application app(cat);
+    const int n = static_cast<int>(draw(4, 24));
+    for (int i = 0; i < n; ++i) {
+      const Time comp = draw(1, 3);
+      const Time release = draw(0, 4) * 2;
+      app.add_task(make_task("t" + std::to_string(i), comp, release,
+                             release + comp + draw(0, 12) * 2, cpu));
+    }
+    for (TaskId a = 0; a < app.num_tasks(); ++a) {
+      for (TaskId b = a + 1; b < app.num_tasks(); ++b) {
+        if (draw(0, 3) == 0) app.add_edge(a, b, draw(0, 3));
+      }
+    }
+    const std::vector<std::string> expected = dead_latency_reference(app);
+    EXPECT_EQ(dead_latency_findings(app), expected) << "seed " << seed;
+    findings += expected.size();
+  }
+  EXPECT_GT(findings, 20u);  // the property is not vacuous
 }
 
 TEST_F(LintTest, MaxErrorsCapAndWerror) {
@@ -330,7 +467,7 @@ TEST_F(LintTest, GoldenTextOutput) {
 TEST_F(LintTest, GoldenJsonOutput) {
   app_.add_task(make_task("tight", 5, 8, 10, cpu_));
   LintResult result = lint_and_track(app_);
-  result.diagnostics[0].hint.clear();  // keep the golden line readable
+  result.diagnostics[0].hint = {};  // keep the golden line readable
   EXPECT_EQ(lint_json(result).dump(),
             "{\"errors\":1,\"warnings\":0,\"notes\":0,\"truncated\":false,"
             "\"diagnostics\":[{\"code\":\"RTLB-E009\",\"severity\":\"error\","
@@ -494,8 +631,9 @@ TEST(LintCorpus, MayOverflowChainLintsWithoutWindows) {
   ASSERT_EQ(count_code(result, "RTLB-W311"), 1);
   for (const Diagnostic& d : result.diagnostics) {
     if (d.code == "RTLB-W311") {
-      EXPECT_NE(d.message.find("so analysis refuses them (RTLB-E310)"), std::string::npos)
-          << d.message;
+      EXPECT_NE(d.message.view().find("so analysis refuses them (RTLB-E310)"),
+                std::string::npos)
+          << d.message.view();
     }
   }
 }
@@ -829,7 +967,7 @@ TEST_F(LintTest, CleanWorkloadLintsCleanAndValidateAgrees) {
     FAIL() << "validate_workload() did not throw";
   } catch (const ModelError& e) {
     const Diagnostic& first = bad.diagnostics[0];
-    EXPECT_EQ(std::string(e.what()), first.subject + ": " + first.message);
+    EXPECT_EQ(std::string(e.what()), first.subject + ": " + std::string(first.message));
   }
 }
 

@@ -298,10 +298,11 @@ TEST(LintGate, ProvedOverflowNeverReachesTheWindowsStage) {
   }
 }
 
-/// Sum of the windows stage's "from_lint" counters recorded so far.
-std::int64_t count_from_lint(const Trace& trace) {
+/// Sum of one stage's "from_lint" counters recorded so far.
+std::int64_t count_from_lint(const Trace& trace, Stage stage = Stage::kWindows) {
   std::int64_t from_lint = 0;
   for (const TraceSpan& span : trace.spans()) {
+    if (span.name != stage_name(stage)) continue;
     for (const TraceCounter& c : span.counters) {
       if (c.name == "from_lint") from_lint += c.value;
     }
@@ -331,6 +332,10 @@ TEST(LintGate, FreshLintHandsItsWindowsToTheWindowsStage) {
           << "seed " << seed;
       const bool same_oracle = (cfg.model == SystemModel::Dedicated) == cfg.platform;
       EXPECT_EQ(count_from_lint(trace), same_oracle ? 1 : 0) << "seed " << seed;
+      // The lint's partitions of those windows come with them.
+      EXPECT_EQ(count_from_lint(trace, Stage::kPartitions), same_oracle ? 1 : 0)
+          << "seed " << seed;
+      EXPECT_EQ(gated.partitions, cold.partitions) << "seed " << seed;
 
       // Session leg: a query after a timing delta lints fresh too -- its
       // lint dumps bit-identically to a cold lint of the mutated model, and

@@ -119,7 +119,7 @@ FileLint lint_text(const std::string& text, const LintOptions& options, Trace* t
     // drop the now-redundant prefix from the message.
     if (int line = 0; std::sscanf(e.what(), "line %d:", &line) == 1) {
       d.line = line;
-      if (const char* colon = std::strchr(e.what(), ':')) d.message = colon + 2;
+      if (const char* colon = std::strchr(e.what(), ':')) d.message = std::string(colon + 2);
     }
     sink.emit(std::move(d));
     return out;

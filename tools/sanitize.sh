@@ -21,14 +21,21 @@ cmake -B "$BUILD_DIR" -S . -DRTLB_SANITIZE=address,undefined -DRTLB_SESSION_VERI
   -DRTLB_WINDOWS_REFERENCE=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
-# Hostile inputs: every bad-corpus instance must end in a documented
-# rtlb_check --emit status (0, 1 or 2) with no sanitizer report.
-for f in examples/instances/bad/*.rtlb; do
+# Hostile inputs: every bad-corpus instance must end in a documented status
+# (0, 1 or 2) with no sanitizer report, through rtlb_check --emit and through
+# rtlb_lint in both output formats (diagnostics view registry text, so a view
+# that outlives its text shows here).
+hostile() {
   rc=0
-  "$BUILD_DIR/tools/rtlb_check" --emit "$f" > /dev/null 2> "$BUILD_DIR/emit.err" || rc=$?
-  if [ "$rc" -gt 2 ] || grep -q "runtime error\|Sanitizer" "$BUILD_DIR/emit.err"; then
-    echo "sanitize.sh: rtlb_check --emit $f exited $rc" >&2
-    cat "$BUILD_DIR/emit.err" >&2
+  "$@" > /dev/null 2> "$BUILD_DIR/hostile.err" || rc=$?
+  if [ "$rc" -gt 2 ] || grep -q "runtime error\|Sanitizer" "$BUILD_DIR/hostile.err"; then
+    echo "sanitize.sh: $* exited $rc" >&2
+    cat "$BUILD_DIR/hostile.err" >&2
     exit 1
   fi
+}
+for f in examples/instances/bad/*.rtlb; do
+  hostile "$BUILD_DIR/tools/rtlb_check" --emit "$f"
+  hostile "$BUILD_DIR/tools/rtlb_lint" --format=json "$f"
+  hostile "$BUILD_DIR/tools/rtlb_lint" --format=text "$f"
 done
