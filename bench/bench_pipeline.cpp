@@ -20,6 +20,11 @@
 // reported a negative tracing overhead (-0.62%). Interleaving puts drift on
 // both sides equally; medians discard the outlier iterations entirely.
 //
+// (c) what does text cost around the pipeline? Parsing the instance file,
+//     and dumping the JSON report and the certificate of a certified
+//     dedicated-model query with its lint findings (the rtlb_check --emit
+//     shape), each timed alone over the same number of reps.
+//
 // Results go to BENCH_pipeline.json (benchutil::export_json), including
 // hardware_concurrency and a "degraded" flag that is true when the run asked
 // for more workers than the machine has -- numbers from such a run measure
@@ -42,7 +47,10 @@
 #include "bench_util.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/report.hpp"
+#include "src/model/io.hpp"
 #include "src/obs/trace.hpp"
+#include "src/verify/certificate.hpp"
 #include "src/workload/taskset_gen.hpp"
 
 using namespace rtlb;
@@ -113,6 +121,24 @@ void run_report() {
     for (const auto& [name, ms] : rep_totals) stage_samples[name].push_back(ms);
   }
 
+  const std::string text = serialize_instance(*inst.app, inst.platform);
+  AnalysisOptions emit_options = options;
+  emit_options.model = SystemModel::Dedicated;
+  emit_options.lint_level = LintLevel::kReport;
+  emit_options.emit_certificates = true;
+  emit_options.check_certificates = true;
+  const AnalysisResult emitted = run_pipeline(*inst.app, emit_options, &inst.platform);
+  std::vector<double> parse_samples, report_samples, certificate_samples;
+  for (int i = 0; i < reps; ++i) {
+    parse_samples.push_back(time_once_ms([&] {
+      benchmark::DoNotOptimize(parse_instance_string(text, ParseOptions{.validate = false}));
+    }));
+    report_samples.push_back(
+        time_once_ms([&] { benchmark::DoNotOptimize(report_json(*inst.app, emitted).dump()); }));
+    certificate_samples.push_back(time_once_ms(
+        [&] { benchmark::DoNotOptimize(certificate_json(*emitted.certificate).dump()); }));
+  }
+
   const double untraced_ms = median(untraced_samples);
   const double traced_ms = median(traced_samples);
   const double overhead_pct =
@@ -131,8 +157,11 @@ void run_report() {
   }
   std::printf("== per-stage pipeline profile (%zu tasks, %d interleaved reps) ==\n%s\n",
               static_cast<std::size_t>(params.num_tasks), reps, t.to_string().c_str());
-  std::printf("untraced %.3f ms, traced %.3f ms (overhead %.2f%%, medians)\n\n",
+  std::printf("untraced %.3f ms, traced %.3f ms (overhead %.2f%%, medians)\n",
               untraced_ms, traced_ms, overhead_pct);
+  std::printf("text I/O: parse %.3f ms, report_json %.3f ms, certificate_json %.3f ms "
+              "(medians)\n\n",
+              median(parse_samples), median(report_samples), median(certificate_samples));
   benchutil::export_csv(t, "bench_pipeline_stages");
 
   Json root = Json::object();
@@ -150,6 +179,10 @@ void run_report() {
   root.set("untraced_ms", untraced_ms);
   root.set("traced_ms", traced_ms);
   root.set("trace_overhead_percent", overhead_pct);
+  root.set("text_io_ms", Json::object()
+                             .set("parse", median(parse_samples))
+                             .set("report_json", median(report_samples))
+                             .set("certificate_json", median(certificate_samples)));
   root.set("reps", static_cast<std::int64_t>(reps));
   root.set("hardware_concurrency", static_cast<std::int64_t>(hw));
   root.set("degraded", degraded);

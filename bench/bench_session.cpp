@@ -214,7 +214,7 @@ void run_report() {
   root.set("laxity_sweep", sweep_json(laxity_t));
   root.set("menu_sweep", sweep_json(menu_t));
   root.set("speedup", delta_t.speedup());
-  root.set("session_stats", session_stats_json(delta_stats));
+  root.set("session_stats", Json::parse(session_stats_json(delta_stats).dump()));
   root.set("reps", static_cast<std::int64_t>(reps))
       .set("hardware_concurrency", static_cast<std::int64_t>(hw))
       .set("degraded", degraded);

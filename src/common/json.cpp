@@ -1,10 +1,12 @@
 #include "src/common/json.hpp"
 
+#include <array>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "src/common/types.hpp"
 
@@ -29,78 +31,151 @@ Json& Json::push(Json value) & {
   return *this;
 }
 
-void Json::escape_to(std::string& out, std::string_view s) {
-  out += '"';
-  std::size_t run = 0;  // start of the pending run of bytes that need no escape
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s, run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:  // the other control characters, as \u00XX
-        out += c < 0x10 ? "\\u000" : "\\u001";
-        out += "0123456789abcdef"[c & 0xf];
-    }
-  }
-  out.append(s, run, s.size() - run);
-  out += '"';
+void JsonWriter::newline(int level) {
+  if (indent_ > 0) out_.append(1, '\n').append(static_cast<std::size_t>(indent_ * level), ' ');
 }
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  const auto newline = [&](int level) {  // pretty-printing only
-    if (indent > 0) out.append(1, '\n').append(static_cast<std::size_t>(indent * level), ' ');
-  };
-
-  if (std::holds_alternative<std::nullptr_t>(value_)) {
-    out += "null";
-  } else if (const bool* b = std::get_if<bool>(&value_)) {
-    out += *b ? "true" : "false";
-  } else if (const std::int64_t* n = std::get_if<std::int64_t>(&value_)) {
-    char buf[24];
-    out.append(buf, std::to_chars(buf, buf + sizeof buf, *n).ptr);
-  } else if (const double* d = std::get_if<double>(&value_)) {
-    if (std::isfinite(*d)) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.10g", *d);
-      out += buf;
-    } else {
-      out += "null";  // JSON has no Inf/NaN
-    }
-  } else if (const std::string* s = std::get_if<std::string>(&value_)) {
-    escape_to(out, *s);
-  } else if (const Members* m = std::get_if<Members>(&value_)) {
-    out += '{';
-    for (std::size_t i = 0; i < m->size(); ++i) {
-      if (i > 0) out += ',';
-      newline(depth + 1);
-      escape_to(out, (*m)[i].first);
-      out += indent > 0 ? ": " : ":";
-      (*m)[i].second.dump_to(out, indent, depth + 1);
-    }
-    if (!m->empty()) newline(depth);
-    out += '}';
-  } else if (const Elements* e = std::get_if<Elements>(&value_)) {
-    out += '[';
-    for (std::size_t i = 0; i < e->size(); ++i) {
-      if (i > 0) out += ',';
-      newline(depth + 1);
-      (*e)[i].dump_to(out, indent, depth + 1);
-    }
-    if (!e->empty()) newline(depth);
-    out += ']';
+void JsonWriter::next_item() {
+  if (after_key_) {  // the value of a key: key() already separated it
+    after_key_ = false;
+    return;
   }
+  if (depth_ == 0) return;
+  if (!first_) out_ += ',';
+  first_ = false;
+  newline(depth_);
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  next_item();
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  RTLB_CHECK(depth_ > 0 && !after_key_, "JsonWriter: unbalanced close");
+  --depth_;
+  if (!first_) newline(depth_);
+  out_ += bracket;
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  RTLB_CHECK(depth_ > 0 && !after_key_, "JsonWriter: key outside an object");
+  next_item();
+  quote(name);
+  out_ += indent_ > 0 ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::nullptr_t) {
+  next_item();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  next_item();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::int64_t n) {
+  next_item();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, n).ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  if (!std::isfinite(d)) return value(nullptr);  // JSON has no Inf/NaN
+  next_item();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.10g", d);
+  out_ += buf;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  next_item();
+  quote(s);
+  return *this;
+}
+
+namespace {
+
+/// The bytes a JSON string literal cannot hold raw: '"', '\\' and the
+/// control characters.
+constexpr auto kEscaped = [] {
+  std::array<bool, 256> escaped{};
+  for (int c = 0; c < 0x20; ++c) escaped[c] = true;
+  escaped['"'] = escaped['\\'] = true;
+  return escaped;
+}();
+
+}  // namespace
+
+void JsonWriter::quote(std::string_view s) {
+  out_ += '"';
+  const char* run = s.data();  // start of the pending run of bytes that need no escape
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (!kEscaped[c]) continue;
+    out_.append(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      default:  // the other control characters, as \u00XX
+        out_ += c < 0x10 ? "\\u000" : "\\u001";
+        out_ += "0123456789abcdef"[c & 0xf];
+    }
+  }
+  out_.append(run, static_cast<std::size_t>(end - run));
+  out_ += '"';
+}
+
+JsonWriter& JsonWriter::value(const Json& doc) {
+  std::visit(
+      [this](const auto& v) {
+        using V = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<V, Json::Members>) {
+          begin_object();
+          for (const auto& [k, member] : v) key(k).value(member);
+          end_object();
+        } else if constexpr (std::is_same_v<V, Json::Elements>) {
+          begin_array();
+          for (const Json& element : v) value(element);
+          end_array();
+        } else {
+          value(v);
+        }
+      },
+      doc.value_);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const JsonRender& doc) {
+  doc.write_(*this);
+  return *this;
+}
+
+std::string JsonRender::dump(int indent) const {
+  JsonWriter w(indent);
+  write_(w);
+  return w.take();
 }
 
 std::string Json::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
+  return JsonWriter(indent).value(*this).take();
 }
 
 bool Json::as_bool() const {

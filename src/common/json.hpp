@@ -1,9 +1,16 @@
-// Minimal JSON document model: a write-side builder and a hardened parser.
+// JSON text: one streaming writer and a document model with a hardened
+// parser.
 //
-// Just enough for machine-readable analysis reports and the certificate
-// files of src/verify: objects, arrays, strings (escaped), integers,
-// doubles, booleans. Problem instances still travel in the text format of
-// src/model/io.hpp; JSON input exists for certificates only.
+// JsonWriter is the ONE serializer: it appends compact or pretty-printed
+// text to a single std::string, and it alone escapes strings and formats
+// numbers. The large documents (analysis reports, certificates, lint
+// findings, traces, fleet reports) are written through it straight from
+// their data and handed out as a JsonRender, whose dump(indent) runs the
+// writer. Json is the document model for READING (certificates, scenario
+// specs, shard reports) and for the small documents callers assemble
+// (bench records, scenario specs); Json::dump renders through the same
+// writer, so both paths emit the same bytes. Problem instances travel in
+// the text format of src/model/io.hpp.
 //
 // set()/push() have `&&` overloads, so a chain on a temporary moves into its
 // parent: `arr.push(Json::object().set("k", 1))` never copies a subtree.
@@ -17,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -37,6 +45,84 @@ struct JsonParseOptions {
   /// recursive-descent parser uses one stack frame per level, so the cap is
   /// what makes deeply nested hostile input fail cleanly.
   std::size_t max_depth = 64;
+};
+
+class Json;
+class JsonRender;
+
+/// Streaming JSON serializer over one std::string. `indent` 0 writes compact
+/// text; `indent` > 0 puts each member and element on its own line, indented
+/// by `indent` spaces per level, with ": " after keys -- exactly the bytes
+/// Json::dump(indent) has always produced.
+///
+/// Calls must form one well-nested value: inside an object, key() precedes
+/// every value; separators and line breaks are the writer's job.
+class JsonWriter {
+ public:
+  explicit JsonWriter(int indent = 0) : indent_(indent) {}
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+
+  /// Object member name; the next call writes its value.
+  JsonWriter& key(std::string_view name);
+
+  JsonWriter& value(std::nullptr_t);
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::int64_t n);
+  JsonWriter& value(int n) { return value(static_cast<std::int64_t>(n)); }
+  /// `%.10g`; NaN and infinities are written as null (JSON has neither).
+  JsonWriter& value(double d);
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(const std::string& s) { return value(std::string_view(s)); }
+  /// A document-model subtree.
+  JsonWriter& value(const Json& doc);
+  /// Another producer's document, written in place.
+  JsonWriter& value(const JsonRender& doc);
+
+  /// key(name) then value(v).
+  template <typename T>
+  JsonWriter& field(std::string_view name, const T& v) {
+    key(name);
+    return value(v);
+  }
+
+  /// The text written so far (the whole document once it is closed).
+  std::string take() { return std::move(out_); }
+
+ private:
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  /// Separator and line break owed before the next member or element.
+  void next_item();
+  void newline(int level);
+  /// `s` as a JSON string literal: the one place strings are escaped.
+  void quote(std::string_view s);
+
+  std::string out_;
+  int indent_;
+  int depth_ = 0;
+  bool first_ = true;      ///< no item written yet in the innermost container
+  bool after_key_ = false;  ///< the next value belongs to a written key
+};
+
+/// A document rendered on demand: producers of large documents return one
+/// instead of a Json tree, and dump() writes their data straight to text.
+/// The handle refers to the producer's arguments, so render it while they
+/// live -- typically in the same expression: `report_json(app, r).dump(2)`.
+class JsonRender {
+ public:
+  explicit JsonRender(std::function<void(JsonWriter&)> write) : write_(std::move(write)) {}
+
+  /// The document's text; `indent` > 0 pretty-prints, as Json::dump.
+  std::string dump(int indent = 0) const;
+
+ private:
+  friend class JsonWriter;
+  std::function<void(JsonWriter&)> write_;
 };
 
 class Json {
@@ -96,7 +182,7 @@ class Json {
   /// Object member access by position (insertion order). Only valid on objects.
   const std::pair<std::string, Json>& member(std::size_t i) const;
 
-  /// Serialize; `indent` > 0 pretty-prints.
+  /// Serialize through JsonWriter; `indent` > 0 pretty-prints.
   std::string dump(int indent = 0) const;
 
   /// Parse a complete JSON document. Throws JsonParseError on malformed
@@ -104,10 +190,9 @@ class Json {
   static Json parse(std::string_view text, const JsonParseOptions& options = {});
 
  private:
+  friend class JsonWriter;
   using Members = std::vector<std::pair<std::string, Json>>;
   using Elements = std::vector<Json>;
-  void dump_to(std::string& out, int indent, int depth) const;
-  static void escape_to(std::string& out, std::string_view s);
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Members, Elements>
       value_;

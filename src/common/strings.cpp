@@ -1,15 +1,21 @@
 #include "src/common/strings.hpp"
 
-#include <cctype>
 #include <charconv>
 
 #include "src/common/types.hpp"
 
 namespace rtlb {
 
+namespace {
+
+/// std::isspace in the "C" locale (the program never sets another), inline.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -19,15 +25,19 @@ std::vector<std::string> split_ws(std::string_view s) {
   return {views.begin(), views.end()};
 }
 
+std::string_view next_token(std::string_view& s) {
+  std::size_t i = 0;
+  while (i < s.size() && is_space(s[i])) ++i;
+  const std::size_t start = i;
+  while (i < s.size() && !is_space(s[i])) ++i;
+  const std::string_view token = s.substr(start, i - start);
+  s.remove_prefix(i);
+  return token;
+}
+
 void split_ws_views(std::string_view s, std::vector<std::string_view>& out) {
   out.clear();
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
+  for (std::string_view t = next_token(s); !t.empty(); t = next_token(s)) out.push_back(t);
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -25,6 +25,10 @@ void for_each_field(std::string_view s, char delim, const F& f) {
 /// Split on arbitrary whitespace runs; empty fields are dropped.
 std::vector<std::string> split_ws(std::string_view s);
 
+/// The first whitespace-separated token of `s` (empty when there is none);
+/// `s` is advanced past it.
+std::string_view next_token(std::string_view& s);
+
 /// split_ws into views of `s`, reusing `out`'s storage: no allocation once
 /// `out` has grown (the instance parser tokenizes every line this way).
 void split_ws_views(std::string_view s, std::vector<std::string_view>& out);

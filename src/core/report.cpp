@@ -6,171 +6,166 @@ namespace rtlb {
 
 namespace {
 
-Json task_name_array(const Application& app, const std::vector<TaskId>& ids) {
-  Json arr = Json::array();
-  for (TaskId t : ids) arr.push(app.task(t).name);
-  return arr;
+void task_names(JsonWriter& w, const Application& app, const std::vector<TaskId>& ids) {
+  w.begin_array();
+  for (TaskId t : ids) w.value(app.task(t).name);
+  w.end_array();
 }
 
-}  // namespace
-
-Json report_json(const Application& app, const AnalysisResult& result) {
+/// The report's members, in an object left open for the caller's own tail.
+void write_report(JsonWriter& w, const Application& app, const AnalysisResult& result) {
   const ResourceCatalog& cat = app.catalog();
-  Json root = Json::object();
-
-  Json tasks = Json::array();
+  w.begin_object().key("tasks").begin_array();
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
     const Task& t = app.task(i);
-    Json item = Json::object();
-    item.set("name", t.name)
-        .set("comp", t.comp)
-        .set("release", t.release)
-        .set("deadline", t.deadline)
-        .set("proc", cat.name(t.proc))
-        .set("preemptive", t.preemptive)
-        .set("est", result.windows.est[i])
-        .set("lct", result.windows.lct[i])
-        .set("merged_pred", task_name_array(app, result.windows.merged_pred[i]))
-        .set("merged_succ", task_name_array(app, result.windows.merged_succ[i]));
-    Json res = Json::array();
-    for (ResourceId r : t.resources) res.push(cat.name(r));
-    item.set("resources", std::move(res));
-    tasks.push(std::move(item));
+    w.begin_object()
+        .field("name", t.name)
+        .field("comp", t.comp)
+        .field("release", t.release)
+        .field("deadline", t.deadline)
+        .field("proc", cat.name(t.proc))
+        .field("preemptive", t.preemptive)
+        .field("est", result.windows.est[i])
+        .field("lct", result.windows.lct[i])
+        .key("merged_pred");
+    task_names(w, app, result.windows.merged_pred[i]);
+    task_names(w.key("merged_succ"), app, result.windows.merged_succ[i]);
+    w.key("resources").begin_array();
+    for (ResourceId r : t.resources) w.value(cat.name(r));
+    w.end_array().end_object();
   }
-  root.set("tasks", std::move(tasks));
+  w.end_array();
 
-  Json partitions = Json::array();
+  w.key("partitions").begin_array();
   for (const ResourcePartition& p : result.partitions) {
-    Json entry = Json::object();
-    entry.set("resource", cat.name(p.resource));
-    Json blocks = Json::array();
+    w.begin_object().field("resource", cat.name(p.resource)).key("blocks").begin_array();
     for (const PartitionBlock& b : p.blocks) {
-      Json block = Json::object();
-      block.set("start", b.start)
-          .set("finish", b.finish)
-          .set("tasks", task_name_array(app, b.tasks));
-      blocks.push(std::move(block));
+      w.begin_object().field("start", b.start).field("finish", b.finish).key("tasks");
+      task_names(w, app, b.tasks);
+      w.end_object();
     }
-    entry.set("blocks", std::move(blocks));
-    partitions.push(std::move(entry));
+    w.end_array().end_object();
   }
-  root.set("partitions", std::move(partitions));
+  w.end_array();
 
-  Json bounds = Json::array();
+  w.key("bounds").begin_array();
   for (const ResourceBound& b : result.bounds) {
-    Json entry = Json::object();
-    entry.set("resource", cat.name(b.resource))
-        .set("bound", b.bound)
-        .set("peak_density_num", b.peak_density.num)
-        .set("peak_density_den", b.peak_density.den)
-        .set("witness_t1", b.witness_t1)
-        .set("witness_t2", b.witness_t2)
-        .set("witness_demand", b.witness_demand)
-        .set("intervals_evaluated", static_cast<std::int64_t>(b.intervals_evaluated));
-    bounds.push(std::move(entry));
+    w.begin_object()
+        .field("resource", cat.name(b.resource))
+        .field("bound", b.bound)
+        .field("peak_density_num", b.peak_density.num)
+        .field("peak_density_den", b.peak_density.den)
+        .field("witness_t1", b.witness_t1)
+        .field("witness_t2", b.witness_t2)
+        .field("witness_demand", b.witness_demand)
+        .field("intervals_evaluated", static_cast<std::int64_t>(b.intervals_evaluated))
+        .end_object();
   }
-  root.set("bounds", std::move(bounds));
+  w.end_array();
 
-  Json engine = Json::object();
-  engine.set("use_partitioning", result.lb_options.use_partitioning)
-      .set("num_threads", result.lb_options.num_threads)
-      .set("enable_pruning", result.lb_options.enable_pruning);
-  root.set("lower_bound_engine", std::move(engine));
+  w.key("lower_bound_engine")
+      .begin_object()
+      .field("use_partitioning", result.lb_options.use_partitioning)
+      .field("num_threads", result.lb_options.num_threads)
+      .field("enable_pruning", result.lb_options.enable_pruning)
+      .end_object();
 
-  Json shared = Json::object();
-  shared.set("total", result.shared_cost.total);
-  Json terms = Json::array();
+  w.key("shared_cost").begin_object().field("total", result.shared_cost.total);
+  w.key("terms").begin_array();
   for (const SharedCostBound::Term& term : result.shared_cost.terms) {
-    Json entry = Json::object();
-    entry.set("resource", cat.name(term.resource))
-        .set("units", term.units)
-        .set("unit_cost", term.unit_cost);
-    terms.push(std::move(entry));
+    w.begin_object()
+        .field("resource", cat.name(term.resource))
+        .field("units", term.units)
+        .field("unit_cost", term.unit_cost)
+        .end_object();
   }
-  shared.set("terms", std::move(terms));
-  root.set("shared_cost", std::move(shared));
+  w.end_array().end_object();
 
   if (result.dedicated_cost) {
-    Json ded = Json::object();
-    ded.set("feasible", result.dedicated_cost->feasible)
-        .set("total", result.dedicated_cost->total)
-        .set("relaxation", result.dedicated_cost->relaxation)
-        .set("ilp_nodes", result.dedicated_cost->ilp_nodes);
-    Json counts = Json::array();
-    for (std::int64_t c : result.dedicated_cost->node_counts) counts.push(c);
-    ded.set("node_counts", std::move(counts));
-    root.set("dedicated_cost", std::move(ded));
+    w.key("dedicated_cost")
+        .begin_object()
+        .field("feasible", result.dedicated_cost->feasible)
+        .field("total", result.dedicated_cost->total)
+        .field("relaxation", result.dedicated_cost->relaxation)
+        .field("ilp_nodes", result.dedicated_cost->ilp_nodes)
+        .key("node_counts")
+        .begin_array();
+    for (std::int64_t c : result.dedicated_cost->node_counts) w.value(c);
+    w.end_array().end_object();
   }
 
-  if (result.lint) root.set("lint", lint_json(*result.lint));
+  if (result.lint) w.field("lint", lint_json(*result.lint));
 
   // Certificate verdict: "emitted" whenever the layer ran; "valid" only when
   // the independent checker re-judged the result (an invalid verdict never
   // reaches a report -- analyze() throws instead -- so false here can only
   // come from a caller running the checker by hand on a foreign result).
   if (result.certificate) {
-    Json cert = Json::object();
-    cert.set("emitted", true);
+    w.key("certificate").begin_object().field("emitted", true);
     if (result.certificate_check) {
-      cert.set("checked", true).set("valid", result.certificate_check->valid);
-      Json failures = Json::array();
+      w.field("checked", true).field("valid", result.certificate_check->valid);
+      w.key("failures").begin_array();
       for (const CheckFailure& f : result.certificate_check->failures) {
-        failures.push(Json::object()
-                          .set("stage", f.stage)
-                          .set("rule", f.rule)
-                          .set("subject", f.subject)
-                          .set("detail", f.detail));
+        w.begin_object()
+            .field("stage", f.stage)
+            .field("rule", f.rule)
+            .field("subject", f.subject)
+            .field("detail", f.detail)
+            .end_object();
       }
-      cert.set("failures", std::move(failures));
+      w.end_array();
     } else {
-      cert.set("checked", false);
+      w.field("checked", false);
     }
-    root.set("certificate", std::move(cert));
+    w.end_object();
   }
 
-  root.set("infeasible", result.infeasible(app));
-  return root;
+  w.field("infeasible", result.infeasible(app));
 }
 
-Json report_json(const Application& app, const AnalysisResult& result,
-                 const Trace* trace) {
-  Json root = report_json(app, result);
-  if (trace != nullptr) root.set("timing", trace->json());
-  return root;
+}  // namespace
+
+JsonRender report_json(const Application& app, const AnalysisResult& result) {
+  return report_json(app, result, nullptr);
+}
+
+JsonRender report_json(const Application& app, const AnalysisResult& result,
+                       const Trace* trace) {
+  return JsonRender([&app, &result, trace](JsonWriter& w) {
+    write_report(w, app, result);
+    if (trace != nullptr) w.field("timing", trace->json());
+    w.end_object();
+  });
 }
 
 std::string report_string(const Application& app, const AnalysisResult& result) {
   return report_json(app, result).dump(2);
 }
 
-Json session_stats_json(const SessionStats& stats) {
-  Json out = Json::object();
-  out.set("queries", static_cast<std::int64_t>(stats.queries))
-      .set("query_hits", static_cast<std::int64_t>(stats.query_hits))
-      .set("gate_runs", static_cast<std::int64_t>(stats.gate_runs))
-      .set("lint_pass_hits", static_cast<std::int64_t>(stats.lint_pass_hits))
-      .set("lint_pass_misses", static_cast<std::int64_t>(stats.lint_pass_misses))
-      .set("window_hits", static_cast<std::int64_t>(stats.window_hits))
-      .set("window_misses", static_cast<std::int64_t>(stats.window_misses))
-      .set("partition_hits", static_cast<std::int64_t>(stats.partition_hits))
-      .set("partition_misses", static_cast<std::int64_t>(stats.partition_misses))
-      .set("bound_hits", static_cast<std::int64_t>(stats.bound_hits))
-      .set("bound_misses", static_cast<std::int64_t>(stats.bound_misses))
-      .set("block_hits", static_cast<std::int64_t>(stats.block_hits))
-      .set("block_misses", static_cast<std::int64_t>(stats.block_misses))
-      .set("joint_hits", static_cast<std::int64_t>(stats.joint_hits))
-      .set("joint_misses", static_cast<std::int64_t>(stats.joint_misses))
-      .set("cost_hits", static_cast<std::int64_t>(stats.cost_hits))
-      .set("cost_misses", static_cast<std::int64_t>(stats.cost_misses))
-      .set("verified", static_cast<std::int64_t>(stats.verified));
-  return out;
+JsonRender session_stats_json(const SessionStats& stats) {
+  return JsonRender([stats](JsonWriter& w) {
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"queries", stats.queries}, {"query_hits", stats.query_hits},
+        {"gate_runs", stats.gate_runs}, {"lint_pass_hits", stats.lint_pass_hits},
+        {"lint_pass_misses", stats.lint_pass_misses}, {"window_hits", stats.window_hits},
+        {"window_misses", stats.window_misses}, {"partition_hits", stats.partition_hits},
+        {"partition_misses", stats.partition_misses}, {"bound_hits", stats.bound_hits},
+        {"bound_misses", stats.bound_misses}, {"block_hits", stats.block_hits},
+        {"block_misses", stats.block_misses}, {"joint_hits", stats.joint_hits},
+        {"joint_misses", stats.joint_misses}, {"cost_hits", stats.cost_hits},
+        {"cost_misses", stats.cost_misses}, {"verified", stats.verified}};
+    w.begin_object();
+    for (const auto& [name, value] : counters) w.field(name, static_cast<std::int64_t>(value));
+    w.end_object();
+  });
 }
 
-Json report_json(AnalysisSession& session) {
+JsonRender report_json(AnalysisSession& session) {
   const AnalysisResult& result = session.analyze();
-  Json root = report_json(session.app(), result);
-  root.set("session", session_stats_json(session.stats()));
-  return root;
+  return JsonRender([&app = session.app(), &result, stats = session.stats()](JsonWriter& w) {
+    write_report(w, app, result);
+    w.field("session", session_stats_json(stats)).end_object();
+  });
 }
 
 }  // namespace rtlb

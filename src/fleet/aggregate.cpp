@@ -54,14 +54,12 @@ std::uint64_t Histogram::total() const {
   return t;
 }
 
-Json Histogram::to_json() const {
-  Json e = Json::array();
-  for (std::int64_t x : edges) e.push(x);
-  Json c = Json::array();
-  for (std::uint64_t x : counts) c.push(static_cast<std::int64_t>(x));
-  Json doc = Json::object();
-  doc.set("edges_per_mille", std::move(e)).set("counts", std::move(c));
-  return doc;
+void Histogram::write_json(JsonWriter& w) const {
+  w.begin_object().key("edges_per_mille").begin_array();
+  for (std::int64_t x : edges) w.value(x);
+  w.end_array().key("counts").begin_array();
+  for (std::uint64_t x : counts) w.value(static_cast<std::int64_t>(x));
+  w.end_array().end_object();
 }
 
 Histogram Histogram::from_json(const Json& doc) {
@@ -87,17 +85,17 @@ Histogram make_tightness_histogram() {
   return Histogram({1001, 1100, 1250, 1500, 2000, 3000, 5000, 10000});
 }
 
-Json DivergenceRecord::to_json() const {
-  Json doc = Json::object();
-  doc.set("global_index", static_cast<std::int64_t>(global_index))
-      .set("cell_index", static_cast<std::int64_t>(cell_index))
-      .set("instance_index", static_cast<std::int64_t>(instance_index))
-      .set("seed", static_cast<std::int64_t>(seed))
-      .set("cell", cell)
-      .set("oracle", oracle)
-      .set("detail", detail)
-      .set("reproducer", reproducer);
-  return doc;
+void DivergenceRecord::write_json(JsonWriter& w) const {
+  w.begin_object()
+      .field("global_index", static_cast<std::int64_t>(global_index))
+      .field("cell_index", static_cast<std::int64_t>(cell_index))
+      .field("instance_index", static_cast<std::int64_t>(instance_index))
+      .field("seed", static_cast<std::int64_t>(seed))
+      .field("cell", cell)
+      .field("oracle", oracle)
+      .field("detail", detail)
+      .field("reproducer", reproducer)
+      .end_object();
 }
 
 DivergenceRecord DivergenceRecord::from_json(const Json& doc) {
@@ -129,28 +127,27 @@ void CellAggregate::merge(const CellAggregate& other) {
   tightness.merge(other.tightness);
 }
 
-Json CellAggregate::to_json() const {
-  Json doc = Json::object();
-  doc.set("cell", label)
-      .set("instances", static_cast<std::int64_t>(instances))
-      .set("lint_errors", static_cast<std::int64_t>(lint_errors))
-      .set("lint_warnings", static_cast<std::int64_t>(lint_warnings))
-      .set("lint_notes", static_cast<std::int64_t>(lint_notes))
-      .set("lint_clean_instances", static_cast<std::int64_t>(lint_clean_instances))
-      .set("infeasible_instances", static_cast<std::int64_t>(infeasible_instances))
-      .set("resources_measured", static_cast<std::int64_t>(resources_measured))
-      .set("tightness_per_mille_sum", tightness_per_mille_sum)
-      .set("bound_sum", bound_sum)
-      .set("divergences", static_cast<std::int64_t>(divergences))
-      .set("check_failures", static_cast<std::int64_t>(check_failures))
-      .set("tightness", tightness.to_json());
+void CellAggregate::write_json(JsonWriter& w) const {
+  w.begin_object()
+      .field("cell", label)
+      .field("instances", static_cast<std::int64_t>(instances))
+      .field("lint_errors", static_cast<std::int64_t>(lint_errors))
+      .field("lint_warnings", static_cast<std::int64_t>(lint_warnings))
+      .field("lint_notes", static_cast<std::int64_t>(lint_notes))
+      .field("lint_clean_instances", static_cast<std::int64_t>(lint_clean_instances))
+      .field("infeasible_instances", static_cast<std::int64_t>(infeasible_instances))
+      .field("resources_measured", static_cast<std::int64_t>(resources_measured))
+      .field("tightness_per_mille_sum", tightness_per_mille_sum)
+      .field("bound_sum", bound_sum)
+      .field("divergences", static_cast<std::int64_t>(divergences))
+      .field("check_failures", static_cast<std::int64_t>(check_failures));
+  tightness.write_json(w.key("tightness"));
   // Derived, for readers only (never parsed back): mean tightness ratio.
   if (resources_measured > 0) {
-    doc.set("mean_tightness",
-            static_cast<double>(tightness_per_mille_sum) /
-                (1000.0 * static_cast<double>(resources_measured)));
+    w.field("mean_tightness", static_cast<double>(tightness_per_mille_sum) /
+                                  (1000.0 * static_cast<double>(resources_measured)));
   }
-  return doc;
+  w.end_object();
 }
 
 CellAggregate CellAggregate::from_json(const Json& doc) {
@@ -192,25 +189,25 @@ void FleetAggregates::merge(const FleetAggregates& other) {
   divergences.insert(divergences.end(), other.divergences.begin(), other.divergences.end());
 }
 
-Json FleetAggregates::to_json() const {
-  Json cells_j = Json::array();
-  for (const CellAggregate& c : cells) cells_j.push(c.to_json());
-
-  std::vector<DivergenceRecord> sorted = divergences;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const DivergenceRecord& a, const DivergenceRecord& b) {
-              return a.global_index < b.global_index;
-            });
-  Json div_j = Json::array();
-  for (const DivergenceRecord& r : sorted) div_j.push(r.to_json());
-
-  Json doc = Json::object();
-  doc.set("instances", static_cast<std::int64_t>(instances))
-      .set("analyses", static_cast<std::int64_t>(analyses))
-      .set("divergence_count", static_cast<std::int64_t>(sorted.size()))
-      .set("cells", std::move(cells_j))
-      .set("divergences", std::move(div_j));
-  return doc;
+JsonRender FleetAggregates::to_json() const {
+  return JsonRender([this](JsonWriter& w) {
+    std::vector<const DivergenceRecord*> sorted;
+    for (const DivergenceRecord& r : divergences) sorted.push_back(&r);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const DivergenceRecord* a, const DivergenceRecord* b) {
+                return a->global_index < b->global_index;
+              });
+    w.begin_object()
+        .field("instances", static_cast<std::int64_t>(instances))
+        .field("analyses", static_cast<std::int64_t>(analyses))
+        .field("divergence_count", static_cast<std::int64_t>(sorted.size()))
+        .key("cells")
+        .begin_array();
+    for (const CellAggregate& c : cells) c.write_json(w);
+    w.end_array().key("divergences").begin_array();
+    for (const DivergenceRecord* r : sorted) r->write_json(w);
+    w.end_array().end_object();
+  });
 }
 
 FleetAggregates FleetAggregates::from_json(const Json& doc) {

@@ -32,7 +32,7 @@ struct Histogram {
   void merge(const Histogram& other);  // RTLB_CHECKs equal edges
   std::uint64_t total() const;
 
-  Json to_json() const;
+  void write_json(JsonWriter& w) const;
   static Histogram from_json(const Json& doc);
 };
 
@@ -54,7 +54,7 @@ struct DivergenceRecord {
   std::string detail;
   std::string reproducer;  ///< path of the minimized .rtlb, when written
 
-  Json to_json() const;
+  void write_json(JsonWriter& w) const;
   static DivergenceRecord from_json(const Json& doc);
 };
 
@@ -76,7 +76,7 @@ struct CellAggregate {
   Histogram tightness = make_tightness_histogram();
 
   void merge(const CellAggregate& other);
-  Json to_json() const;
+  void write_json(JsonWriter& w) const;
   static CellAggregate from_json(const Json& doc);
 };
 
@@ -95,7 +95,8 @@ struct FleetAggregates {
   /// Exact serialization (checkpoint + shard exchange + final report). The
   /// derived convenience fields ("mean_tightness") are emitted for readers
   /// but recomputed, never parsed back.
-  Json to_json() const;
+  /// Renders these aggregates by reference.
+  JsonRender to_json() const;
   static FleetAggregates from_json(const Json& doc);
 };
 

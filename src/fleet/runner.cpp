@@ -327,14 +327,16 @@ struct Checkpoint {
 
 std::string checkpoint_text(const ScenarioSpec& spec, const FleetOptions& opts,
                             std::uint64_t owned_done, const FleetAggregates& agg) {
-  Json doc = Json::object();
-  doc.set("fleet_checkpoint", kCheckpointVersion)
-      .set("fingerprint", static_cast<std::int64_t>(spec.fingerprint()))
-      .set("shards", opts.shards)
-      .set("shard", opts.shard)
-      .set("owned_done", static_cast<std::int64_t>(owned_done))
-      .set("aggregates", agg.to_json());
-  return doc.dump(2) + "\n";
+  JsonWriter w(2);
+  w.begin_object()
+      .field("fleet_checkpoint", kCheckpointVersion)
+      .field("fingerprint", static_cast<std::int64_t>(spec.fingerprint()))
+      .field("shards", opts.shards)
+      .field("shard", opts.shard)
+      .field("owned_done", static_cast<std::int64_t>(owned_done))
+      .field("aggregates", agg.to_json())
+      .end_object();
+  return w.take() + "\n";
 }
 
 Checkpoint load_checkpoint(const std::string& text, const ScenarioSpec& spec,
@@ -493,21 +495,23 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
   return run;
 }
 
-Json fleet_report_json(const ScenarioSpec& spec, const FleetAggregates& aggregates,
-                       int shards, int shard, bool complete) {
-  Json doc = Json::object();
-  doc.set("fleet", spec.name)
-      .set("fingerprint", static_cast<std::int64_t>(spec.fingerprint()))
-      .set("shards", shards)
-      .set("shard", shard)
-      .set("complete", complete)
-      .set("total_instances", static_cast<std::int64_t>(spec.total_instances()))
-      .set("spec", spec.to_json())
-      .set("aggregates", aggregates.to_json());
-  return doc;
+JsonRender fleet_report_json(const ScenarioSpec& spec, const FleetAggregates& aggregates,
+                             int shards, int shard, bool complete) {
+  return JsonRender([&spec, &aggregates, shards, shard, complete](JsonWriter& w) {
+    w.begin_object()
+        .field("fleet", spec.name)
+        .field("fingerprint", static_cast<std::int64_t>(spec.fingerprint()))
+        .field("shards", shards)
+        .field("shard", shard)
+        .field("complete", complete)
+        .field("total_instances", static_cast<std::int64_t>(spec.total_instances()))
+        .field("spec", spec.to_json())
+        .field("aggregates", aggregates.to_json())
+        .end_object();
+  });
 }
 
-Json merge_fleet_reports(const std::vector<Json>& shard_reports) {
+MergedFleet merge_fleet_reports(const std::vector<Json>& shard_reports) {
   if (shard_reports.empty()) throw ModelError("fleet merge: no shard reports");
   const Json* spec_doc = shard_reports.front().find("spec");
   if (spec_doc == nullptr) throw ModelError("fleet merge: report missing 'spec'");
@@ -543,13 +547,13 @@ Json merge_fleet_reports(const std::vector<Json>& shard_reports) {
     by_shard[static_cast<std::size_t>(s)] = &report;
   }
 
-  FleetAggregates merged = FleetAggregates::for_spec(spec);
+  MergedFleet merged{spec, FleetAggregates::for_spec(spec)};
   for (const Json* report : by_shard) {
     const Json* agg = report->find("aggregates");
     if (agg == nullptr) throw ModelError("fleet merge: report missing 'aggregates'");
-    merged.merge(FleetAggregates::from_json(*agg));
+    merged.aggregates.merge(FleetAggregates::from_json(*agg));
   }
-  return fleet_report_json(spec, merged, 1, 0, true);
+  return merged;
 }
 
 }  // namespace rtlb

@@ -15,6 +15,16 @@ void Dag::grow_to(std::size_t n) {
   }
 }
 
+void Dag::reserve(std::size_t n) {
+  succ_.reserve(n);
+  pred_.reserve(n);
+}
+
+void Dag::reserve_edges(std::uint32_t v, std::size_t out, std::size_t in) {
+  succ_[v].reserve(out);
+  pred_[v].reserve(in);
+}
+
 void Dag::add_edge(std::uint32_t u, std::uint32_t v) {
   RTLB_CHECK(u < succ_.size() && v < succ_.size(), "edge endpoint out of range");
   if (u == v) throw ModelError("self-loop on vertex " + std::to_string(u));

@@ -37,6 +37,10 @@ class Dag {
   /// Add vertices so that the graph has at least `n` of them.
   void grow_to(std::size_t n);
 
+  /// Capacity for `n` vertices, and for `out`/`in` edges at vertex v.
+  void reserve(std::size_t n);
+  void reserve_edges(std::uint32_t v, std::size_t out, std::size_t in);
+
   /// Add edge u -> v. Duplicate edges and self-loops are rejected.
   void add_edge(std::uint32_t u, std::uint32_t v);
 

@@ -136,36 +136,38 @@ std::string format_lint_text(const LintResult& result, const std::string& filena
   return out.str();
 }
 
-Json lint_json(const LintResult& result) {
-  Json root = Json::object();
-  root.set("errors", result.errors)
-      .set("warnings", result.warnings)
-      .set("notes", result.notes)
-      .set("truncated", result.truncated);
-  Json diags = Json::array();
-  for (const Diagnostic& d : result.diagnostics) {
-    Json entry = Json::object();
-    entry.set("code", std::string(d.code))
-        .set("severity", severity_name(d.severity))
-        .set("subject", d.subject)
-        .set("message", std::string(d.message))
-        .set("hint", std::string(d.hint))
-        .set("line", d.line);
-    if (!d.fixes.empty()) {
-      Json fixes = Json::array();
-      for (const FixEdit& e : d.fixes) {
-        Json fix = Json::object();
-        fix.set("line", e.line)
-            .set("kind", e.kind == FixEdit::Kind::kDeleteLine ? "delete" : "replace")
-            .set("text", e.text);
-        fixes.push(std::move(fix));
+JsonRender lint_json(const LintResult& result) {
+  return JsonRender([&result](JsonWriter& w) {
+    w.begin_object()
+        .field("errors", result.errors)
+        .field("warnings", result.warnings)
+        .field("notes", result.notes)
+        .field("truncated", result.truncated)
+        .key("diagnostics")
+        .begin_array();
+    for (const Diagnostic& d : result.diagnostics) {
+      w.begin_object()
+          .field("code", d.code)
+          .field("severity", severity_name(d.severity))
+          .field("subject", d.subject)
+          .field("message", d.message.view())
+          .field("hint", d.hint)
+          .field("line", d.line);
+      if (!d.fixes.empty()) {
+        w.key("fixes").begin_array();
+        for (const FixEdit& e : d.fixes) {
+          w.begin_object()
+              .field("line", e.line)
+              .field("kind", e.kind == FixEdit::Kind::kDeleteLine ? "delete" : "replace")
+              .field("text", e.text)
+              .end_object();
+        }
+        w.end_array();
       }
-      entry.set("fixes", std::move(fixes));
+      w.end_object();
     }
-    diags.push(std::move(entry));
-  }
-  root.set("diagnostics", std::move(diags));
-  return root;
+    w.end_array().end_object();
+  });
 }
 
 }  // namespace rtlb

@@ -173,6 +173,6 @@ std::string format_lint_text(const LintResult& result, const std::string& filena
 /// "severity", "subject", "message", "hint", "line"}]}. Diagnostics carrying
 /// machine-applicable repairs additionally get "fixes": [{"line", "kind",
 /// "text"}].
-Json lint_json(const LintResult& result);
+JsonRender lint_json(const LintResult& result);
 
 }  // namespace rtlb

@@ -26,6 +26,17 @@ void Application::add_edge(TaskId from, TaskId to, Time msg_size) {
   msg_[to].push_back(msg_size);
 }
 
+void Application::reserve(std::size_t tasks) {
+  tasks_.reserve(tasks);
+  dag_.reserve(tasks);
+  msg_.reserve(tasks);
+}
+
+void Application::reserve_edges(TaskId i, std::size_t succ, std::size_t pred) {
+  dag_.reserve_edges(i, succ, pred);
+  msg_[i].reserve(succ + pred);
+}
+
 namespace {
 
 /// Position of `x` in an adjacency list; list.size() when absent.

@@ -27,6 +27,11 @@ class Application {
   /// processors/nodes).
   void add_edge(TaskId from, TaskId to, Time msg_size);
 
+  /// Capacity for `tasks` tasks, and for task i's `succ` successor and
+  /// `pred` predecessor edges (a parser that counted them first).
+  void reserve(std::size_t tasks);
+  void reserve_edges(TaskId i, std::size_t succ, std::size_t pred);
+
   std::size_t num_tasks() const { return tasks_.size(); }
   const Task& task(TaskId i) const { return tasks_[i]; }
   Task& task(TaskId i) { return tasks_[i]; }

@@ -18,10 +18,10 @@ void accumulate(std::vector<TraceCounter>& counters, std::string_view name,
   counters.push_back(TraceCounter{std::string(name), delta});
 }
 
-Json counters_json(const std::vector<TraceCounter>& counters) {
-  Json obj = Json::object();
-  for (const TraceCounter& c : counters) obj.set(c.name, c.value);
-  return obj;
+void write_counters(JsonWriter& w, const std::vector<TraceCounter>& counters) {
+  w.begin_object();
+  for (const TraceCounter& c : counters) w.field(c.name, c.value);
+  w.end_object();
 }
 
 }  // namespace
@@ -65,52 +65,52 @@ void Trace::clear() {
   root_counters_.clear();
 }
 
-Json Trace::json() const {
-  Json root = Json::object();
-  Json spans = Json::array();
-  for (const TraceSpan& s : spans_) {
-    // Same endpoint-derived rounding as chrome_json(), so nesting stays
-    // exact in the integer microseconds consumers see.
-    const std::int64_t start = static_cast<std::int64_t>(s.start_ns / 1000);
-    const std::int64_t end = static_cast<std::int64_t>((s.start_ns + s.dur_ns) / 1000);
-    Json entry = Json::object();
-    entry.set("name", s.name)
-        .set("start_us", start)
-        .set("dur_us", end - start)
-        .set("parent", s.parent);
-    if (!s.counters.empty()) entry.set("counters", counters_json(s.counters));
-    spans.push(std::move(entry));
-  }
-  root.set("spans", std::move(spans));
-  root.set("counters", counters_json(root_counters_));
-  return root;
+JsonRender Trace::json() const {
+  return JsonRender([this](JsonWriter& w) {
+    w.begin_object().key("spans").begin_array();
+    for (const TraceSpan& s : spans_) {
+      // Same endpoint-derived rounding as chrome_json(), so nesting stays
+      // exact in the integer microseconds consumers see.
+      const std::int64_t start = static_cast<std::int64_t>(s.start_ns / 1000);
+      const std::int64_t end = static_cast<std::int64_t>((s.start_ns + s.dur_ns) / 1000);
+      w.begin_object()
+          .field("name", s.name)
+          .field("start_us", start)
+          .field("dur_us", end - start)
+          .field("parent", s.parent);
+      if (!s.counters.empty()) write_counters(w.key("counters"), s.counters);
+      w.end_object();
+    }
+    w.end_array();
+    write_counters(w.key("counters"), root_counters_);
+    w.end_object();
+  });
 }
 
-Json Trace::chrome_json() const {
-  Json events = Json::array();
-  for (const TraceSpan& s : spans_) {
-    // ts and dur are truncated to whole microseconds; deriving dur from the
-    // truncated ENDPOINTS (rather than truncating dur_ns itself) keeps
-    // nesting exact after rounding -- a child that closed before its parent
-    // in nanoseconds can never overshoot the parent's envelope in the
-    // emitted integers (tools/trace_validate checks this).
-    const std::int64_t ts = static_cast<std::int64_t>(s.start_ns / 1000);
-    const std::int64_t end = static_cast<std::int64_t>((s.start_ns + s.dur_ns) / 1000);
-    Json event = Json::object();
-    event.set("name", s.name)
-        .set("cat", "rtlb")
-        .set("ph", "X")
-        .set("ts", ts)
-        .set("dur", end - ts)
-        .set("pid", 1)
-        .set("tid", 1);
-    if (!s.counters.empty()) event.set("args", counters_json(s.counters));
-    events.push(std::move(event));
-  }
-  Json root = Json::object();
-  root.set("traceEvents", std::move(events));
-  root.set("displayTimeUnit", "ms");
-  return root;
+JsonRender Trace::chrome_json() const {
+  return JsonRender([this](JsonWriter& w) {
+    w.begin_object().key("traceEvents").begin_array();
+    for (const TraceSpan& s : spans_) {
+      // ts and dur are truncated to whole microseconds; deriving dur from the
+      // truncated ENDPOINTS (rather than truncating dur_ns itself) keeps
+      // nesting exact after rounding -- a child that closed before its parent
+      // in nanoseconds can never overshoot the parent's envelope in the
+      // emitted integers (tools/trace_validate checks this).
+      const std::int64_t ts = static_cast<std::int64_t>(s.start_ns / 1000);
+      const std::int64_t end = static_cast<std::int64_t>((s.start_ns + s.dur_ns) / 1000);
+      w.begin_object()
+          .field("name", s.name)
+          .field("cat", "rtlb")
+          .field("ph", "X")
+          .field("ts", ts)
+          .field("dur", end - ts)
+          .field("pid", 1)
+          .field("tid", 1);
+      if (!s.counters.empty()) write_counters(w.key("args"), s.counters);
+      w.end_object();
+    }
+    w.end_array().field("displayTimeUnit", "ms").end_object();
+  });
 }
 
 }  // namespace rtlb

@@ -76,12 +76,12 @@ class Trace {
 
   /// Stable schema: {"spans": [{"name", "start_us", "dur_us", "parent",
   /// "counters": {..}}], "counters": {..}}. Timestamps in integer
-  /// microseconds.
-  Json json() const;
+  /// microseconds. Renders this trace by reference.
+  JsonRender json() const;
 
   /// Chrome trace-event format: {"traceEvents": [{"name", "cat", "ph": "X",
   /// "ts", "dur", "pid", "tid", "args": {..}}], "displayTimeUnit": "ms"}.
-  Json chrome_json() const;
+  JsonRender chrome_json() const;
 
  private:
   std::uint64_t now_ns() const;

@@ -7,25 +7,22 @@ namespace rtlb {
 
 namespace {
 
-Json task_list_json(const std::vector<TaskId>& tasks) {
-  Json arr = Json::array();
-  for (TaskId t : tasks) arr.push(static_cast<std::int64_t>(t));
-  return arr;
+void task_list(JsonWriter& w, const std::vector<TaskId>& tasks) {
+  w.begin_array();
+  for (TaskId t : tasks) w.value(static_cast<std::int64_t>(t));
+  w.end_array();
 }
 
-Json witness_json(const IntervalWitness& w) {
-  Json obj = Json::object();
-  obj.set("t1", w.t1);
-  obj.set("t2", w.t2);
-  obj.set("demand", w.demand);
-  Json terms = Json::array();
-  for (const PsiTerm& term : w.terms) {
-    terms.push(Json::object()
-                   .set("task", static_cast<std::int64_t>(term.task))
-                   .set("psi", term.psi));
+void witness(JsonWriter& w, const IntervalWitness& iw) {
+  w.begin_object().field("t1", iw.t1).field("t2", iw.t2).field("demand", iw.demand);
+  w.key("terms").begin_array();
+  for (const PsiTerm& term : iw.terms) {
+    w.begin_object()
+        .field("task", static_cast<std::int64_t>(term.task))
+        .field("psi", term.psi)
+        .end_object();
   }
-  obj.set("terms", std::move(terms));
-  return obj;
+  w.end_array().end_object();
 }
 
 // ---- parse helpers -------------------------------------------------------
@@ -109,107 +106,104 @@ IntervalWitness parse_witness(const Json& obj, const std::string& where) {
   return w;
 }
 
-}  // namespace
+void write_certificate(JsonWriter& w, const Certificate& cert) {
+  w.begin_object()
+      .field("version", cert.version)
+      .field("model", cert.dedicated ? "dedicated" : "shared")
+      .field("num_tasks", static_cast<std::int64_t>(cert.num_tasks));
 
-Json certificate_json(const Certificate& cert) {
-  Json doc = Json::object();
-  doc.set("version", static_cast<std::int64_t>(cert.version));
-  doc.set("model", cert.dedicated ? "dedicated" : "shared");
-  doc.set("num_tasks", static_cast<std::int64_t>(cert.num_tasks));
-
-  Json windows = Json::array();
-  for (const WindowFact& w : cert.windows) {
-    windows.push(Json::object()
-                     .set("task", static_cast<std::int64_t>(w.task))
-                     .set("est", w.est)
-                     .set("lct", w.lct)
-                     .set("merged_pred", task_list_json(w.merged_pred))
-                     .set("merged_succ", task_list_json(w.merged_succ)));
+  w.key("windows").begin_array();
+  for (const WindowFact& f : cert.windows) {
+    w.begin_object()
+        .field("task", static_cast<std::int64_t>(f.task))
+        .field("est", f.est)
+        .field("lct", f.lct)
+        .key("merged_pred");
+    task_list(w, f.merged_pred);
+    task_list(w.key("merged_succ"), f.merged_succ);
+    w.end_object();
   }
-  doc.set("windows", std::move(windows));
+  w.end_array();
 
-  Json partitions = Json::array();
+  w.key("partitions").begin_array();
   for (const PartitionCert& p : cert.partitions) {
-    Json blocks = Json::array();
-    for (const std::vector<TaskId>& b : p.blocks) blocks.push(task_list_json(b));
-    Json separations = Json::array();
-    for (const SeparationFact& s : p.separations) {
-      separations.push(Json::object()
-                           .set("earlier_finish", s.earlier_finish)
-                           .set("later_start", s.later_start));
+    w.begin_object().field("resource", static_cast<std::int64_t>(p.resource));
+    w.key("blocks").begin_array();
+    for (const std::vector<TaskId>& b : p.blocks) task_list(w, b);
+    w.end_array().key("separations").begin_array();
+    for (const SeparationFact& f : p.separations) {
+      w.begin_object()
+          .field("earlier_finish", f.earlier_finish)
+          .field("later_start", f.later_start)
+          .end_object();
     }
-    partitions.push(Json::object()
-                        .set("resource", static_cast<std::int64_t>(p.resource))
-                        .set("blocks", std::move(blocks))
-                        .set("separations", std::move(separations)));
+    w.end_array().end_object();
   }
-  doc.set("partitions", std::move(partitions));
+  w.end_array();
 
-  Json bounds = Json::array();
+  w.key("bounds").begin_array();
   for (const BoundCert& b : cert.bounds) {
-    Json obj = Json::object();
-    obj.set("resource", static_cast<std::int64_t>(b.resource));
-    obj.set("bound", b.bound);
-    if (b.witness) obj.set("witness", witness_json(*b.witness));
-    bounds.push(std::move(obj));
+    w.begin_object().field("resource", static_cast<std::int64_t>(b.resource));
+    w.field("bound", b.bound);
+    if (b.witness) witness(w.key("witness"), *b.witness);
+    w.end_object();
   }
-  doc.set("bounds", std::move(bounds));
+  w.end_array();
 
   if (cert.has_joint) {
-    Json joint = Json::array();
+    w.key("joint").begin_array();
     for (const JointCert& j : cert.joint) {
-      Json obj = Json::object();
-      obj.set("a", static_cast<std::int64_t>(j.a));
-      obj.set("b", static_cast<std::int64_t>(j.b));
-      obj.set("bound", j.bound);
-      if (j.witness) obj.set("witness", witness_json(*j.witness));
-      joint.push(std::move(obj));
+      w.begin_object()
+          .field("a", static_cast<std::int64_t>(j.a))
+          .field("b", static_cast<std::int64_t>(j.b))
+          .field("bound", j.bound);
+      if (j.witness) witness(w.key("witness"), *j.witness);
+      w.end_object();
     }
-    doc.set("joint", std::move(joint));
+    w.end_array();
   }
 
-  Json shared = Json::object();
-  shared.set("total", cert.shared_cost.total);
-  Json terms = Json::array();
+  w.key("shared_cost").begin_object().field("total", cert.shared_cost.total);
+  w.key("terms").begin_array();
   for (const SharedCostTerm& t : cert.shared_cost.terms) {
-    terms.push(Json::object()
-                   .set("resource", static_cast<std::int64_t>(t.resource))
-                   .set("units", t.units)
-                   .set("unit_cost", t.unit_cost));
+    w.begin_object()
+        .field("resource", static_cast<std::int64_t>(t.resource))
+        .field("units", t.units)
+        .field("unit_cost", t.unit_cost)
+        .end_object();
   }
-  shared.set("terms", std::move(terms));
-  doc.set("shared_cost", std::move(shared));
+  w.end_array().end_object();
 
   if (cert.dedicated_cost) {
     const DedicatedCostCert& d = *cert.dedicated_cost;
-    Json obj = Json::object();
-    obj.set("feasible", d.feasible);
+    w.key("dedicated_cost").begin_object().field("feasible", d.feasible);
     if (!d.feasible) {
-      obj.set("infeasible_reason", d.infeasible_reason);
+      w.field("infeasible_reason", d.infeasible_reason);
       if (d.detail_task != kInvalidTask) {
-        obj.set("detail_task", static_cast<std::int64_t>(d.detail_task));
+        w.field("detail_task", static_cast<std::int64_t>(d.detail_task));
       }
       if (d.detail_resource != kInvalidResource) {
-        obj.set("detail_resource", static_cast<std::int64_t>(d.detail_resource));
+        w.field("detail_resource", static_cast<std::int64_t>(d.detail_resource));
       }
       if (d.detail_resource_b != kInvalidResource) {
-        obj.set("detail_resource_b", static_cast<std::int64_t>(d.detail_resource_b));
+        w.field("detail_resource_b", static_cast<std::int64_t>(d.detail_resource_b));
       }
     } else {
-      obj.set("total", d.total);
-      Json counts = Json::array();
-      for (std::int64_t x : d.node_counts) counts.push(x);
-      obj.set("node_counts", std::move(counts));
-      obj.set("relaxation", d.relaxation);
-      Json dual = Json::array();
-      for (double y : d.dual) dual.push(y);
-      obj.set("dual", std::move(dual));
-      obj.set("joint_rows", d.joint_rows);
+      w.field("total", d.total).key("node_counts").begin_array();
+      for (std::int64_t x : d.node_counts) w.value(x);
+      w.end_array().field("relaxation", d.relaxation).key("dual").begin_array();
+      for (double y : d.dual) w.value(y);
+      w.end_array().field("joint_rows", d.joint_rows);
     }
-    doc.set("dedicated_cost", std::move(obj));
+    w.end_object();
   }
+  w.end_object();
+}
 
-  return doc;
+}  // namespace
+
+JsonRender certificate_json(const Certificate& cert) {
+  return JsonRender([&cert](JsonWriter& w) { write_certificate(w, cert); });
 }
 
 Certificate parse_certificate(const Json& doc) {

@@ -188,8 +188,9 @@ struct Certificate {
   bool operator==(const Certificate&) const = default;
 };
 
-/// Serialize to the on-disk JSON layout (see docs/CERTIFICATES.md).
-Json certificate_json(const Certificate& cert);
+/// Serialize to the on-disk JSON layout (see docs/CERTIFICATES.md). Renders
+/// `cert` by reference: dump it while `cert` lives.
+JsonRender certificate_json(const Certificate& cert);
 
 /// Rebuild a Certificate from parsed JSON. Throws CertificateFormatError on
 /// any structural problem (wrong types, missing fields, unknown version,

@@ -326,7 +326,9 @@ class Checker {
   }
 
   void check_windows() {
-    if (cert_.dedicated) {
+    // The dedicated merge test and the Eq. 7.2 hosting rows read these
+    // (check_meta guarantees a platform for either).
+    if (cert_.dedicated || cert_.dedicated_cost) {
       mask_words_ = platform_->mask_words();
       for (TaskId i = 0; i < app_.num_tasks(); ++i) {
         const std::vector<std::uint64_t> mask =
@@ -625,18 +627,22 @@ class Checker {
         rows.push_back(std::move(row));
       }
     }
-    std::vector<std::vector<std::size_t>> seen;
+    // eta_i is task i's host-mask row; tasks with equal rows share one.
+    std::vector<const std::uint64_t*> seen;
     for (TaskId i = 0; i < app_.num_tasks(); ++i) {
-      std::vector<std::size_t> eta = platform_->hosts_for(app_.task(i));
-      if (eta.empty()) return std::nullopt;
-      if (std::find(seen.begin(), seen.end(), eta) != seen.end()) continue;
+      const std::uint64_t* eta = host_masks_.data() + i * mask_words_;
+      if (std::all_of(eta, eta + mask_words_, [](std::uint64_t w) { return w == 0; })) {
+        return std::nullopt;
+      }
+      const auto same = [&](const std::uint64_t* s) { return std::equal(s, s + mask_words_, eta); };
+      if (std::ranges::any_of(seen, same)) continue;
       Row row;
       row.coeffs.assign(num_types, 0);
-      for (std::size_t n : eta) row.coeffs[n] = 1;
+      for (std::size_t n = 0; n < num_types; ++n) row.coeffs[n] = (eta[n / 64] >> (n % 64)) & 1;
       row.rhs = 1;
       row.label = "hosting row for " + task_name(i);
       rows.push_back(std::move(row));
-      seen.push_back(std::move(eta));
+      seen.push_back(eta);
     }
     return rows;
   }

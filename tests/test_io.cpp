@@ -197,6 +197,73 @@ TEST(Io, StreamAndStringParsersReportTheSameErrorLine) {
   EXPECT_EQ(parse_both(head + "# c\r\nedge a zz msg 1\r\n"), "error: line 8: unknown task 'zz'");
 }
 
+/// One input per error site of the instance parser, with the exact text it
+/// raises. Each input is the four-line header plus one bad line 5 (or the
+/// lines noted), so every text also pins the line number.
+TEST(Io, EveryParserErrorSiteIsPinned) {
+  const std::string head =
+      "proctype P cost 1\nresource r cost 1\n"
+      "task a comp 1 deadline 5 proc P\ntask b comp 1 deadline 5 proc P\n";
+  const std::string tr = "transaction T period 10\nttask T x comp 1 proc P\n";  // lines 5-6
+  const std::pair<std::string, std::string> cases[] = {
+      {"resource\n", "line 5: resource needs a name"},
+      {"proctype\n", "line 5: proctype needs a name"},
+      {"resource q price 1\n", "line 5: unknown key 'price'"},
+      {"resource q cost\n", "line 5: dangling key 'cost'"},
+      {"task\n", "line 5: task needs a name"},
+      {"task c comp 1 speed 2 proc P\n", "line 5: unknown key 'speed'"},
+      {"task c comp 1 deadline 5\n", "line 5: task 'c' missing proc"},
+      {"task c comp 1 deadline 5 proc Q\n", "line 5: unknown resource/processor 'Q'"},
+      {"task c comp 1 deadline 5 proc P res r,s\n", "line 5: unknown resource/processor 's'"},
+      {"task a comp 1 deadline 5 proc P\n", "line 5: duplicate task 'a'"},
+      {"edge a\n", "line 5: edge needs two task names"},
+      {"edge z b msg 1\n", "line 5: unknown task 'z'"},
+      {"edge a z msg 1\n", "line 5: unknown task 'z'"},
+      {"edge a b size 1\n", "line 5: unknown key 'size'"},
+      {"edge a b msg 1\nedge a b msg 2\n", "line 6: duplicate edge 0->1"},
+      {"edge a a msg 1\n", "line 5: self-loop on vertex 0"},
+      {"edge a b msg -1\n", "line 5: negative message size"},
+      {"node\n", "line 5: node needs a name"},
+      {"node N cost 1 proc P res r:1:2\n", "line 5: bad res spec 'r:1:2'"},
+      {"node N cost 1 proc P res s:1\n", "line 5: unknown resource/processor 's'"},
+      {"node N cost 1 proc Q\n", "line 5: unknown resource/processor 'Q'"},
+      {"node N cost 1 proc P cores 2\n", "line 5: unknown key 'cores'"},
+      {"node N cost 1\n", "line 5: node 'N' missing proc"},
+      {"transaction\n", "line 5: transaction needs a name"},
+      {"sporadic\n", "line 5: sporadic needs a name"},
+      {"transaction T period 1\ntransaction T period 2\n", "line 6: duplicate transaction 'T'"},
+      {"transaction T period 1 horizon 9\n", "line 5: unknown key 'horizon'"},
+      {"transaction T offset 1\n", "line 5: transaction 'T' missing period"},
+      {"sporadic S period 5\n", "line 5: unknown key 'period'"},
+      {"sporadic S horizon 5\n", "line 5: sporadic 'S' missing mininter"},
+      {"ttask T\n", "line 5: ttask needs a transaction and a name"},
+      {"ttask U x comp 1 proc P\n", "line 5: unknown transaction 'U'"},
+      {tr + "ttask T x comp 1 proc P\n", "line 7: duplicate ttask 'x'"},
+      {tr + "ttask T y comp 1 period 2 proc P\n", "line 7: unknown key 'period'"},
+      {tr + "ttask T y comp 1 proc Q\n", "line 7: unknown resource/processor 'Q'"},
+      {tr + "ttask T y comp 1\n", "line 7: ttask 'y' missing proc"},
+      {tr + "tedge T x\n", "line 7: tedge needs a transaction and two ttask names"},
+      {tr + "tedge U x x\n", "line 7: unknown transaction 'U'"},
+      {tr + "tedge T x y\n", "line 7: unknown ttask 'y' in transaction 'T'"},
+      {tr + "tedge T w x\n", "line 7: unknown ttask 'w' in transaction 'T'"},
+      {tr + "ttask T y comp 1 proc P\ntedge T x y delay 1\n", "line 8: unknown key 'delay'"},
+      {"processor X\n", "line 5: unknown directive 'processor'"},
+      // Integers that do not parse carry no line number (parse_int's text).
+      {"task c comp x deadline 5 proc P\n", "expected integer for comp, got 'x'"},
+      {"node N cost 1 proc P res r:two\n", "expected integer for units, got 'two'"},
+      // The first error in line order wins, whatever its kind.
+      {"edge a z msg 1\nresource\n", "line 5: unknown task 'z'"},
+      {"bogus\nedge a z msg 1\n", "line 5: unknown directive 'bogus'"},
+      {"edge a c msg 1\ntask c comp 1 deadline 5 proc P\n", "line 5: unknown task 'c'"},
+      // Within a line, keys resolve before the duplicate-name check.
+      {"task c comp 1 deadline 5 proc P\ntask c comp 1 deadline 5 proc Q\n",
+       "line 6: unknown resource/processor 'Q'"},
+  };
+  for (const auto& [tail, want] : cases) {
+    EXPECT_EQ(parse_both(head + tail), "error: " + want) << tail;
+  }
+}
+
 TEST(Io, RejectsUnknownDirective) {
   EXPECT_THROW(parse_instance_string("frobnicate x\n"), ModelError);
 }

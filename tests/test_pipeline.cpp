@@ -162,7 +162,7 @@ TEST(TraceSchema, SpansNestAndSumToPipelineWallTime) {
   EXPECT_LE(child_sum, spans[0].dur_ns);
 
   // Exported forms preserve the envelope in integer microseconds.
-  const Json chrome = trace.chrome_json();
+  const Json chrome = Json::parse(trace.chrome_json().dump());
   const Json* events = chrome.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
@@ -414,7 +414,7 @@ TEST(SessionStats, PerStageCountersSurfaceInJsonAndStayConsistent) {
   EXPECT_EQ(stats.cost_hits + stats.cost_misses, stats.queries - stats.query_hits);
   EXPECT_EQ(stats.verified, stats.queries - stats.query_hits);
 
-  const Json json = session_stats_json(stats);
+  const Json json = Json::parse(session_stats_json(stats).dump());
   for (const char* key :
        {"queries", "query_hits", "gate_runs", "lint_pass_hits", "lint_pass_misses",
         "window_hits", "window_misses",

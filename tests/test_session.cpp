@@ -14,6 +14,7 @@
 #include "src/core/report.hpp"
 #include "src/core/session.hpp"
 #include "src/model/io.hpp"
+#include "src/obs/trace.hpp"
 #include "src/workload/paper_example.hpp"
 #include "src/workload/taskset_gen.hpp"
 #include "src/workload/workload.hpp"
@@ -211,6 +212,40 @@ TEST(SessionStatsTest, PreemptiveDeltaRecomputesWindowsAndReplaysPartitions) {
   EXPECT_EQ(after.bound_misses, before.bound_misses + 1);
   EXPECT_GT(after.block_hits, before.block_hits);
   EXPECT_TRUE(warm == analyze(session.app()));
+}
+
+TEST(SessionStatsTest, LintedQueryWithUnchangedWindowsReplaysTheLintPartitions) {
+  // A kReport session lints every query, and the lint partitions the windows
+  // it computed. When those windows equal the previous query's, kPartitions
+  // takes the lint's partitions (equal to the previous ones) and still counts
+  // the query as a partition replay.
+  ProblemInstance inst = paper_example();
+  AnalysisOptions options;
+  options.lint_level = LintLevel::kReport;
+  Trace trace;
+  options.trace = &trace;
+  AnalysisSession session(*inst.app, options);
+  session.set_verify(true);
+  const std::vector<ResourcePartition> first = session.analyze().partitions;
+  const SessionStats before = session.stats();
+  session.set_preemptive(0, !session.app().task(0).preemptive);
+  trace.clear();
+  const AnalysisResult& warm = session.analyze();
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.window_misses, before.window_misses + 1);
+  EXPECT_EQ(after.partition_hits, before.partition_hits + 1);
+  EXPECT_EQ(after.partition_misses, before.partition_misses);
+  const auto span_counter = [&](const char* span, std::size_t k) {
+    const auto it = std::ranges::find(trace.spans(), std::string(span), &TraceSpan::name);
+    return it == trace.spans().end() || it->counters.size() <= k ? "" : it->counters[k].name;
+  };
+  EXPECT_EQ(span_counter("windows", 0), "from_lint");  // the lint's windows, partitioned
+  EXPECT_EQ(span_counter("partitions", 0), "reused");
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(warm.partitions, first);
+  AnalysisOptions cold = options;
+  cold.trace = nullptr;
+  EXPECT_EQ(warm.partitions, analyze(session.app(), cold).partitions);
 }
 
 TEST(SessionStatsTest, DedicatedIlpReusedOnBoundPlateau) {

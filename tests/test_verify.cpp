@@ -73,7 +73,7 @@ TEST(CertifyPaper, ReportSurfacesTheVerdict) {
   ProblemInstance inst = paper_example();
   const AnalysisResult checked =
       analyze(*inst.app, checked_options(SystemModel::Dedicated), &inst.platform);
-  const Json report = report_json(*inst.app, checked);
+  const Json report = Json::parse(report_json(*inst.app, checked).dump());
   const Json* cert = report.find("certificate");
   ASSERT_NE(cert, nullptr);
   EXPECT_TRUE(cert->find("emitted")->as_bool());
@@ -83,7 +83,7 @@ TEST(CertifyPaper, ReportSurfacesTheVerdict) {
 
   // With the feature off the key is absent and the report is unchanged.
   const AnalysisResult plain = analyze(*inst.app, {}, &inst.platform);
-  EXPECT_EQ(report_json(*inst.app, plain).find("certificate"), nullptr);
+  EXPECT_EQ(Json::parse(report_json(*inst.app, plain).dump()).find("certificate"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -93,12 +93,12 @@ TEST(CertifyRoundTrip, PaperCertificateSurvivesJson) {
   ProblemInstance inst = paper_example();
   const AnalysisResult result =
       analyze(*inst.app, checked_options(SystemModel::Dedicated, true), &inst.platform);
-  const Json doc = certificate_json(*result.certificate);
-  const Certificate reparsed = parse_certificate_text(doc.dump(2));
+  const std::string text = certificate_json(*result.certificate).dump(2);
+  const Certificate reparsed = parse_certificate_text(text);
   const CheckReport report = check_certificate(reparsed, *inst.app, &inst.platform);
   EXPECT_TRUE(report.valid) << report.summary();
   // Serialization is deterministic and lossless at the JSON level.
-  EXPECT_EQ(certificate_json(reparsed).dump(2), doc.dump(2));
+  EXPECT_EQ(certificate_json(reparsed).dump(2), text);
 }
 
 TEST(CertifyRoundTrip, GeneratedWorkloadsSurviveJson) {
@@ -376,23 +376,36 @@ TEST_F(CertifyMutations, DedicatedCost) {
 // Structural rejection happens at parse time (exit 2 territory for the CLI),
 // before the checker ever sees values.
 
+TEST(CertifyPaper, SharedClaimWithADedicatedCostSectionIsStillJudged) {
+  // The Eq. 7.2 hosting rows read the checker's host masks, which must then
+  // exist even when the certificate claims the shared model.
+  ProblemInstance inst = paper_example();
+  const AnalysisResult result =
+      analyze(*inst.app, checked_options(SystemModel::Dedicated), &inst.platform);
+  Certificate cert = *result.certificate;
+  cert.dedicated = false;
+  ASSERT_TRUE(cert.dedicated_cost.has_value());
+  const CheckReport report = check_certificate(cert, *inst.app, &inst.platform);
+  EXPECT_TRUE(report.valid) << report.summary();
+}
+
 TEST(CertifyFormat, ParseRejectsStructuralDamage) {
   ProblemInstance inst = paper_example();
   AnalysisOptions options;
   options.model = SystemModel::Dedicated;
   options.emit_certificates = true;
   const AnalysisResult result = analyze(*inst.app, options, &inst.platform);
-  Json doc = certificate_json(*result.certificate);
+  const Json doc = Json::parse(certificate_json(*result.certificate).dump());
 
-  Json bad_version = Json::parse(doc.dump(0));
+  Json bad_version = doc;
   bad_version.set("version", 99);
   EXPECT_THROW(parse_certificate(bad_version), CertificateFormatError);
 
-  Json bad_model = Json::parse(doc.dump(0));
+  Json bad_model = doc;
   bad_model.set("model", "hybrid");
   EXPECT_THROW(parse_certificate(bad_model), CertificateFormatError);
 
-  Json bad_type = Json::parse(doc.dump(0));
+  Json bad_type = doc;
   bad_type.set("num_tasks", "fifteen");
   EXPECT_THROW(parse_certificate(bad_type), CertificateFormatError);
 

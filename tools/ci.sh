@@ -190,9 +190,17 @@ else
   python3 perfbench/smoke.py
 fi
 
-# Committed golden certificate stays in sync with the checker.
+# Committed golden certificate stays in sync with the checker, and a fresh
+# --emit reproduces it byte for byte (this pins the pretty JSON writer).
 "$BUILD_DIR/tools/rtlb_check" examples/instances/paper.rtlb \
   examples/certificates/paper_dedicated.cert.json
+"$BUILD_DIR/tools/rtlb_check" --emit examples/instances/paper.rtlb \
+  > "$BUILD_DIR/paper_dedicated.fresh.cert.json"
+cmp "$BUILD_DIR/paper_dedicated.fresh.cert.json" \
+  examples/certificates/paper_dedicated.cert.json || {
+  echo "ci.sh: rtlb_check --emit no longer reproduces the committed certificate" >&2
+  exit 1
+}
 
 # clang-tidy leg: DEFAULT-ON (the check set in .clang-tidy is part of the
 # gate), with two escape hatches:

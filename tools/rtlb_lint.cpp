@@ -244,7 +244,8 @@ int run(int argc, char** argv) {
   bool io_error = false;
   bool any_error = false;
   std::set<std::string> baseline_out;
-  Json files = Json::array();
+  JsonWriter files(2);
+  files.begin_array();
 
   for (const std::string& path : paths) {
     std::ifstream in(path);
@@ -295,13 +296,11 @@ int run(int argc, char** argv) {
     any_error |= lint_gate_refuses(result, LintLevel::kErrors);
 
     if (format == "json") {
-      Json entry = Json::object();
-      entry.set("file", path).set("lint", lint_json(result));
+      files.begin_object().field("file", path).field("lint", lint_json(result));
       if (fix || fix_dry_run) {
-        entry.set("fixes_applied", static_cast<std::int64_t>(fixes_applied))
-            .set("fixes_skipped", static_cast<std::int64_t>(fixes_skipped));
+        files.field("fixes_applied", fixes_applied).field("fixes_skipped", fixes_skipped);
       }
-      files.push(std::move(entry));
+      files.end_object();
       continue;
     }
     if (paths.size() > 1) std::printf("== %s ==\n", path.c_str());
@@ -331,7 +330,7 @@ int run(int argc, char** argv) {
     return io_error ? 2 : 0;
   }
 
-  if (format == "json") std::printf("%s\n", files.dump(2).c_str());
+  if (format == "json") std::printf("%s\n", files.end_array().take().c_str());
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
     out << trace.chrome_json().dump(2) << "\n";
