@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -349,7 +350,7 @@ ModelError window_out_of_range(const Application& app, TaskId i, const char* sid
 }
 
 TaskWindows compute_windows_impl(const Application& app, const MergeOracle& oracle,
-                                 int num_threads) {
+                                 std::span<const TaskId> topo, int num_threads) {
   const std::size_t n = app.num_tasks();
   TaskWindows w;
   w.est.assign(n, 0);
@@ -357,9 +358,7 @@ TaskWindows compute_windows_impl(const Application& app, const MergeOracle& orac
   w.merged_pred.resize(n);
   w.merged_succ.resize(n);
 
-  const auto topo = app.dag().topological_order();
-  if (!topo) throw ModelError("compute_windows: precedence graph has a cycle");
-
+  RTLB_CHECK(topo.size() == n, "compute_windows: order is not a permutation");
   const FlatModel m = flatten(app);
   const unsigned workers =
       num_threads == 1 ? 1 : ThreadPool::resolve_threads(num_threads);
@@ -377,18 +376,18 @@ TaskWindows compute_windows_impl(const Application& app, const MergeOracle& orac
   if (workers <= 1 || n < 2) {
     SweepScratch scratch;
     scratch.cursor = std::move(oracle.cursors(app, 1).front());
-    for (TaskId i : *topo) run_task(i, false, scratch);
-    for (auto it = topo->rbegin(); it != topo->rend(); ++it) run_task(*it, true, scratch);
+    for (TaskId i : topo) run_task(i, false, scratch);
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) run_task(*it, true, scratch);
   } else {
-    run_rounds(app, oracle, *topo, workers, run_task);
+    run_rounds(app, oracle, topo, workers, run_task);
   }
 
   // The first flagged task in sweep order -- EST side topologically, then
   // LCT side in reverse -- so the error is the same at any thread count.
-  for (TaskId i : *topo) {
+  for (TaskId i : topo) {
     if (est_bad[i]) throw window_out_of_range(app, i, "EST");
   }
-  for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     if (lct_bad[*it]) throw window_out_of_range(app, *it, "LCT");
   }
   return w;
@@ -409,11 +408,18 @@ bool reference_check_enabled() {
 #endif
 }
 
+/// The order the two order-free overloads sweep in.
+std::vector<TaskId> topological_order_of(const Application& app) {
+  std::optional<std::vector<TaskId>> topo = app.dag().topological_order();
+  if (!topo) throw ModelError("compute_windows: precedence graph has a cycle");
+  return std::move(*topo);
+}
+
 }  // namespace
 
 TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
-                            int num_threads) {
-  TaskWindows w = compute_windows_impl(app, oracle, num_threads);
+                            std::span<const TaskId> order, int num_threads) {
+  TaskWindows w = compute_windows_impl(app, oracle, order, num_threads);
   if (reference_check_enabled()) {
     RTLB_CHECK(w == compute_windows_reference(app, oracle),
                "compute_windows diverged from the reference implementation");
@@ -422,11 +428,21 @@ TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
 }
 
 TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
-                            int num_threads) {
+                            std::span<const TaskId> order, int num_threads) {
   if (platform != nullptr) {
-    return compute_windows(app, DedicatedMergeOracle(*platform), num_threads);
+    return compute_windows(app, DedicatedMergeOracle(*platform), order, num_threads);
   }
-  return compute_windows(app, SharedMergeOracle(), num_threads);
+  return compute_windows(app, SharedMergeOracle(), order, num_threads);
+}
+
+TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
+                            int num_threads) {
+  return compute_windows(app, oracle, topological_order_of(app), num_threads);
+}
+
+TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
+                            int num_threads) {
+  return compute_windows(app, platform, topological_order_of(app), num_threads);
 }
 
 }  // namespace rtlb

@@ -96,6 +96,15 @@ TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
 TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
                             int num_threads = 1);
 
+/// Either of the above over `order`, the topological order of app.dag()
+/// that Dag::topological_order() returns, computed once by the caller (the
+/// linter hands its one order to every consumer). The two overloads above
+/// compute it -- throwing ModelError on a cycle -- and delegate here.
+TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
+                            std::span<const TaskId> order, int num_threads = 1);
+TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
+                            std::span<const TaskId> order, int num_threads = 1);
+
 /// The original per-merge-churn implementation, kept verbatim as the
 /// reference for the flattened engine. Test/verification use only (see the
 /// RTLB_WINDOWS_REFERENCE flag above); always serial.

@@ -34,9 +34,10 @@ ResourcePartition partition_tasks(const Application& app, const TaskWindows& win
 
 std::vector<ResourcePartition> partition_all(const Application& app,
                                              const TaskWindows& windows) {
+  std::vector<std::vector<TaskId>> st = app.tasks_by_resource();
   std::vector<ResourcePartition> out;
-  for (ResourceId r : app.resource_set()) {
-    out.push_back(partition_tasks(app, windows, r));
+  for (ResourceId r = 0; r < st.size(); ++r) {
+    if (!st[r].empty()) out.push_back({r, partition_blocks(windows, std::move(st[r]))});
   }
   return out;
 }

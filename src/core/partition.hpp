@@ -43,7 +43,8 @@ std::vector<PartitionBlock> partition_blocks(const TaskWindows& windows,
 ResourcePartition partition_tasks(const Application& app, const TaskWindows& windows,
                                   ResourceId r);
 
-/// Partitions for every r in RES.
+/// Partitions for every r in RES, in ascending r; ST_r is bucketed for all
+/// r in one pass over the tasks (Application::tasks_by_resource).
 std::vector<ResourcePartition> partition_all(const Application& app, const TaskWindows& windows);
 
 /// Test hook: check conditions (i)-(iii) of Section 5 on a partition.

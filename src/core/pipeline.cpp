@@ -69,13 +69,14 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level) {
 }
 
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
-                               LintLevel level, const SourceMap* lines) {
+                               LintLevel level, const SourceMap* lines, Trace* trace) {
   LintGateArtifact gate;
   if (level == LintLevel::kOff) {
     app.validate();
     return gate;
   }
-  LintResult result = lint(app, platform, lines, {}, &gate.windows, &gate.partitions);
+  LintResult result =
+      lint(app, platform, lines, {.trace = trace}, &gate.windows, &gate.partitions);
   if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
   gate.lint = std::move(result);
   return gate;
@@ -101,7 +102,7 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   LintGateArtifact gate;
   {
     ScopedSpan span(trace, stage_name(Stage::kLintGate));
-    gate = run_lint_gate(app, platform, options.lint_level);
+    gate = run_lint_gate(app, platform, options.lint_level, nullptr, trace);
     if (gate.lint) {
       span.count("diagnostics", static_cast<std::int64_t>(gate.lint->diagnostics.size()));
     }

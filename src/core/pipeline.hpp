@@ -36,7 +36,9 @@
 // records a "pipeline" root span with one child span per stage and work
 // counters (tasks, blocks, intervals evaluated, block-cache hits,
 // thread-pool tasks dispatched, ILP nodes). Stage names are exported via
-// stage_names() so tools can check emitted traces exhaustively.
+// stage_names() so tools can check emitted traces exhaustively. Under
+// "lint_gate" the linter nests its own spans ("lint.context.absint",
+// "lint.context.windows", "lint.pass.<name>"; see LintOptions::trace).
 #pragma once
 
 #include <optional>
@@ -113,11 +115,13 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level);
 /// any tool that gates standalone: Application::validate() at kOff (throws
 /// ModelError); otherwise lint the instance fresh and throw LintGateError
 /// when lint_gate_refuses(). `lines` (may be null) attributes findings to
-/// source lines, as rtlb_lint does. Windows out of range are refused by
-/// kWindows (compute_windows() throws ModelError naming RTLB-E310), so the
-/// gate needs no overflow proof of its own.
+/// source lines, as rtlb_lint does; `trace` (may be null) receives the
+/// lint's context and per-pass spans (LintOptions::trace). Windows out of
+/// range are refused by kWindows (compute_windows() throws ModelError
+/// naming RTLB-E310), so the gate needs no overflow proof of its own.
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
-                               LintLevel level, const SourceMap* lines = nullptr);
+                               LintLevel level, const SourceMap* lines = nullptr,
+                               Trace* trace = nullptr);
 
 /// Run all stages (plus the certificate post-stage), reusing what `reuse`
 /// allows and recording what was replayed on it, tracing into

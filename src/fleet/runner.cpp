@@ -325,12 +325,12 @@ struct Checkpoint {
   FleetAggregates aggregates;
 };
 
-std::string checkpoint_text(const ScenarioSpec& spec, const FleetOptions& opts,
+std::string checkpoint_text(std::uint64_t fingerprint, const FleetOptions& opts,
                             std::uint64_t owned_done, const FleetAggregates& agg) {
   JsonWriter w(2);
   w.begin_object()
       .field("fleet_checkpoint", kCheckpointVersion)
-      .field("fingerprint", static_cast<std::int64_t>(spec.fingerprint()))
+      .field("fingerprint", static_cast<std::int64_t>(fingerprint))
       .field("shards", opts.shards)
       .field("shard", opts.shard)
       .field("owned_done", static_cast<std::int64_t>(owned_done))
@@ -339,7 +339,7 @@ std::string checkpoint_text(const ScenarioSpec& spec, const FleetOptions& opts,
   return w.take() + "\n";
 }
 
-Checkpoint load_checkpoint(const std::string& text, const ScenarioSpec& spec,
+Checkpoint load_checkpoint(const std::string& text, std::uint64_t fingerprint,
                            const FleetOptions& opts) {
   const Json doc = Json::parse(text);
   const Json* version = doc.find("fleet_checkpoint");
@@ -348,7 +348,7 @@ Checkpoint load_checkpoint(const std::string& text, const ScenarioSpec& spec,
   }
   const Json* fp = doc.find("fingerprint");
   if (fp == nullptr || !fp->is_int() ||
-      static_cast<std::uint64_t>(fp->as_int()) != spec.fingerprint()) {
+      static_cast<std::uint64_t>(fp->as_int()) != fingerprint) {
     throw ModelError("fleet checkpoint: written for a different scenario spec");
   }
   const Json* shards = doc.find("shards");
@@ -391,10 +391,12 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
   FleetRunResult run;
   run.aggregates = FleetAggregates::for_spec(spec);
   std::uint64_t owned_done = 0;
+  // Checkpoints carry the spec's hash only: one canonical dump per run.
+  const std::uint64_t fingerprint = opts.checkpoint_path.empty() ? 0 : spec.fingerprint();
 
   if (!opts.checkpoint_path.empty()) {
     if (std::optional<std::string> text = read_file_text(opts.checkpoint_path)) {
-      Checkpoint cp = load_checkpoint(*text, spec, opts);
+      Checkpoint cp = load_checkpoint(*text, fingerprint, opts);
       owned_done = cp.owned_done;
       run.aggregates = std::move(cp.aggregates);
       run.resumed = true;
@@ -478,7 +480,7 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
     run.processed_this_run += chunk;
 
     if (!opts.checkpoint_path.empty()) {
-      const std::string text = checkpoint_text(spec, opts, owned_done, run.aggregates);
+      const std::string text = checkpoint_text(fingerprint, opts, owned_done, run.aggregates);
       if (!atomic_write_file(opts.checkpoint_path, text)) {
         throw ModelError("fleet: cannot write checkpoint " + opts.checkpoint_path);
       }
@@ -498,14 +500,17 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
 JsonRender fleet_report_json(const ScenarioSpec& spec, const FleetAggregates& aggregates,
                              int shards, int shard, bool complete) {
   return JsonRender([&spec, &aggregates, shards, shard, complete](JsonWriter& w) {
+    // One canonical tree per report: hashed for the fingerprint, written as
+    // the "spec" block.
+    const Json canonical = spec.to_json();
     w.begin_object()
         .field("fleet", spec.name)
-        .field("fingerprint", static_cast<std::int64_t>(spec.fingerprint()))
+        .field("fingerprint", static_cast<std::int64_t>(ScenarioSpec::fingerprint(canonical)))
         .field("shards", shards)
         .field("shard", shard)
         .field("complete", complete)
         .field("total_instances", static_cast<std::int64_t>(spec.total_instances()))
-        .field("spec", spec.to_json())
+        .field("spec", canonical)
         .field("aggregates", aggregates.to_json())
         .end_object();
   });

@@ -239,8 +239,10 @@ Json ScenarioSpec::to_json() const {
   return doc;
 }
 
-std::uint64_t ScenarioSpec::fingerprint() const {
-  const std::string canon = to_json().dump();
+std::uint64_t ScenarioSpec::fingerprint() const { return fingerprint(to_json()); }
+
+std::uint64_t ScenarioSpec::fingerprint(const Json& canonical) {
+  const std::string canon = canonical.dump();
   // FNV-1a folded through splitmix64 for avalanche on short documents.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : canon) h = (h ^ c) * 0x100000001b3ULL;

@@ -103,6 +103,9 @@ struct ScenarioSpec {
   /// Content hash of the canonical dump; checkpoints and shard aggregates
   /// embed it so a resume or merge against a different spec is refused.
   std::uint64_t fingerprint() const;
+  /// The same hash of `canonical`, a to_json() tree the caller already
+  /// built (a fleet report hashes the tree it also writes out).
+  static std::uint64_t fingerprint(const Json& canonical);
 
   std::vector<ScenarioCell> cells() const;
   std::size_t num_cells() const {

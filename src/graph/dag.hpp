@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,10 @@ class Dag {
   /// Strict reachability, filled in reverse topological order. Requires
   /// acyclic.
   ReachRows reachability() const;
+
+  /// The same over `order`, a topological order of this graph computed
+  /// once by the caller; the overload above computes it and delegates.
+  ReachRows reachability(std::span<const std::uint32_t> order) const;
 
   /// True when edge u -> v is implied by another path (some other successor
   /// of u reaches v): the transitive reduction is exactly the edges for

@@ -49,13 +49,18 @@ constexpr __int128 kInt64Min = static_cast<__int128>(INT64_MIN);
 }  // namespace
 
 AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform* platform) {
+  const auto order = app.dag().topological_order();
+  RTLB_CHECK(order.has_value(), "abstract_interpret requires an acyclic DAG");
+  return abstract_interpret(app, platform, *order);
+}
+
+AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform* platform,
+                                std::span<const TaskId> order) {
   const std::size_t n = app.num_tasks();
+  RTLB_CHECK(order.size() == n, "abstract_interpret: order is not a permutation");
   AbsIntResult r;
   r.est.resize(n);
   r.lct.resize(n);
-
-  const auto order = app.dag().topological_order();
-  RTLB_CHECK(order.has_value(), "abstract_interpret requires an acyclic DAG");
 
   // Witness parents of the chain-sum (lo-side EST, hi-side LCT) recurrences;
   // these are the sums the engine is FORCED to realize, so a violation along
@@ -64,7 +69,7 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
   std::vector<TaskId> lct_hi_parent(n, kInvalidTask);
 
   // EST sweep, topological order: predecessors are final when read.
-  for (TaskId i : *order) {
+  for (TaskId i : order) {
     const Task& t = app.task(i);
     AbsInterval v{static_cast<__int128>(t.release), static_cast<__int128>(t.release)};
     __int128 comp_sum = 0;
@@ -92,7 +97,7 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
   }
 
   // LCT sweep, reverse topological order: successors final when read.
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId i = *it;
     const Task& t = app.task(i);
     AbsInterval v{static_cast<__int128>(t.deadline), static_cast<__int128>(t.deadline)};
@@ -123,7 +128,7 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
   // Verdict: the FIRST topological violation pins the report, must-overflow
   // outranking may-overflow. Only the chain-sum sides (est_lo, lct_hi) can
   // prove "must": they hold for every merge decision.
-  for (TaskId i : *order) {
+  for (TaskId i : order) {
     if (r.est[i].lo > kInt64Max &&
         (r.verdict != AbsVerdict::kMustOverflow)) {
       r.verdict = AbsVerdict::kMustOverflow;
@@ -141,7 +146,7 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
     }
   }
   if (r.verdict != AbsVerdict::kMustOverflow) {
-    for (TaskId i : *order) {
+    for (TaskId i : order) {
       const bool est_bad = r.est[i].lo < -kSafeTime || r.est[i].hi > kSafeTime ||
                            r.est[i].lo > kSafeTime || r.est[i].hi < -kSafeTime;
       const bool lct_bad = r.lct[i].lo < -kSafeTime || r.lct[i].hi > kSafeTime;
@@ -164,13 +169,14 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
     if (r.worst_is_est) std::reverse(r.worst_chain.begin(), r.worst_chain.end());
   }
 
-  // Demand and cost envelopes (exact sums; merging never changes Theta).
-  r.resources = app.resource_set();
-  for (ResourceId res : r.resources) {
+  // Demand and cost envelopes (exact sums; merging never changes Theta),
+  // over RES: the non-empty ST_r, bucketed in one pass over the tasks.
+  const std::vector<std::vector<TaskId>> st = app.tasks_by_resource();
+  for (ResourceId res = 0; res < st.size(); ++res) {
+    if (st[res].empty()) continue;
     __int128 sum = 0;
-    for (const Task& t : app.tasks()) {
-      if (t.uses(res)) sum = abs_sat_add(sum, static_cast<__int128>(t.comp));
-    }
+    for (TaskId i : st[res]) sum = abs_sat_add(sum, static_cast<__int128>(app.task(i).comp));
+    r.resources.push_back(res);
     r.demand.push_back(sum);
     const __int128 cost = static_cast<__int128>(app.catalog().cost(res));
     r.shared_cost_hi =

@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,8 @@ namespace rtlb {
 struct AbsInterval {
   __int128 lo = 0;
   __int128 hi = 0;
+
+  bool operator==(const AbsInterval&) const = default;
 };
 
 enum class AbsVerdict {
@@ -103,6 +106,8 @@ struct AbsIntResult {
   /// No library caller: the engine guards its own range. Kept for the
   /// benchmark's lint replay (perfbench/replay.cpp), its last user.
   bool windows_safe() const { return verdict == AbsVerdict::kProvedSafe; }
+
+  bool operator==(const AbsIntResult&) const = default;
 };
 
 /// Run the interpretation. Requires a structurally clean model (valid ids,
@@ -110,6 +115,12 @@ struct AbsIntResult {
 /// after the structural pass found no errors.
 AbsIntResult abstract_interpret(const Application& app,
                                 const DedicatedPlatform* platform = nullptr);
+
+/// The same over `order`, the topological order of app.dag() that
+/// Dag::topological_order() returns (the first violation and its witness
+/// are taken in this order); the overload above computes it and delegates.
+AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform* platform,
+                                std::span<const TaskId> order);
 
 /// RTLB-E310/W311/W312: report the interpretation's verdict (ctx.absint;
 /// the pass is silent when the driver did not attach one).

@@ -19,7 +19,8 @@ namespace {
 void redundant_edges(const LintContext& ctx, DiagnosticSink& sink) {
   const Application& app = ctx.app;
   if (app.dag().num_edges() == 0) return;
-  const ReachRows reach = app.dag().reachability();
+  const ReachRows reach = ctx.order != nullptr ? app.dag().reachability(*ctx.order)
+                                               : app.dag().reachability();
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
     for (std::size_t k = 0; k < app.successors(i).size(); ++k) {
       const TaskId j = app.successors(i)[k];

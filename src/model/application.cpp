@@ -87,6 +87,19 @@ std::vector<TaskId> Application::tasks_using(ResourceId r) const {
   return out;
 }
 
+std::vector<std::vector<TaskId>> Application::tasks_by_resource() const {
+  std::vector<std::vector<TaskId>> st(catalog_->size());
+  for (TaskId i = 0; i < tasks_.size(); ++i) {
+    // Ids arrive ascending, so a repeat of r within one task is the back.
+    auto add = [&](ResourceId r) {
+      if (st[r].empty() || st[r].back() != i) st[r].push_back(i);
+    };
+    add(tasks_[i].proc);
+    for (ResourceId r : tasks_[i].resources) add(r);
+  }
+  return st;
+}
+
 Time Application::total_demand(ResourceId r) const {
   Time sum = 0;
   for (const Task& t : tasks_) {

@@ -70,6 +70,13 @@ class Application {
   /// ascending.
   std::vector<TaskId> tasks_using(ResourceId r) const;
 
+  /// ST_r for every catalog entry r, in one pass over the tasks: entry r
+  /// equals tasks_using(r) (empty when no task uses r), so the non-empty
+  /// entries are exactly resource_set(). A task counts once per r even if
+  /// its record lists r twice or lists its own phi_i as a resource.
+  /// Requires valid catalog ids.
+  std::vector<std::vector<TaskId>> tasks_by_resource() const;
+
   /// Total computation demand placed on r by ST_r.
   Time total_demand(ResourceId r) const;
 

@@ -26,6 +26,16 @@ ResourceId require_resource(const ResourceCatalog& cat, std::string_view name, i
   return r;
 }
 
+/// An integer value; a malformed one fails with its line like every other
+/// parse error (parse_int's text behind the "line N: " prefix).
+std::int64_t require_int(std::string_view value, std::string_view key, int line_no) {
+  try {
+    return parse_int(value, key);
+  } catch (const ModelError& e) {
+    fail(line_no, e.what());
+  }
+}
+
 Transaction* find_transaction(Workload& workload, std::string_view name) {
   for (Transaction& tr : workload.transactions) {
     if (tr.name == name) return &tr;
@@ -159,7 +169,7 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       if (tok.size() < 2) fail(line_no, std::string(kind) + " needs a name");
       Cost cost = 0;
       for (const auto& [k, v] : keyval(2)) {
-        if (k == "cost") cost = parse_int(v, "cost");
+        if (k == "cost") cost = require_int(v, "cost", line_no);
         else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       if (kind == "proctype") inst.catalog->add_processor_type(std::string(tok[1]), cost);
@@ -171,9 +181,9 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       t.name = tok[1];
       bool have_proc = false;
       for (const auto& [k, v] : keyval(2)) {
-        if (k == "comp") t.comp = parse_int(v, "comp");
-        else if (k == "rel") t.release = parse_int(v, "rel");
-        else if (k == "deadline") t.deadline = parse_int(v, "deadline");
+        if (k == "comp") t.comp = require_int(v, "comp", line_no);
+        else if (k == "rel") t.release = require_int(v, "rel", line_no);
+        else if (k == "deadline") t.deadline = require_int(v, "deadline", line_no);
         else if (k == "proc") { t.proc = require_resource(*inst.catalog, v, line_no); have_proc = true; }
         else if (k == "res") {
           for_each_field(v, ',', [&](std::string_view r) {
@@ -198,7 +208,7 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       if (to == kInvalidTask) fail(line_no, "unknown task '" + std::string(tok[2]) + "'");
       Time msg = 0;
       for (const auto& [k, v] : keyval(3)) {
-        if (k == "msg") msg = parse_int(v, "msg");
+        if (k == "msg") msg = require_int(v, "msg", line_no);
         else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       try {
@@ -212,7 +222,7 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       NodeType n;
       n.name = tok[1];
       for (const auto& [k, v] : keyval(2)) {
-        if (k == "cost") n.cost = parse_int(v, "cost");
+        if (k == "cost") n.cost = require_int(v, "cost", line_no);
         else if (k == "proc") n.proc = require_resource(*inst.catalog, v, line_no);
         else if (k == "res") {
           for_each_field(v, ',', [&](std::string_view spec) {
@@ -221,9 +231,10 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
               fail(line_no, "bad res spec '" + std::string(spec) + "'");
             }
             const ResourceId r = require_resource(*inst.catalog, spec.substr(0, colon), line_no);
-            const int units = colon == spec.npos
-                                  ? 1
-                                  : static_cast<int>(parse_int(spec.substr(colon + 1), "units"));
+            const int units =
+                colon == spec.npos
+                    ? 1
+                    : static_cast<int>(require_int(spec.substr(colon + 1), "units", line_no));
             n.resources.emplace_back(r, units);
           });
         } else fail(line_no, "unknown key '" + std::string(k) + "'");
@@ -244,9 +255,9 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       const std::string rate_key = sporadic ? "mininter" : "period";
       bool have_rate = false;
       for (const auto& [k, v] : keyval(2)) {
-        if (k == rate_key) { tr.period = parse_int(v, rate_key); have_rate = true; }
-        else if (k == "offset") tr.offset = parse_int(v, "offset");
-        else if (sporadic && k == "horizon") tr.horizon = parse_int(v, "horizon");
+        if (k == rate_key) { tr.period = require_int(v, rate_key, line_no); have_rate = true; }
+        else if (k == "offset") tr.offset = require_int(v, "offset", line_no);
+        else if (sporadic && k == "horizon") tr.horizon = require_int(v, "horizon", line_no);
         else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       if (!have_rate) fail(line_no, std::string(kind) + " '" + tr.name + "' missing " + rate_key);
@@ -263,9 +274,9 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       }
       bool have_proc = false;
       for (const auto& [k, v] : keyval(3)) {
-        if (k == "comp") t.comp = parse_int(v, "comp");
-        else if (k == "offset") t.offset = parse_int(v, "offset");
-        else if (k == "deadline") t.relative_deadline = parse_int(v, "deadline");
+        if (k == "comp") t.comp = require_int(v, "comp", line_no);
+        else if (k == "offset") t.offset = require_int(v, "offset", line_no);
+        else if (k == "deadline") t.relative_deadline = require_int(v, "deadline", line_no);
         else if (k == "proc") { t.proc = require_resource(*inst.catalog, v, line_no); have_proc = true; }
         else if (k == "res") {
           for_each_field(v, ',', [&](std::string_view r) {
@@ -285,7 +296,7 @@ ProblemInstance parse_instance_string(const std::string& text, const ParseOption
       e.to = find_template_task(*tr, tok[3], line_no);
       e.line = line_no;
       for (const auto& [k, v] : keyval(4)) {
-        if (k == "msg") e.msg = parse_int(v, "msg");
+        if (k == "msg") e.msg = require_int(v, "msg", line_no);
         else fail(line_no, "unknown key '" + std::string(k) + "'");
       }
       tr->edges.push_back(e);

@@ -248,9 +248,9 @@ TEST(Io, EveryParserErrorSiteIsPinned) {
       {tr + "tedge T w x\n", "line 7: unknown ttask 'w' in transaction 'T'"},
       {tr + "ttask T y comp 1 proc P\ntedge T x y delay 1\n", "line 8: unknown key 'delay'"},
       {"processor X\n", "line 5: unknown directive 'processor'"},
-      // Integers that do not parse carry no line number (parse_int's text).
-      {"task c comp x deadline 5 proc P\n", "expected integer for comp, got 'x'"},
-      {"node N cost 1 proc P res r:two\n", "expected integer for units, got 'two'"},
+      // Integers that do not parse: parse_int's text behind the line.
+      {"task c comp x deadline 5 proc P\n", "line 5: expected integer for comp, got 'x'"},
+      {"node N cost 1 proc P res r:two\n", "line 5: expected integer for units, got 'two'"},
       // The first error in line order wins, whatever its kind.
       {"edge a z msg 1\nresource\n", "line 5: unknown task 'z'"},
       {"bogus\nedge a z msg 1\n", "line 5: unknown directive 'bogus'"},

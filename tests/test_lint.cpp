@@ -265,6 +265,61 @@ TEST_F(LintTest, DemandOverflowCountsEachResourceOncePerTaskInResourceOrder) {
                                       "resource 'camera'"}));
 }
 
+TEST_F(LintTest, AbsIntDemandSumsEachResourceOverItsTasksOnce) {
+  // absint buckets ST_r in one pass over the tasks; demand[k] must equal
+  // the sum of C_i over tasks_using(resources[k]), with resources equal to
+  // resource_set(). A record listing a resource twice or its own phi_i
+  // (only a later edit of the task leaves one: add_task normalizes R_i)
+  // counts once; catalog entries no task uses (DSP here, and "spare") get
+  // no row.
+  const ResourceId spare = catalog_.add_resource("spare", 7);
+  const TaskId a = app_.add_task(make_task("a", 3, 0, 50, cpu_));
+  const TaskId b = app_.add_task(make_task("b", 5, 0, 50, cpu_, {camera_}));
+  app_.add_task(make_task("c", 11, 0, 50, cpu_));
+  app_.add_edge(a, b, 0);
+  app_.task(a).resources = {camera_, camera_};
+  app_.task(b).resources = {cpu_, camera_};
+
+  const AbsIntResult ai = abstract_interpret(app_);
+  EXPECT_EQ(ai.resources, app_.resource_set());
+  ASSERT_EQ(ai.demand.size(), ai.resources.size());
+  for (std::size_t k = 0; k < ai.resources.size(); ++k) {
+    __int128 sum = 0;
+    for (TaskId i : app_.tasks_using(ai.resources[k])) sum += app_.task(i).comp;
+    EXPECT_TRUE(ai.demand[k] == sum) << "resource " << ai.resources[k];
+  }
+  EXPECT_EQ(ai.resources, (std::vector<ResourceId>{cpu_, camera_}));
+  EXPECT_TRUE(ai.demand[0] == 19 && ai.demand[1] == 8);
+  EXPECT_TRUE(app_.tasks_by_resource()[spare].empty());
+}
+
+TEST(LintOrder, TheHandedOnOrderGivesWhatEachConsumerComputesAlone) {
+  // Linter::run computes the topological order once and hands it to the
+  // interpretation, the windows and the reachability rows; each must equal
+  // its order-free overload, which computes the order itself.
+  for (const GraphShape shape :
+       {GraphShape::Layered, GraphShape::ForkJoin, GraphShape::Random}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      WorkloadParams params;
+      params.seed = seed;
+      params.shape = shape;
+      params.num_tasks = 24;
+      const ProblemInstance inst = generate_workload(params);
+      const Application& app = *inst.app;
+      const std::vector<TaskId> order = *app.dag().topological_order();
+      for (const DedicatedPlatform* platform : {static_cast<const DedicatedPlatform*>(nullptr),
+                                                &inst.platform}) {
+        EXPECT_TRUE(abstract_interpret(app, platform, order) ==
+                    abstract_interpret(app, platform))
+            << "seed " << seed;
+        EXPECT_EQ(compute_windows(app, platform, order), compute_windows(app, platform))
+            << "seed " << seed;
+      }
+      EXPECT_EQ(app.dag().reachability(order), app.dag().reachability()) << "seed " << seed;
+    }
+  }
+}
+
 TEST_F(LintTest, HygieneChecks) {
   const TaskId a = app_.add_task(make_task("a", 2, 0, 20, cpu_));
   const TaskId b = app_.add_task(make_task("b", 2, 0, 20, cpu_));

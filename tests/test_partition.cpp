@@ -83,6 +83,41 @@ TEST_F(PartitionTest, EmptyResourceGivesEmptyPartition) {
   EXPECT_TRUE(part.blocks.empty());
 }
 
+TEST_F(PartitionTest, OnePassBucketingMatchesThePerResourceScan) {
+  // partition_all buckets ST_r for every r in one pass over the tasks; it
+  // must equal partition_tasks over resource_set(). The cases a per-task
+  // pass can get wrong: a record listing a resource twice or its own
+  // phi_i (add_task normalizes R_i, so only a later edit of the task can
+  // leave one), and catalog entries no task uses (no partition at all).
+  const ResourceId bus = cat_.add_resource("bus");
+  cat_.add_resource("unused");
+  cat_.add_processor_type("idle");
+  add(0, 5);
+  add(3, 9);
+  add(12, 20);
+  app_.task(0).resources = {bus, bus};
+  app_.task(1).resources = {p_, bus, p_};
+  app_.task(2).resources = {bus, p_};
+
+  std::vector<ResourcePartition> per_resource;
+  for (ResourceId r : app_.resource_set()) {
+    per_resource.push_back(partition_tasks(app_, windows_, r));
+  }
+  const std::vector<ResourcePartition> all = partition_all(app_, windows_);
+  EXPECT_EQ(all, per_resource);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].resource, p_);
+  EXPECT_EQ(all[1].resource, bus);
+  for (const ResourcePartition& part : all) {
+    EXPECT_TRUE(is_valid_partition(app_, windows_, part)) << part.resource;
+  }
+  const std::vector<std::vector<TaskId>> st = app_.tasks_by_resource();
+  ASSERT_EQ(st.size(), cat_.size());
+  for (ResourceId r = 0; r < cat_.size(); ++r) {
+    EXPECT_EQ(st[r], app_.tasks_using(r)) << "resource " << r;
+  }
+}
+
 TEST_F(PartitionTest, ValidatorCatchesBadPartition) {
   add(0, 5);
   add(6, 10);

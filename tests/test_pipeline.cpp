@@ -13,6 +13,7 @@
 //    SessionStats counters behave as documented.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -181,6 +182,37 @@ TEST(TraceSchema, SpansNestAndSumToPipelineWallTime) {
   for (const char* stage : stage_names()) {
     EXPECT_TRUE(names.contains(stage)) << stage;
   }
+}
+
+TEST(TraceSchema, LintGateNestsTheLintContextAndPerPassSpans) {
+  // At kReport the linter records its context and every pass under the
+  // "lint_gate" stage span, in run order; the trace changes no finding.
+  ProblemInstance inst = corpus_instance(2);
+  AnalysisOptions options;
+  options.model = SystemModel::Dedicated;
+  options.lint_level = LintLevel::kReport;
+  const AnalysisResult untraced = run_pipeline(*inst.app, options, &inst.platform);
+  Trace trace;
+  options.trace = &trace;
+  const AnalysisResult traced = run_pipeline(*inst.app, options, &inst.platform);
+  ASSERT_TRUE(traced.lint.has_value() && untraced.lint.has_value());
+  EXPECT_EQ(lint_json(*traced.lint).dump(), lint_json(*untraced.lint).dump());
+
+  const std::vector<TraceSpan>& spans = trace.spans();
+  const auto gate = std::ranges::find(spans, std::string(stage_name(Stage::kLintGate)),
+                                      &TraceSpan::name);
+  ASSERT_NE(gate, spans.end());
+  const int gate_index = static_cast<int>(gate - spans.begin());
+  std::vector<std::string> children;
+  for (const TraceSpan& span : spans) {
+    if (span.parent == gate_index) children.push_back(span.name);
+  }
+  std::vector<std::string> expected = {"lint.pass.structural", "lint.context.absint",
+                                       "lint.context.windows"};
+  for (const LintPass& pass : default_linter().passes()) {
+    if (pass.needs_valid_model) expected.push_back("lint.pass." + pass.name);
+  }
+  EXPECT_EQ(children, expected);
 }
 
 TEST(TraceSchema, StageNamesAreExhaustiveAndStable) {
