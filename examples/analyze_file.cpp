@@ -44,11 +44,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
-#include "src/core/analysis.hpp"
+#include "src/common/strings.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/core/report.hpp"
-#include "src/lint/recurrent.hpp"
 #include "src/model/io.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sched/annealing.hpp"
@@ -57,7 +58,6 @@
 #include "src/sched/list_scheduler.hpp"
 #include "src/sched/svg.hpp"
 #include "src/workload/characterize.hpp"
-#include "src/workload/workload.hpp"
 
 using namespace rtlb;
 
@@ -71,6 +71,12 @@ namespace {
                "          [--cert FILE] [--check] [--trace FILE] <instance-file>\n",
                argv0);
   std::exit(2);
+}
+
+int int_arg(const char* text, const char* argv0) {
+  const std::optional<int> value = parse_int_arg(text);
+  if (!value) usage(argv0);
+  return *value;
 }
 
 }  // namespace
@@ -105,7 +111,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--units") {
       if (++i >= argc) usage(argv[0]);
-      units = std::atoi(argv[i]);
+      units = int_arg(argv[i], argv[0]);
     } else if (arg == "--gantt") {
       want_gantt = true;
     } else if (arg == "--svg") {
@@ -119,7 +125,7 @@ int main(int argc, char** argv) {
       options.lower_bound.use_partitioning = false;
     } else if (arg == "--threads") {
       if (++i >= argc) usage(argv[0]);
-      options.lower_bound.num_threads = std::atoi(argv[i]);
+      options.lower_bound.num_threads = int_arg(argv[i], argv[0]);
     } else if (arg == "--prune") {
       options.lower_bound.enable_pruning = true;
     } else if (arg == "--cert") {
@@ -171,32 +177,27 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!inst.workload.empty()) {
-    // Recurrent front door: gate the templates (template errors ALWAYS
-    // refuse lowering, regardless of --lint level -- the analyze(Workload)
-    // policy), then run the ordinary pipeline on the lowered application.
-    const LintResult templates = lint_workload(*inst.catalog, inst.workload, platform);
-    if (!templates.diagnostics.empty()) {
+  // The front door (src/core/pipeline.hpp): template errors refuse at every
+  // --lint level; the pipeline's kLintGate then gates the lowered model.
+  try {
+    const LintResult templates = gate_and_lower(inst, options.lint_level);
+    if (!templates.clean()) {
       std::printf("template lint:\n%s\n", format_lint_text(templates, path).c_str());
     }
-    if (templates.errors > 0) {
-      std::fprintf(stderr, "template errors refuse lowering; fix the findings above\n");
-      return 1;
-    }
-    try {
-      lower_instance(inst, LowerOptions{.chain_instances = true, .validate = false});
-      inst.app->validate();
-    } catch (const ModelError& e) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-      return 1;
-    }
+  } catch (const LintGateError& e) {
+    std::printf("template lint:\n%s\n", format_lint_text(e.result(), path).c_str());
+    std::fprintf(stderr, "template %s refuse lowering; fix the findings above\n",
+                 e.result().has_errors() ? "errors" : "warnings");
+    return 1;
   }
-
   AnalysisResult result;
   try {
     result = analyze(*inst.app, options, platform);
-  } catch (const LintGateError& e) {
-    std::fprintf(stderr, "%s", format_lint_text(e.result(), path).c_str());
+  } catch (const LintGateError&) {
+    // The recorded lint (printed below and in the --json report) stays
+    // line-free; a refusal is worth a second lint that names every line.
+    std::fprintf(stderr, "%s",
+                 format_lint_text(lint(*inst.app, platform, &inst.lines), path).c_str());
     std::fprintf(stderr, "pre-flight gate refused the instance; fix the errors above or "
                          "re-run with --lint report\n");
     return 1;

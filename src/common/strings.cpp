@@ -1,6 +1,7 @@
 #include "src/common/strings.hpp"
 
 #include <charconv>
+#include <limits>
 
 #include "src/common/types.hpp"
 
@@ -62,6 +63,17 @@ std::int64_t parse_int(std::string_view s, std::string_view context) {
                      std::string(s) + "'");
   }
   return value;
+}
+
+std::optional<int> parse_int_arg(std::string_view s) {
+  try {
+    const std::int64_t value = parse_int(s, "argument");
+    if (value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max()) {
+      return static_cast<int>(value);
+    }
+  } catch (const ModelError&) {
+  }
+  return std::nullopt;
 }
 
 std::string brace_set(const std::vector<std::string>& names) {

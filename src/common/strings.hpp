@@ -1,6 +1,7 @@
 // Small string utilities used by the text I/O format and report printers.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,10 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Parse a signed integer; throws ModelError with context on failure.
 std::int64_t parse_int(std::string_view s, std::string_view context);
+
+/// parse_int() for a command-line value that must fit an int: nullopt on
+/// junk ("foo", "1x") or out of range, so a tool can answer with usage.
+std::optional<int> parse_int_arg(std::string_view s);
 
 /// Render a set of names as "{a,b,c}" or "-" when empty (Table 1 style).
 std::string brace_set(const std::vector<std::string>& names);

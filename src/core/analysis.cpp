@@ -7,7 +7,6 @@
 #include "src/common/table.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/lint/recurrent.hpp"
-#include "src/workload/workload.hpp"
 
 namespace rtlb {
 
@@ -53,28 +52,11 @@ AnalysisResult analyze(const Application& app, const AnalysisOptions& options,
 
 AnalysisResult analyze(const ResourceCatalog& catalog, const Workload& workload,
                        const AnalysisOptions& options, const DedicatedPlatform* platform) {
-  if (options.lint_level == LintLevel::kOff) {
-    // Historical contract: no batching, first template error throws
-    // ModelError from validate_workload() inside the lowering.
-    return run_pipeline(lower_workload(catalog, workload), options, platform);
-  }
-  LintResult wl = lint_workload(catalog, workload, platform);
-  // Template errors always refuse: lowering a broken template is
-  // meaningless, so E5xx behaves like the structural refusal set even at
-  // kReport. Warnings (W510) follow the configured policy.
-  if (wl.has_errors() || lint_gate_refuses(wl, options.lint_level)) {
-    throw LintGateError(std::move(wl));
-  }
-  LowerOptions lower;
-  lower.validate = false;  // the template batch above IS the validation
-  Application app = lower_workload(catalog, workload, lower);
-  app.validate();
+  LintResult templates;
+  const Application app =
+      gate_and_lower(catalog, workload, platform, options.lint_level, &templates);
   AnalysisResult result = run_pipeline(app, options, platform);
-  if (result.lint.has_value()) {
-    result.lint = merge_lint_results(std::move(wl), std::move(*result.lint));
-  } else {
-    result.lint = std::move(wl);
-  }
+  if (result.lint) result.lint = merge_lint_results(std::move(templates), std::move(*result.lint));
   return result;
 }
 

@@ -174,13 +174,12 @@ struct AnalysisResult {
 AnalysisResult analyze(const Application& app, const AnalysisOptions& options = {},
                        const DedicatedPlatform* platform = nullptr);
 
-/// The recurrent front door: lint the workload templates, lower them over
-/// the shared hyperperiod (src/workload/workload.hpp), and analyze the flat
-/// instance. Template-level errors (RTLB-E5xx) ALWAYS refuse -- lowering a
-/// broken template is meaningless -- regardless of lint_level; with
-/// lint_level != kOff the template diagnostics are additionally merged in
-/// front of the application-level batch on AnalysisResult::lint. Refusals
-/// throw LintGateError carrying the template findings.
+/// The recurrent front door: gate_and_lower() the workload over the shared
+/// hyperperiod (src/core/pipeline.hpp: template errors refuse at every
+/// lint_level, template warnings as lint_gate_refuses() says) and analyze
+/// the lowered instance. With lint_level != kOff the template findings are
+/// merged in front of the application-level batch on AnalysisResult::lint.
+/// Template refusals throw LintGateError carrying the template findings.
 AnalysisResult analyze(const ResourceCatalog& catalog, const Workload& workload,
                        const AnalysisOptions& options = {},
                        const DedicatedPlatform* platform = nullptr);

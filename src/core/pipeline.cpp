@@ -4,8 +4,10 @@
 #include <utility>
 
 #include "src/common/thread_pool.hpp"
+#include "src/lint/recurrent.hpp"
 #include "src/obs/trace.hpp"
 #include "src/verify/emit.hpp"
+#include "src/workload/workload.hpp"
 
 namespace rtlb {
 
@@ -30,6 +32,19 @@ bool same_joint_rows(const std::vector<JointBound>& a, const std::vector<JointBo
     return x.a == y.a && x.b == y.b && x.bound == y.bound;
   });
 }
+
+/// gate_and_lower()'s template refusal policy.
+LintResult gate_templates(const ResourceCatalog& catalog, const Workload& workload,
+                          const DedicatedPlatform* platform, LintLevel level,
+                          const LintOptions& lint_options) {
+  LintResult templates = lint_workload(catalog, workload, platform, lint_options);
+  if (templates.has_errors() || lint_gate_refuses(templates, level)) {
+    throw LintGateError(std::move(templates));
+  }
+  return templates;
+}
+
+constexpr LowerOptions kUnvalidated{.chain_instances = true, .validate = false};
 
 }  // namespace
 
@@ -82,8 +97,29 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
   return gate;
 }
 
+LintResult gate_and_lower(ProblemInstance& inst, LintLevel level,
+                          const LintOptions& lint_options) {
+  if (inst.workload.empty()) return {};
+  const DedicatedPlatform* platform = inst.platform.num_node_types() ? &inst.platform : nullptr;
+  LintResult templates =
+      gate_templates(*inst.catalog, inst.workload, platform, level, lint_options);
+  lower_instance(inst, kUnvalidated);
+  return templates;
+}
+
+Application gate_and_lower(const ResourceCatalog& catalog, const Workload& workload,
+                           const DedicatedPlatform* platform, LintLevel level,
+                           LintResult* templates) {
+  LintResult found = gate_templates(catalog, workload, platform, level, {});
+  Application app = lower_workload(catalog, workload, kUnvalidated);
+  app.validate();
+  if (templates != nullptr) *templates = std::move(found);
+  return app;
+}
+
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
-                            const DedicatedPlatform* platform, PipelineReuse& reuse) {
+                            const DedicatedPlatform* platform, PipelineReuse& reuse,
+                            const SourceMap* lines) {
   const bool dedicated = options.model == SystemModel::Dedicated;
   if (dedicated && platform == nullptr) {
     throw ModelError("analyze: dedicated model requires a platform");
@@ -102,7 +138,7 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   LintGateArtifact gate;
   {
     ScopedSpan span(trace, stage_name(Stage::kLintGate));
-    gate = run_lint_gate(app, platform, options.lint_level, nullptr, trace);
+    gate = run_lint_gate(app, platform, options.lint_level, lines, trace);
     if (gate.lint) {
       span.count("diagnostics", static_cast<std::int64_t>(gate.lint->diagnostics.size()));
     }
@@ -248,9 +284,9 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
 }
 
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
-                            const DedicatedPlatform* platform) {
+                            const DedicatedPlatform* platform, const SourceMap* lines) {
   PipelineReuse cold;
-  return run_pipeline(app, options, platform, cold);
+  return run_pipeline(app, options, platform, cold, lines);
 }
 
 }  // namespace rtlb

@@ -11,7 +11,8 @@
 //
 //   kLintGate    pre-flight gate, run_lint_gate (Application::validate at
 //                kOff, else a fresh lint + the refusal policy of
-//                lint_gate_refuses)
+//                lint_gate_refuses); the flat half of the front door,
+//                after gate_and_lower() took the templates
 //   kWindows     EST/LCT under the model's merge oracle; refuses windows
 //                outside the safe Time range itself (RTLB-E310)
 //   kPartitions  per-resource window-disjoint blocks (Theorem 5); the
@@ -104,11 +105,12 @@ struct PipelineReuse {
 };
 
 /// The kLintGate refusal policy -- the ONE place the four LintLevel
-/// policies live (analyze(), AnalysisSession, rtlb_lint, and rtlb_check all
-/// judge through this): kOff never refuses here (validate() handles it),
-/// kReport refuses structural (RTLB-E0xx) errors -- the same refusal set as
-/// Application::validate() -- plus a proved window overflow (RTLB-E310),
-/// kErrors refuses any error-level finding, kWarnings refuses warnings too.
+/// policies live (analyze(), AnalysisSession, rtlb_lint, rtlb_check and
+/// gate_and_lower() all judge through this): kOff never refuses here
+/// (validate() handles it), kReport refuses structural (RTLB-E0xx) errors
+/// -- the same refusal set as Application::validate() -- plus a proved
+/// window overflow (RTLB-E310), kErrors refuses any error-level finding,
+/// kWarnings refuses warnings too.
 bool lint_gate_refuses(const LintResult& result, LintLevel level);
 
 /// The kLintGate stage -- run_pipeline() calls exactly this, and so does
@@ -123,16 +125,40 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
                                LintLevel level, const SourceMap* lines = nullptr,
                                Trace* trace = nullptr);
 
+/// The front door's template half and the ONE template refusal policy: lint
+/// the templates and throw LintGateError carrying them on any template
+/// error (at every level: lowering a broken template is meaningless) or when
+/// lint_gate_refuses(templates, level); otherwise lower them with
+/// chain_instances. Returns the template findings, apart from the flat lint.
+///
+/// File form: appends inst.workload's instances to inst.app, unvalidated --
+/// kLintGate validates or lints them with inst.lines. `lint_options`
+/// configures the template lint.
+LintResult gate_and_lower(ProblemInstance& inst, LintLevel level,
+                          const LintOptions& lint_options = {});
+
+/// Workload form (analyze(catalog, workload), the workload AnalysisSession):
+/// returns the lowered application after a first-error validate() -- a
+/// bare workload has no lines to attribute a batch to, and a session delta
+/// must be refused before it lands. `templates` (may be null) receives the
+/// template findings.
+Application gate_and_lower(const ResourceCatalog& catalog, const Workload& workload,
+                           const DedicatedPlatform* platform, LintLevel level,
+                           LintResult* templates = nullptr);
+
 /// Run all stages (plus the certificate post-stage), reusing what `reuse`
 /// allows and recording what was replayed on it, tracing into
-/// options.trace when set. This is the only function in the library that
+/// options.trace when set, attributing kLintGate findings to `lines` (may be
+/// null). This is the only function in the library that
 /// sequences compute_windows / partition_all / all_resource_bounds /
 /// *cost_bound* / joint_lower_bounds.
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
-                            const DedicatedPlatform* platform, PipelineReuse& reuse);
+                            const DedicatedPlatform* platform, PipelineReuse& reuse,
+                            const SourceMap* lines = nullptr);
 
 /// Cold run: reuses nothing (what analyze() forwards to).
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options = {},
-                            const DedicatedPlatform* platform = nullptr);
+                            const DedicatedPlatform* platform = nullptr,
+                            const SourceMap* lines = nullptr);
 
 }  // namespace rtlb

@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "src/core/pipeline.hpp"
-#include "src/lint/recurrent.hpp"
 #include "src/model/io.hpp"
-#include "src/workload/workload.hpp"
 
 namespace rtlb {
 
@@ -36,20 +34,6 @@ AnalysisSession::AnalysisSession(Application app, AnalysisOptions options,
 
 namespace {
 
-/// The session's lowering path: template lint first (E5xx always refuses,
-/// mirroring analyze(catalog, workload, ...)), then a validation-free
-/// lowering of the now-known-clean templates.
-Application lint_and_lower(const ResourceCatalog& catalog, const Workload& workload,
-                           const DedicatedPlatform* platform) {
-  LintResult wl = lint_workload(catalog, workload, platform);
-  if (wl.has_errors()) throw LintGateError(std::move(wl));
-  LowerOptions lower;
-  lower.validate = false;
-  Application app = lower_workload(catalog, workload, lower);
-  app.validate();
-  return app;
-}
-
 /// The no-op detector's currency: the lowered application's bytes (an empty
 /// platform keeps the comparison app-only -- platform deltas have their own
 /// mutator).
@@ -63,7 +47,7 @@ AnalysisSession::AnalysisSession(const ResourceCatalog& catalog, Workload worklo
                                  AnalysisOptions options, const DedicatedPlatform* platform)
     : catalog_(std::make_unique<ResourceCatalog>(catalog)),
       workload_(std::move(workload)),
-      app_(lint_and_lower(*catalog_, *workload_, platform)),
+      app_(gate_and_lower(*catalog_, *workload_, platform, options.lint_level)),
       options_(options),
       platform_(platform ? std::optional<DedicatedPlatform>(*platform) : std::nullopt),
       verify_(default_verify()) {
@@ -80,60 +64,35 @@ Transaction& AnalysisSession::require_transaction(const std::string& name) {
   throw ModelError("unknown transaction '" + name + "'");
 }
 
-void AnalysisSession::relower_workload() {
-  Application app = lint_and_lower(*catalog_, *workload_, platform());
-  std::string bytes = lowered_fingerprint(app);
-  if (bytes == lowered_bytes_) return;  // lowers identically: keep everything
-  lowered_bytes_ = std::move(bytes);
-  replace_application(std::move(app));
+void AnalysisSession::set_template_field(Time& field, Time value) {
+  if (field == value) return;
+  const Time previous = std::exchange(field, value);
+  try {
+    Application app = gate_and_lower(*catalog_, *workload_, platform(), options_.lint_level);
+    std::string bytes = lowered_fingerprint(app);
+    if (bytes == lowered_bytes_) return;  // lowers identically: keep everything
+    lowered_bytes_ = std::move(bytes);
+    replace_application(std::move(app));
+  } catch (...) {
+    field = previous;  // keep the session consistent on refusal
+    throw;
+  }
 }
 
 void AnalysisSession::set_transaction_period(const std::string& transaction, Time period) {
-  Transaction& tr = require_transaction(transaction);
-  if (tr.period == period) return;
-  const Time previous = tr.period;
-  tr.period = period;
-  try {
-    relower_workload();
-  } catch (...) {
-    tr.period = previous;  // keep the session consistent on refusal
-    throw;
-  }
+  set_template_field(require_transaction(transaction).period, period);
 }
 
 void AnalysisSession::set_transaction_offset(const std::string& transaction, Time offset) {
-  Transaction& tr = require_transaction(transaction);
-  if (tr.offset == offset) return;
-  const Time previous = tr.offset;
-  tr.offset = offset;
-  try {
-    relower_workload();
-  } catch (...) {
-    tr.offset = previous;
-    throw;
-  }
+  set_template_field(require_transaction(transaction).offset, offset);
 }
 
 void AnalysisSession::set_template_comp(const std::string& transaction, const std::string& task,
                                         Time comp) {
-  Transaction& tr = require_transaction(transaction);
-  TemplateTask* target = nullptr;
-  for (TemplateTask& t : tr.tasks) {
-    if (t.name == task) target = &t;
+  for (TemplateTask& t : require_transaction(transaction).tasks) {
+    if (t.name == task) return set_template_field(t.comp, comp);
   }
-  if (!target) {
-    throw ModelError("unknown template task '" + task + "' in transaction '" + transaction +
-                     "'");
-  }
-  if (target->comp == comp) return;
-  const Time previous = target->comp;
-  target->comp = comp;
-  try {
-    relower_workload();
-  } catch (...) {
-    target->comp = previous;
-    throw;
-  }
+  throw ModelError("unknown template task '" + task + "' in transaction '" + transaction + "'");
 }
 
 void AnalysisSession::require_valid_task(TaskId i) const {
@@ -201,11 +160,8 @@ void AnalysisSession::replace_application(Application app) {
 }
 
 const AnalysisResult& AnalysisSession::analyze() {
-  const bool dedicated = options_.model == SystemModel::Dedicated;
-  if (dedicated && !platform_) {
-    throw ModelError("analyze: dedicated model requires a platform");
-  }
-
+  // A hit needs a completed query, so a dedicated session without a
+  // platform always reaches run_pipeline(), which refuses it.
   if (have_result_ && !windows_dirty_ && !demand_dirty_ && !structure_dirty_ &&
       !platform_dirty_) {
     ++stats_.queries;

@@ -117,12 +117,13 @@ class AnalysisSession {
   explicit AnalysisSession(Application app, AnalysisOptions options = {},
                            const DedicatedPlatform* platform = nullptr);
 
-  /// Recurrent front door: lint `workload`'s templates (throwing
-  /// LintGateError on any RTLB-E5xx finding, exactly like
-  /// analyze(catalog, workload, ...)), lower it over the shared hyperperiod,
-  /// and wrap the lowered Application. Sessions built this way additionally
-  /// accept the template-level deltas below; the catalog is copied so the
-  /// caller's may go away.
+  /// Recurrent front door: gate_and_lower() `workload` at
+  /// options.lint_level (src/core/pipeline.hpp) -- the refusals, and the
+  /// LintGateError, of analyze(catalog, workload, ...) -- and wrap the
+  /// lowered Application. Queries still equal analyze(app(), ...), so
+  /// AnalysisResult::lint never carries the template findings. Sessions
+  /// built this way additionally accept the template-level deltas below;
+  /// the catalog is copied so the caller's may go away.
   AnalysisSession(const ResourceCatalog& catalog, Workload workload,
                   AnalysisOptions options = {}, const DedicatedPlatform* platform = nullptr);
 
@@ -151,14 +152,14 @@ class AnalysisSession {
   void replace_application(Application app);
 
   // -- Template-level deltas (workload sessions only; ModelError otherwise).
-  // -- Each mutates the template, re-lints it (LintGateError on E5xx), and
-  // -- re-lowers. The lowered instance is byte-compared against the current
-  // -- one: a no-op delta (e.g. a period set to its current value, or a
-  // -- change that lowers identically) invalidates nothing, and a real
-  // -- change goes through replace_application() -- so the block cache still
-  // -- serves every activation slot the delta left untouched, and the next
-  // -- analyze() is byte-identical to a cold re-analysis of the mutated
-  // -- workload by construction.
+  // -- Each mutates the template and re-lowers it through the constructor's
+  // -- gate (a refusal rolls it back). The lowered instance is byte-compared
+  // -- against the current one: a no-op delta (e.g. a period set to its
+  // -- current value, or a change that lowers identically) invalidates
+  // -- nothing, and a real change goes through replace_application() -- so
+  // -- the block cache still serves every activation slot the delta left
+  // -- untouched, and the next analyze() is byte-identical to a cold
+  // -- re-analysis of the mutated workload by construction.
 
   /// The wrapped template set; nullptr for sessions over a flat Application.
   const Workload* workload() const { return workload_ ? &*workload_ : nullptr; }
@@ -189,7 +190,8 @@ class AnalysisSession {
   void require_valid_task(TaskId i) const;
   void mark_timing_changed();
   Transaction& require_transaction(const std::string& name);
-  void relower_workload();
+  /// Set a template field and re-lower through the front door (undone on refusal).
+  void set_template_field(Time& field, Time value);
 
   /// Workload sessions own their catalog (stable address for re-lowering);
   /// flat sessions leave both empty. Declared before app_: the delegating

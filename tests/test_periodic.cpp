@@ -300,12 +300,12 @@ TEST_F(PeriodicTest, SporadicWithoutHorizonBorrowsThePeriodicHyperperiod) {
 TEST_F(PeriodicTest, AnalyzeWorkloadRefusesTemplateErrorsAtEveryLintLevel) {
   Workload bad;
   bad.transactions = {simple("x", 0, 1)};  // RTLB-E501
-  // kOff keeps the historical contract: the first template error throws
-  // ModelError out of validate_workload() inside the lowering.
+  // Even at kOff the template gate refuses, with the batched LintGateError
+  // (a ModelError) of every other level.
   AnalysisOptions off;
   EXPECT_THROW(analyze(cat_, bad, off), ModelError);
-  // With the gate on, the refusal batches the findings instead -- and E5xx
-  // refuses even at kReport, where flat errors would merely be recorded.
+  // E5xx refuses even at kReport, where flat errors would merely be
+  // recorded.
   AnalysisOptions report;
   report.lint_level = LintLevel::kReport;
   try {

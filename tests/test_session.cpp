@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <string>
 
 #include "src/common/random.hpp"
@@ -403,6 +404,34 @@ TEST(SessionWorkload, BadTemplateDeltaIsRefusedAndRolledBack) {
   EXPECT_EQ(serialize_instance(session.app(), DedicatedPlatform{}), before);
   EXPECT_EQ(session.workload()->transactions[0].period, 20);
   EXPECT_NO_THROW(session.analyze());
+}
+
+TEST(SessionWorkload, TemplateGateEqualsAnalyzeWorkloads) {
+  // overutilized.rtlb's only template finding is RTLB-W510, which the
+  // kWarnings gate refuses wherever the workload enters.
+  std::ifstream in(std::string(RTLB_SOURCE_DIR) + "/examples/instances/bad/overutilized.rtlb");
+  ASSERT_TRUE(in.good());
+  const ProblemInstance inst = parse_instance(in);
+  AnalysisOptions warnings;
+  warnings.lint_level = LintLevel::kWarnings;
+  EXPECT_THROW(analyze(*inst.catalog, inst.workload, warnings), LintGateError);
+  EXPECT_THROW(AnalysisSession(*inst.catalog, inst.workload, warnings), LintGateError);
+
+  // A delta back to the overutilized period is refused the same way, and
+  // rolled back.
+  Workload relaxed = inst.workload;
+  relaxed.transactions[0].period = 20;
+  AnalysisSession session(*inst.catalog, relaxed, warnings);
+  EXPECT_THROW(session.set_transaction_period("ctrl", 10), LintGateError);
+  EXPECT_EQ(session.workload()->transactions[0].period, 20);
+
+  // At kReport the warning passes, and the session's result is still the
+  // cold analysis of its lowered application.
+  AnalysisOptions report;
+  report.lint_level = LintLevel::kReport;
+  AnalysisSession reporting(*inst.catalog, inst.workload, report);
+  const AnalysisResult& warm = reporting.analyze();
+  EXPECT_EQ(warm, analyze(reporting.app(), reporting.options(), reporting.platform()));
 }
 
 TEST(SessionWorkload, FlatSessionsRejectTemplateDeltas) {

@@ -83,12 +83,15 @@ for f in examples/instances/*.rtlb; do
   "$BUILD_DIR/tools/rtlb_check" "$f" "$cert"
 done
 
-# Trace smoke: an instrumented run on every shipped instance must emit a
-# Chrome trace-event file that parses and names all five pipeline stages
-# exhaustively (tools/trace_validate re-checks against the Stage enum).
+# Trace smoke: an instrumented run on every shipped instance, through both
+# analyze_file and rtlb_check --emit, must emit a Chrome trace-event file
+# that parses and names all five pipeline stages exhaustively
+# (tools/trace_validate re-checks against the Stage enum).
 for f in examples/instances/*.rtlb; do
   tracefile="$BUILD_DIR/$(basename "$f" .rtlb).trace.json"
   "$BUILD_DIR/examples/example_analyze_file" --trace "$tracefile" "$f" > /dev/null
+  "$BUILD_DIR/tools/trace_validate" "$tracefile"
+  "$BUILD_DIR/tools/rtlb_check" --emit --trace "$tracefile" "$f" > /dev/null
   "$BUILD_DIR/tools/trace_validate" "$tracefile"
 done
 

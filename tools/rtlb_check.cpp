@@ -38,10 +38,8 @@
 #include "src/common/json.hpp"
 #include "src/core/analysis.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/lint/recurrent.hpp"
 #include "src/model/io.hpp"
 #include "src/obs/trace.hpp"
-#include "src/workload/workload.hpp"
 #include "src/verify/certificate.hpp"
 #include "src/verify/checker.hpp"
 
@@ -58,31 +56,15 @@ namespace {
   std::exit(2);
 }
 
-/// Structural pre-gate: a certificate is judged against a well-formed model,
-/// so structurally broken instances are "malformed input" (exit 2), not a
-/// checker verdict. The judgment is the analysis pipeline's own kReport gate
-/// (run_lint_gate, src/core/pipeline.hpp) -- the same refusal set as
-/// Application::validate(), but reporting EVERY structural finding at once.
-bool load_instance(const std::string& path, ProblemInstance* inst) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    return false;
-  }
+/// Run `gate` -- the parse or the front door at kReport (src/core/pipeline.hpp)
+/// -- and report a refusal as malformed input (exit 2), not a checker
+/// verdict: a certificate is judged against, and emitted from, a well-formed
+/// model. Structural findings are Application::validate()'s refusal set,
+/// reported all at once with their lines.
+template <typename Gate>
+bool admitted(const std::string& path, Gate&& gate) {
   try {
-    *inst = parse_instance(in, ParseOptions{.validate = false});
-    const DedicatedPlatform* platform =
-        inst->platform.num_node_types() > 0 ? &inst->platform : nullptr;
-    if (!inst->workload.empty()) {
-      // Recurrent files must pass the template gate before lowering; the
-      // certificate is then judged against the LOWERED application, exactly
-      // the model analyze(Workload) proved its facts on.
-      LintResult templates = lint_workload(*inst->catalog, inst->workload, platform);
-      if (templates.errors > 0) throw LintGateError(std::move(templates));
-      lower_instance(*inst, LowerOptions{.chain_instances = true, .validate = false});
-      inst->app->validate();
-    }
-    run_lint_gate(*inst->app, platform, LintLevel::kReport, &inst->lines);
+    gate();
   } catch (const LintGateError& e) {
     std::fprintf(stderr, "%s: malformed instance:\n%s", path.c_str(),
                  format_lint_text(e.result(), path).c_str());
@@ -94,12 +76,21 @@ bool load_instance(const std::string& path, ProblemInstance* inst) {
   return true;
 }
 
+/// Parse `path` without validation: the front door judges the model.
+bool load_instance(const std::string& path, ProblemInstance* inst) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    return false;
+  }
+  return admitted(path, [&] { *inst = parse_instance(in, ParseOptions{.validate = false}); });
+}
+
 int run_emit(const std::string& path, SystemModel model, bool model_given, bool joint,
              const std::string& trace_path) {
   ProblemInstance inst;
   if (!load_instance(path, &inst)) return 2;
-  const DedicatedPlatform* platform =
-      inst.platform.num_node_types() > 0 ? &inst.platform : nullptr;
+  const DedicatedPlatform* platform = inst.platform.num_node_types() ? &inst.platform : nullptr;
 
   Trace trace;
   AnalysisOptions options;
@@ -107,6 +98,7 @@ int run_emit(const std::string& path, SystemModel model, bool model_given, bool 
                   : platform  ? SystemModel::Dedicated
                               : SystemModel::Shared;
   options.joint_bounds = joint;
+  options.lint_level = LintLevel::kReport;
   options.emit_certificates = true;
   if (!trace_path.empty()) options.trace = &trace;
   if (options.model == SystemModel::Dedicated && platform == nullptr) {
@@ -114,13 +106,14 @@ int run_emit(const std::string& path, SystemModel model, bool model_given, bool 
     return 2;
   }
 
-  // A refusal past the gate (kWindows' RTLB-E310 on windows out of range)
-  // is malformed input too, reported the way load_instance reports it.
+  // One lint: the flat gate is the pipeline's own kLintGate stage, whose
+  // windows and partitions the analysis takes over. kWindows' RTLB-E310
+  // past it is malformed input too.
   AnalysisResult result;
-  try {
-    result = analyze(*inst.app, options, platform);
-  } catch (const ModelError& e) {
-    std::fprintf(stderr, "%s: malformed instance: %s\n", path.c_str(), e.what());
+  if (!admitted(path, [&] {
+        gate_and_lower(inst, options.lint_level);
+        result = run_pipeline(*inst.app, options, platform, &inst.lines);
+      })) {
     return 2;
   }
   std::printf("%s\n", certificate_json(*result.certificate).dump(2).c_str());
@@ -135,6 +128,15 @@ int run_check(const std::string& instance_path, const std::string& cert_path,
               const std::string& format, bool quiet) {
   ProblemInstance inst;
   if (!load_instance(instance_path, &inst)) return 2;
+  const DedicatedPlatform* platform = inst.platform.num_node_types() ? &inst.platform : nullptr;
+  // Judged against the LOWERED application, the model the analysis proved
+  // its facts on.
+  if (!admitted(instance_path, [&] {
+        gate_and_lower(inst, LintLevel::kReport);
+        run_lint_gate(*inst.app, platform, LintLevel::kReport, &inst.lines);
+      })) {
+    return 2;
+  }
 
   std::ifstream in(cert_path);
   if (!in) {
@@ -155,8 +157,6 @@ int run_check(const std::string& instance_path, const std::string& cert_path,
     return 2;
   }
 
-  const DedicatedPlatform* platform =
-      inst.platform.num_node_types() > 0 ? &inst.platform : nullptr;
   const CheckReport report = check_certificate(cert, *inst.app, platform);
 
   if (format == "json") {

@@ -37,11 +37,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/checkpoint.hpp"
+#include "src/common/strings.hpp"
 #include "src/fleet/runner.hpp"
 
 using namespace rtlb;
@@ -85,7 +87,9 @@ int write_report(const JsonRender& report, const std::string& out_path) {
 
 int long_arg(int argc, char** argv, int* i, const char* argv0) {
   if (++*i >= argc) usage(argv0);
-  return std::atoi(argv[*i]);
+  const std::optional<int> value = parse_int_arg(argv[*i]);
+  if (!value) usage(argv0);
+  return *value;
 }
 
 int run_command(int argc, char** argv) {

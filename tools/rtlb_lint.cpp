@@ -51,19 +51,20 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/json.hpp"
+#include "src/common/strings.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/lint/baseline.hpp"
 #include "src/lint/fixit.hpp"
 #include "src/lint/linter.hpp"
 #include "src/lint/recurrent.hpp"
 #include "src/model/io.hpp"
-#include "src/workload/workload.hpp"
 #include "src/obs/trace.hpp"
 
 using namespace rtlb;
@@ -124,26 +125,18 @@ FileLint lint_text(const std::string& text, const LintOptions& options, Trace* t
     sink.emit(std::move(d));
     return out;
   }
-  const DedicatedPlatform* platform =
-      out.inst.platform.num_node_types() > 0 ? &out.inst.platform : nullptr;
-  if (!out.inst.workload.empty()) {
-    // Recurrent front door: lint the templates first; on template errors the
-    // report is the template batch ALONE (lowering would throw, and the flat
-    // passes would mis-judge declarations the templates use -- e.g. W201's
-    // fix would delete a proctype line the ttasks reference). Clean templates
-    // are lowered and the flat half -- lowered instances included -- is
-    // spliced behind them into one report.
-    LintResult templates = lint_workload(*out.inst.catalog, out.inst.workload, platform, options);
-    if (templates.errors > 0) {
-      out.result = std::move(templates);
-      span.count("diagnostics", static_cast<std::int64_t>(out.result.diagnostics.size()));
-      return out;
-    }
-    lower_instance(out.inst, LowerOptions{.chain_instances = true, .validate = false});
+  // The front door's template half: a refusal reports the template batch
+  // ALONE (flat passes would mis-judge declarations the templates use, e.g.
+  // W201's fix would delete a proctype line the ttasks reference); otherwise
+  // the flat lint of the lowered file is spliced behind the templates.
+  try {
+    LintResult templates = gate_and_lower(out.inst, LintLevel::kErrors, options);
+    const DedicatedPlatform* platform =
+        out.inst.platform.num_node_types() > 0 ? &out.inst.platform : nullptr;
     out.result = merge_lint_results(std::move(templates),
                                     lint(*out.inst.app, platform, &out.inst.lines, options));
-  } else {
-    out.result = lint(*out.inst.app, platform, &out.inst.lines, options);
+  } catch (const LintGateError& e) {
+    out.result = e.result();
   }
   span.count("diagnostics", static_cast<std::int64_t>(out.result.diagnostics.size()));
   return out;
@@ -201,8 +194,9 @@ int run(int argc, char** argv) {
       } else {
         value = arg.substr(std::strlen("--max-errors="));
       }
-      options.max_errors = std::atoi(value.c_str());
-      if (options.max_errors < 0) usage(argv[0]);
+      const std::optional<int> max_errors = parse_int_arg(value);
+      if (!max_errors || *max_errors < 0) usage(argv[0]);
+      options.max_errors = *max_errors;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--fix") {
