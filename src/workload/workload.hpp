@@ -57,9 +57,9 @@ struct LowerOptions {
   /// sinks -- the usual "no self-overrun" semantics).
   bool chain_instances = true;
   /// Run validate_workload() / Application::validate() around the lowering.
-  /// Tools that batch-lint broken inputs (rtlb_lint) set this false after
-  /// having run lint_workload() themselves, so one bad template reports a
-  /// diagnostic instead of throwing out of the whole batch.
+  /// The front door (gate_and_lower, src/core/pipeline.hpp) sets this false
+  /// after its own template lint, so one bad template reports a batch of
+  /// diagnostics instead of throwing out of the whole lowering.
   bool validate = true;
 };
 
@@ -80,8 +80,8 @@ Application lower_workload(const ResourceCatalog& catalog, const Workload& workl
 /// lowered instances to inst.app (no-op for flat instances). Lowered tasks
 /// carry no SourceMap task lines -- fix-its stay anchored to the template
 /// declarations, never to generated instances. Call after parse_instance()
-/// and before analysis; tools that lint broken inputs instead run
-/// lint_workload() themselves and lower only when the templates are clean.
+/// and before analysis; tools go through gate_and_lower() instead, which
+/// lowers only templates its lint passed.
 void lower_instance(ProblemInstance& inst, const LowerOptions& options = {});
 
 // -- Compatibility wrappers over the original periodic-only API. ----------
