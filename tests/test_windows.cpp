@@ -280,6 +280,37 @@ TEST(WindowsRange, OutOfRangeRefusalNamesTheSameTaskAtAnyThreadCount) {
   }
 }
 
+TEST(WindowsRange, LctRefusalNamesTheFirstTaskInReverseTopologicalOrder) {
+  // Four 3-task chains, one processor type per layer (so nothing merges),
+  // added layer by layer: the topological order is x0_0..x0_3, x1_0..x1_3,
+  // x2_0..x2_3. The sinks of chains 1 and 2 are due 5 ticks past -kSafeTime
+  // but take 10, so the LCTs of x1_1, x1_2, x0_1 and x0_2 fall below the
+  // safe range while every EST stays small. Reverse topologically x1_2 comes
+  // first: neither the lowest out-of-range id nor the first in forward order.
+  ResourceCatalog cat;
+  Application app(cat);
+  std::vector<ResourceId> procs;
+  for (int layer = 0; layer < 3; ++layer) {
+    procs.push_back(cat.add_processor_type("P" + std::to_string(layer)));
+  }
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int chain = 0; chain < 4; ++chain) {
+      const bool early_sink = layer == 2 && (chain == 1 || chain == 2);
+      Task t;
+      t.name = "x" + std::to_string(layer) + "_" + std::to_string(chain);
+      t.comp = early_sink ? 10 : 2;
+      t.release = 0;
+      t.deadline = early_sink ? -kSafeTime + 5 : 100;
+      t.proc = procs[static_cast<std::size_t>(layer)];
+      const TaskId id = app.add_task(std::move(t));
+      if (layer > 0) app.add_edge(id - 4, id, 1);
+    }
+  }
+  const std::string message = refusal(app, 1);
+  EXPECT_EQ(message.rfind("RTLB-E310: LCT of task 'x1_2' leaves the safe Time range", 0), 0u)
+      << message;
+}
+
 TEST(WindowsRange, StepOneEndpointsAreRangeChecked) {
   // Sources and sinks take r_i / d_i verbatim; they are checked too, and the
   // range is inclusive at +-kSafeTime.
