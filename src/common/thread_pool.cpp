@@ -8,14 +8,20 @@ namespace rtlb {
 
 namespace {
 std::atomic<std::uint64_t> g_tasks_dispatched{0};
+std::atomic<std::uint64_t> g_threads_started{0};
 }  // namespace
 
 std::uint64_t ThreadPool::tasks_dispatched() {
   return g_tasks_dispatched.load(std::memory_order_relaxed);
 }
 
+std::uint64_t ThreadPool::threads_started() {
+  return g_threads_started.load(std::memory_order_relaxed);
+}
+
 ThreadPool::ThreadPool(unsigned num_threads) {
   if (num_threads == 0) num_threads = 1;
+  g_threads_started.fetch_add(num_threads, std::memory_order_relaxed);
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this](std::stop_token st) { worker_loop(st); });

@@ -50,6 +50,11 @@ class ThreadPool {
   /// unmeasurable.
   static std::uint64_t tasks_dispatched();
 
+  /// Process-wide count of worker threads spawned by pool constructors,
+  /// monotone since process start: what pins that each pool is sized to
+  /// its work, not to the requested thread count.
+  static std::uint64_t threads_started();
+
  private:
   void submit(std::function<void()> job);
   void worker_loop(std::stop_token st);

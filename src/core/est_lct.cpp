@@ -8,8 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/common/thread_pool.hpp"
-
 namespace rtlb {
 
 Time latest_start_of_set(const Application& app, const std::vector<Time>& lct,
@@ -71,7 +69,7 @@ FlatModel flatten(const Application& app) {
 
 /// Checked steps of the recurrences: on int64 overflow the result saturates
 /// at the int64 extreme the exact value lies beyond and `overflow` is set,
-/// so the sweep stays defined and the task is refused afterwards.
+/// so the task's step stays defined and the task is refused after it.
 Time checked_add(Time a, Time b, bool& overflow) {
   Time r;
   if (!__builtin_add_overflow(a, b, &r)) return r;
@@ -96,7 +94,7 @@ struct Candidate {
   TaskId id;
 };
 
-/// Per-worker arena: every container the merge search touches, reused across
+/// The sweep's arena: every container the merge search touches, reused across
 /// tasks (and across candidate sets within a task), so the steady state
 /// allocates nothing.
 struct SweepScratch {
@@ -113,6 +111,9 @@ struct SweepScratch {
 /// incrementally: splice the new task into the kept (lct desc, id asc)
 /// order and refold the prefix values from the splice point only. Returns
 /// whether L_i is in the safe range (and every term on the way was exact).
+/// Both figures stay out of line: inlined into their one call site, the
+/// sweep ran about 10 % slower on shared-model windows (GCC -O3).
+[[gnu::noinline]]
 bool lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
                   std::vector<Time>& lct, std::vector<std::vector<TaskId>>& merged_succ) {
   const auto& succ = app.successors(i);
@@ -197,6 +198,7 @@ bool lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
 }
 
 /// Figure 3 for one task (predecessor ESTs already final); exact mirror.
+[[gnu::noinline]]
 bool est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScratch& s,
                   std::vector<Time>& est, std::vector<std::vector<TaskId>>& merged_pred) {
   const auto& pred = app.predecessors(i);
@@ -269,80 +271,6 @@ bool est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   return !overflow && in_safe_range(best);
 }
 
-/// The parallel sweep decomposition: round r of the source sweep holds the
-/// tasks at forward depth r (every predecessor in an earlier round), round r
-/// of the sink sweep those at backward depth r. The two sweeps write
-/// disjoint arrays (est/merged_pred vs lct/merged_succ) and never read each
-/// other, so round r of BOTH sweeps forms one independent work list.
-struct SweepPlan {
-  std::vector<std::vector<TaskId>> est_rounds, lct_rounds;
-};
-
-SweepPlan make_sweep_plan(const Application& app, std::span<const TaskId> topo) {
-  const std::size_t n = app.num_tasks();
-  SweepPlan plan;
-  std::vector<std::uint32_t> fwd(n, 0), bwd(n, 0);
-  std::uint32_t fwd_depth = 0, bwd_depth = 0;
-  for (TaskId i : topo) {
-    for (TaskId j : app.predecessors(i)) fwd[i] = std::max(fwd[i], fwd[j] + 1);
-    fwd_depth = std::max(fwd_depth, fwd[i]);
-  }
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    for (TaskId j : app.successors(*it)) bwd[*it] = std::max(bwd[*it], bwd[j] + 1);
-    bwd_depth = std::max(bwd_depth, bwd[*it]);
-  }
-  plan.est_rounds.resize(fwd_depth + 1);
-  plan.lct_rounds.resize(bwd_depth + 1);
-  for (TaskId i : topo) plan.est_rounds[fwd[i]].push_back(i);
-  for (TaskId i : topo) plan.lct_rounds[bwd[i]].push_back(i);
-  return plan;
-}
-
-/// The parallel sweeps: the SweepPlan's rounds in order, each chunked over
-/// `workers`. `run_task(task, lct_side, scratch)` evaluates one item.
-template <class RunTask>
-void run_rounds(const Application& app, const MergeOracle& oracle,
-                std::span<const TaskId> topo, unsigned workers, const RunTask& run_task) {
-  const SweepPlan plan = make_sweep_plan(app, topo);
-  ThreadPool pool(workers);
-  std::vector<SweepScratch> scratch(workers);
-  std::vector<std::unique_ptr<MergeOracle::Cursor>> cursors = oracle.cursors(app, workers);
-  for (unsigned c = 0; c < workers; ++c) scratch[c].cursor = std::move(cursors[c]);
-
-  // One item = one task on one side; every item writes only its own slots,
-  // so values are thread-count independent by construction.
-  struct Item {
-    TaskId task;
-    bool lct_side;
-  };
-  std::vector<Item> items;
-  const std::size_t rounds = std::max(plan.est_rounds.size(), plan.lct_rounds.size());
-  for (std::size_t r = 0; r < rounds; ++r) {
-    items.clear();
-    if (r < plan.est_rounds.size()) {
-      for (TaskId i : plan.est_rounds[r]) items.push_back({i, false});
-    }
-    if (r < plan.lct_rounds.size()) {
-      for (TaskId i : plan.lct_rounds[r]) items.push_back({i, true});
-    }
-    // Chunked over the pool: worker c owns a contiguous slice and its own
-    // arena. Tiny rounds (chains, narrow layers) run inline -- pool dispatch
-    // would cost more than the round.
-    const std::size_t chunks = std::min<std::size_t>(workers, items.size());
-    if (chunks <= 1 || items.size() < 8) {
-      for (const Item& item : items) run_task(item.task, item.lct_side, scratch[0]);
-      continue;
-    }
-    pool.parallel_for(chunks, [&](std::size_t c) {
-      const std::size_t begin = items.size() * c / chunks;
-      const std::size_t end = items.size() * (c + 1) / chunks;
-      for (std::size_t x = begin; x < end; ++x) {
-        run_task(items[x].task, items[x].lct_side, scratch[c]);
-      }
-    });
-  }
-}
-
 ModelError window_out_of_range(const Application& app, TaskId i, const char* side) {
   return ModelError("RTLB-E310: " + std::string(side) + " of task '" + app.task(i).name +
                     "' leaves the safe Time range [-" + std::to_string(kSafeTime) + ", " +
@@ -350,7 +278,7 @@ ModelError window_out_of_range(const Application& app, TaskId i, const char* sid
 }
 
 TaskWindows compute_windows_impl(const Application& app, const MergeOracle& oracle,
-                                 std::span<const TaskId> topo, int num_threads) {
+                                 std::span<const TaskId> topo) {
   const std::size_t n = app.num_tasks();
   TaskWindows w;
   w.est.assign(n, 0);
@@ -360,35 +288,19 @@ TaskWindows compute_windows_impl(const Application& app, const MergeOracle& orac
 
   RTLB_CHECK(topo.size() == n, "compute_windows: order is not a permutation");
   const FlatModel m = flatten(app);
-  const unsigned workers =
-      num_threads == 1 ? 1 : ThreadPool::resolve_threads(num_threads);
-
-  // Workers only flag a task whose endpoint left the safe range (one slot
-  // per task and side); the refusal is raised after both sweeps.
-  std::vector<unsigned char> est_bad(n, 0), lct_bad(n, 0);
-  const auto run_task = [&](TaskId i, bool lct_side, SweepScratch& s) {
-    if (lct_side) {
-      lct_bad[i] = !lct_one_task(app, m, i, s, w.lct, w.merged_succ);
-    } else {
-      est_bad[i] = !est_one_task(app, m, i, s, w.est, w.merged_pred);
-    }
-  };
-  if (workers <= 1 || n < 2) {
-    SweepScratch scratch;
-    scratch.cursor = std::move(oracle.cursors(app, 1).front());
-    for (TaskId i : topo) run_task(i, false, scratch);
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) run_task(*it, true, scratch);
-  } else {
-    run_rounds(app, oracle, topo, workers, run_task);
-  }
-
-  // The first flagged task in sweep order -- EST side topologically, then
-  // LCT side in reverse -- so the error is the same at any thread count.
+  SweepScratch scratch;
+  scratch.cursor = oracle.cursor(app);
+  // The first out-of-range task in sweep order -- EST side topologically,
+  // then LCT side in reverse -- ends the sweep.
   for (TaskId i : topo) {
-    if (est_bad[i]) throw window_out_of_range(app, i, "EST");
+    if (!est_one_task(app, m, i, scratch, w.est, w.merged_pred)) {
+      throw window_out_of_range(app, i, "EST");
+    }
   }
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    if (lct_bad[*it]) throw window_out_of_range(app, *it, "LCT");
+    if (!lct_one_task(app, m, *it, scratch, w.lct, w.merged_succ)) {
+      throw window_out_of_range(app, *it, "LCT");
+    }
   }
   return w;
 }
@@ -418,8 +330,8 @@ std::vector<TaskId> topological_order_of(const Application& app) {
 }  // namespace
 
 TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
-                            std::span<const TaskId> order, int num_threads) {
-  TaskWindows w = compute_windows_impl(app, oracle, order, num_threads);
+                            std::span<const TaskId> order) {
+  TaskWindows w = compute_windows_impl(app, oracle, order);
   if (reference_check_enabled()) {
     RTLB_CHECK(w == compute_windows_reference(app, oracle),
                "compute_windows diverged from the reference implementation");
@@ -428,21 +340,19 @@ TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
 }
 
 TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
-                            std::span<const TaskId> order, int num_threads) {
+                            std::span<const TaskId> order) {
   if (platform != nullptr) {
-    return compute_windows(app, DedicatedMergeOracle(*platform), order, num_threads);
+    return compute_windows(app, DedicatedMergeOracle(*platform), order);
   }
-  return compute_windows(app, SharedMergeOracle(), order, num_threads);
+  return compute_windows(app, SharedMergeOracle(), order);
 }
 
-TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
-                            int num_threads) {
-  return compute_windows(app, oracle, topological_order_of(app), num_threads);
+TaskWindows compute_windows(const Application& app, const MergeOracle& oracle, int) {
+  return compute_windows(app, oracle, topological_order_of(app));
 }
 
-TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
-                            int num_threads) {
-  return compute_windows(app, platform, topological_order_of(app), num_threads);
+TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform) {
+  return compute_windows(app, platform, topological_order_of(app));
 }
 
 }  // namespace rtlb

@@ -17,22 +17,21 @@
 // lst(G)/ect(M) packing INCREMENTALLY -- successive candidate sets differ by
 // one task, so each step splices the new task into the kept packing order
 // and refolds only the affected suffix instead of re-sorting and re-packing
-// the whole set. All scratch lives in a per-worker arena reused across tasks
-// and candidate sets; the steady-state merge search allocates nothing.
-//
-// With num_threads != 1 the two sweeps run as parallel source/sink rounds:
-// round r processes every task at forward depth r (EST) and backward depth r
-// (LCT) -- two independent value arrays, so the rounds interleave freely --
-// chunked over the shared ThreadPool. Every task's window is a pure function
-// of the model and its neighbors' already-final values, so the result is
-// bit-identical at any thread count (same discipline as the bound engine).
+// the whole set. All scratch lives in one arena reused across tasks and
+// candidate sets; the steady-state merge search allocates nothing. The
+// engine is one serial sweep: EST in topological order, then LCT in reverse.
+// A task needs its neighbours' final values, so threads could only share
+// rounds of tasks at equal depth; measured, that pays only on thousands of
+// tasks in a few wide layers and loses several-fold on deep, long-path
+// DAGs. Threads pay in the bound engine's interval scan
+// (src/core/lower_bound.hpp).
 //
 // RANGE. compute_windows() is the one overflow guarantee for the windows:
 // every lms/emr term and packing fold is checked int64 arithmetic, and every
 // endpoint it returns lies in [-kSafeTime, kSafeTime]. Otherwise it throws
 // ModelError("RTLB-E310: EST|LCT of task '<name>' ...") for the first such
-// task -- topologically on the EST side, else reverse-topologically on the
-// LCT side -- so the refusal names the same task at every thread count.
+// task in sweep order -- topologically on the EST side, else
+// reverse-topologically on the LCT side.
 //
 // Verification: compute_windows_reference() preserves the original
 // direct-from-the-figures implementation. Building with
@@ -61,6 +60,19 @@ struct TaskWindows {
   std::vector<std::vector<TaskId>> merged_succ;
 
   /// Width of task i's window; a negative value proves infeasibility.
+  ///
+  /// Cannot overflow on windows compute_windows() returned for a validated
+  /// model: -2 kSafeTime <= slack <= 2 kSafeTime, and 2 kSafeTime fits in
+  /// Time. Every endpoint lies in [-kSafeTime, kSafeTime] (RANGE above), so
+  /// lct - est lies in twice that range, and C_i > 0 (RTLB-E001) keeps the
+  /// slack below it. Messages are >= 0 (add_edge refuses others), so a
+  /// neighbour pins one side of the subtraction of C_i inside the safe
+  /// range: with a successor j, E_j >= E_i + C_i whether or not i merges
+  /// into j, so E_i + C_i <= kSafeTime; with a predecessor p,
+  /// L_p <= L_i - C_i, so L_i - C_i >= -kSafeTime. Either way
+  /// slack >= -2 kSafeTime. A task with no neighbours has
+  /// [E_i, L_i] = [r_i, d_i], and validation refuses d_i - r_i < C_i
+  /// (RTLB-E008/E009), so its slack is >= 0.
   Time slack(const Application& app, TaskId i) const {
     return lct[i] - est[i] - app.task(i).comp;
   }
@@ -82,28 +94,25 @@ Time latest_start_of_set(const Application& app, const std::vector<Time>& lct,
 Time earliest_completion_of_set(const Application& app, const std::vector<Time>& est,
                                 std::span<const TaskId> tasks);
 
-/// Run Figures 2 and 3 over the whole application (LCT in reverse
-/// topological order, EST in topological order). `num_threads` follows the
-/// bound-engine convention: 1 = serial (default), 0 = one worker per
-/// hardware thread, n > 1 = exactly n workers; the windows are bit-identical
-/// at every value. Throws ModelError naming RTLB-E310 when an endpoint would
-/// leave [-kSafeTime, kSafeTime] (see RANGE above).
-TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
-                            int num_threads = 1);
+/// Run Figures 2 and 3 over the whole application (EST in topological order,
+/// then LCT in reverse). Throws ModelError naming RTLB-E310 when an endpoint
+/// would leave [-kSafeTime, kSafeTime] (see RANGE above). The `int` is
+/// ignored: the sweep is serial. It is kept for the benchmark's windows
+/// replay (perfbench/replay.cpp), its last user.
+TaskWindows compute_windows(const Application& app, const MergeOracle& oracle, int = 1);
 
 /// The same under the model's merge oracle: DedicatedMergeOracle over
 /// `platform` when one is given, else SharedMergeOracle.
-TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
-                            int num_threads = 1);
+TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform);
 
 /// Either of the above over `order`, the topological order of app.dag()
 /// that Dag::topological_order() returns, computed once by the caller (the
 /// linter hands its one order to every consumer). The two overloads above
 /// compute it -- throwing ModelError on a cycle -- and delegate here.
 TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
-                            std::span<const TaskId> order, int num_threads = 1);
+                            std::span<const TaskId> order);
 TaskWindows compute_windows(const Application& app, const DedicatedPlatform* platform,
-                            std::span<const TaskId> order, int num_threads = 1);
+                            std::span<const TaskId> order);
 
 /// The original per-merge-churn implementation, kept verbatim as the
 /// reference for the flattened engine. Test/verification use only (see the

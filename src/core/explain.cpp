@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 
-#include "src/common/thread_pool.hpp"
 #include "src/core/overlap.hpp"
 #include "src/core/partition.hpp"
 
@@ -65,8 +64,7 @@ std::vector<TaskId> binding_lct_chain(const Application& app, const TaskWindows&
 
 namespace {
 
-/// The worst over-capacity interval of one partition block, or nullopt. One
-/// (resource, block) pair is one unit of the diagnose fan-out.
+/// The worst over-capacity interval of one partition block, or nullopt.
 std::optional<CapacityViolation> worst_block_violation(const Application& app,
                                                        const TaskWindows& windows,
                                                        ResourceId r, int cap,
@@ -139,40 +137,15 @@ InfeasibilityReport diagnose(const Application& app, const TaskWindows& windows,
   }
 
   if (caps != nullptr) {
-    // Materialize the (resource, block) units first, then scan them serially
-    // or across a pool; results land in per-unit slots and are appended in
-    // unit order, so the report is identical at any thread count.
-    const std::vector<ResourcePartition> partitions = partition_all(app, windows);
-    struct Unit {
-      ResourceId resource;
-      int cap;
-      const PartitionBlock* block;
-    };
-    std::vector<Unit> units;
-    for (const ResourcePartition& p : partitions) {
+    // Violations are reported in resource/block order.
+    for (const ResourcePartition& p : partition_all(app, windows)) {
       for (const PartitionBlock& b : p.blocks) {
-        units.push_back({p.resource, caps->of(p.resource), &b});
+        std::optional<CapacityViolation> v = worst_block_violation(
+            app, windows, p.resource, caps->of(p.resource), b, opts.enable_pruning);
+        if (!v) continue;
+        report.feasible_capacity = false;
+        report.violations.push_back(std::move(*v));
       }
-    }
-
-    std::vector<std::optional<CapacityViolation>> found(units.size());
-    auto run_one = [&](std::size_t i) {
-      found[i] = worst_block_violation(app, windows, units[i].resource, units[i].cap,
-                                       *units[i].block, opts.enable_pruning);
-    };
-    const unsigned workers =
-        opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-    if (workers <= 1 || units.size() <= 1) {
-      for (std::size_t i = 0; i < units.size(); ++i) run_one(i);
-    } else {
-      ThreadPool pool(workers);
-      pool.parallel_for(units.size(), run_one);
-    }
-
-    for (std::optional<CapacityViolation>& v : found) {
-      if (!v) continue;
-      report.feasible_capacity = false;
-      report.violations.push_back(std::move(*v));
     }
   }
   return report;

@@ -53,13 +53,12 @@ struct InfeasibilityReport {
 };
 
 /// Diagnose `app` in isolation (window collapses) and, when `caps` is
-/// non-null, against a concrete shared system (capacity violations). The
-/// capacity scan reuses the lower-bound engine knobs: opts.num_threads fans
-/// the per-(resource, block) interval scans out over a pool (violations are
-/// still reported in deterministic resource/block order) and
-/// opts.enable_pruning skips intervals that cannot hold the block's worst
-/// excess. opts.use_partitioning is ignored -- the certificate search is
-/// always block-local.
+/// non-null, against a concrete shared system (capacity violations,
+/// reported in resource/block order). The capacity scan is serial and reads
+/// one lower-bound engine knob: opts.enable_pruning skips intervals that
+/// cannot hold the block's worst excess. opts.num_threads and
+/// opts.use_partitioning are ignored -- the certificate search is always
+/// block-local.
 InfeasibilityReport diagnose(const Application& app, const TaskWindows& windows,
                              const Capacities* caps = nullptr,
                              const LowerBoundOptions& opts = {});

@@ -559,7 +559,7 @@ std::vector<ResourceBound> scan_rows(const Application& app, const TaskWindows& 
   if (workers <= 1 || units.size() <= 1) {
     for (std::size_t i = 0; i < units.size(); ++i) run_one(i);
   } else {
-    ThreadPool pool(workers);
+    ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(workers, units.size())));
     pool.parallel_for(units.size(), run_one);
   }
   // Units are grouped by block in block order, so this folds each block's

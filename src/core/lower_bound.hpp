@@ -72,8 +72,9 @@ struct LowerBoundOptions {
   bool use_partitioning = true;
 
   /// Worker threads for the scan. 1 = serial (default); 0 = one per
-  /// hardware thread; n > 1 = exactly n workers. Results are bit-identical
-  /// across all values (see the engine note above).
+  /// hardware thread; n > 1 = n workers. The pool never exceeds the scan
+  /// units of the call. Results are bit-identical across all values (see
+  /// the engine note above).
   int num_threads = 1;
 
   /// Skip candidate intervals whose best-possible density cannot beat the

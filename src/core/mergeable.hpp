@@ -7,7 +7,7 @@
 //
 // Two query shapes are offered:
 //  - mergeable(): judge an arbitrary materialized set in one call.
-//  - cursors(): incremental membership tests for the greedy merge loops of
+//  - cursor(): incremental membership tests for the greedy merge loops of
 //    Figures 2 and 3, whose candidate sets grow by exactly one task per
 //    step. A cursor carries the set state (processor type, or the running
 //    AND of the members' node-type host masks) across steps, so each
@@ -18,7 +18,6 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "src/model/application.hpp"
 #include "src/model/platform.hpp"
@@ -46,22 +45,17 @@ class MergeOracle {
     virtual bool try_add(TaskId t) = 0;
   };
 
-  /// Cursor factory: `count` independent cursors (one per worker) over
-  /// per-application tables built once per call. The default adapter
-  /// materializes the set and re-asks mergeable() on every try_add, so
-  /// derived oracles keep exact semantics without implementing incremental
-  /// state; both built-in oracles override it. The oracle (and `app`) must
-  /// outlive the cursors.
-  virtual std::vector<std::unique_ptr<Cursor>> cursors(const Application& app,
-                                                       std::size_t count) const;
+  /// A cursor over per-application tables built once per call (the
+  /// windows engine asks for one per sweep). The oracle (and `app`) must
+  /// outlive it.
+  virtual std::unique_ptr<Cursor> cursor(const Application& app) const = 0;
 };
 
 /// Definition 1: mergeable iff all tasks share a processor type.
 class SharedMergeOracle final : public MergeOracle {
  public:
   bool mergeable(const Application& app, std::span<const TaskId> tasks) const override;
-  std::vector<std::unique_ptr<Cursor>> cursors(const Application& app,
-                                               std::size_t count) const override;
+  std::unique_ptr<Cursor> cursor(const Application& app) const override;
 };
 
 /// Definition 2: mergeable iff all tasks share a processor type AND some node
@@ -73,8 +67,7 @@ class DedicatedMergeOracle final : public MergeOracle {
   explicit DedicatedMergeOracle(const DedicatedPlatform& platform) : platform_(&platform) {}
 
   bool mergeable(const Application& app, std::span<const TaskId> tasks) const override;
-  std::vector<std::unique_ptr<Cursor>> cursors(const Application& app,
-                                               std::size_t count) const override;
+  std::unique_ptr<Cursor> cursor(const Application& app) const override;
 
  private:
   const DedicatedPlatform* platform_;

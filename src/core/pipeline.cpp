@@ -149,8 +149,6 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   // lint's windows use the dedicated oracle iff a platform is given, so
   // they are taken only when that is the model's oracle; otherwise a
   // recompute, which refuses out-of-range windows itself (RTLB-E310).
-  // Windows are bit-identical at any worker count, so the serial lint's
-  // equal the threaded recompute.
   const bool from_lint = gate.windows && dedicated == (platform != nullptr);
   {
     ScopedSpan span(trace, stage_name(Stage::kWindows));
@@ -158,8 +156,7 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       result.windows = std::move(*gate.windows);
       span.count("from_lint", 1);
     } else {
-      result.windows = compute_windows(app, dedicated ? platform : nullptr,
-                                       options.lower_bound.num_threads);
+      result.windows = compute_windows(app, dedicated ? platform : nullptr);
     }
     span.count("tasks", static_cast<std::int64_t>(app.num_tasks()));
   }

@@ -403,7 +403,9 @@ FleetRunResult run_fleet(const ScenarioSpec& spec, const FleetOptions& opts) {
     }
   }
 
-  ThreadPool pool(ThreadPool::resolve_threads(opts.threads));
+  // No more workers than instances left to evaluate.
+  ThreadPool pool(static_cast<unsigned>(std::min<std::uint64_t>(
+      ThreadPool::resolve_threads(opts.threads), owned_total - owned_done)));
   std::uint64_t reproducers_written = count_written_reproducers(run.aggregates);
   std::vector<Outcome> slots;
 

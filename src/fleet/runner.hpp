@@ -61,7 +61,7 @@ struct FleetOptions {
   FleetOracles oracles;
 
   /// Workers inside this shard (ThreadPool semantics: <= 0 means one per
-  /// hardware thread).
+  /// hardware thread), never more than the instances the shard has left.
   int threads = 1;
 
   /// Process-level sharding: this process evaluates global indices g with

@@ -177,7 +177,7 @@ Certificate build_certificate(const Application& app, const AnalysisOptions& opt
   // merge sets are copied in the engine's merge order (the improved prefix
   // of the Figure 2/3 candidate order, ids breaking ties) -- NOT re-sorted
   // here, so equal windows yield byte-identical WindowFacts whichever path
-  // (serial, parallel rounds, warm session) produced them. The tie-break
+  // (cold analysis, lint handoff, warm session) produced them. The tie-break
   // suite in tests/test_windows.cpp pins this.
   cert.windows.reserve(app.num_tasks());
   for (TaskId i = 0; i < app.num_tasks(); ++i) {

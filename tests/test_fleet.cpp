@@ -16,6 +16,7 @@
 
 #include "src/common/checkpoint.hpp"
 #include "src/common/random.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/report.hpp"
 #include "src/core/session.hpp"
 #include "src/fleet/runner.hpp"
@@ -247,6 +248,21 @@ TEST(FleetRunner, ThreadCountDoesNotChangeTheBytes) {
   threaded.threads = 4;
   EXPECT_EQ(report_bytes(spec, run_fleet(spec, serial)),
             report_bytes(spec, run_fleet(spec, threaded)));
+}
+
+TEST(FleetRunner, PoolIsCappedAtTheShardsInstances) {
+  // Shard 0 of 40 owns two of the 80 instances, so 24 requested workers
+  // start two threads. The parallel oracle is off: its bound scans start
+  // pools of their own.
+  const ScenarioSpec spec = tiny_spec();
+  FleetOptions opts;
+  opts.threads = 24;
+  opts.shards = 40;
+  opts.oracles.parallel = false;
+  const std::uint64_t before = ThreadPool::threads_started();
+  const FleetRunResult run = run_fleet(spec, opts);
+  EXPECT_EQ(ThreadPool::threads_started() - before, 2u);
+  EXPECT_EQ(run.aggregates.instances, 2u);
 }
 
 TEST(FleetRunner, ShardedRunsMergeToSingleProcessBytes) {

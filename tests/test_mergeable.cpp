@@ -104,7 +104,7 @@ TEST(MergeableWideMenu, CursorAgreesWithMergeablePastTheFirstMaskWord) {
   for (const DedicatedPlatform* plat : {&m.wide, &m.narrow}) {
     DedicatedMergeOracle oracle(*plat);
     EXPECT_EQ(oracle.mergeable(m.app, xy), plat == &m.wide);
-    const auto cursor = std::move(oracle.cursors(m.app, 1).front());
+    const auto cursor = oracle.cursor(m.app);
     for (TaskId s : all) {
       for (TaskId t : all) {
         for (TaskId w : all) {

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <limits>
 
+#include "src/common/thread_pool.hpp"
 #include "src/core/analysis.hpp"
 #include "src/core/lower_bound.hpp"
 #include "src/core/overlap.hpp"
@@ -507,6 +508,37 @@ TEST(RatioOverflow, DemandOverflowIsDetectedNotWrapped) {
   EXPECT_THROW(resource_lower_bound(app, w, p), ModelError);
   app.task(3).deadline = kSafeTime + 1;
   EXPECT_THROW(compute_windows(app, oracle), ModelError);
+}
+
+TEST(ParallelBound, PoolIsCappedAtTheScanUnits) {
+  // Two overlapping tasks on one processor type and one resource: each of
+  // the two rows is one block of at most four window endpoints, one scan
+  // unit, so 24 requested workers start two threads.
+  ResourceCatalog cat;
+  const ResourceId cpu = cat.add_processor_type("CPU");
+  const ResourceId bus = cat.add_resource("BUS");
+  Application app(cat);
+  for (Time release : {0, 3}) {
+    Task t;
+    t.name = "t" + std::to_string(release);
+    t.comp = 4;
+    t.release = release;
+    t.deadline = release + 6;
+    t.proc = cpu;
+    t.resources = {bus};
+    app.add_task(std::move(t));
+  }
+  const TaskWindows w = compute_windows(app, SharedMergeOracle());
+  LowerBoundOptions opts;
+  const std::vector<ResourceBound> serial = all_resource_bounds(app, w, opts);
+  opts.num_threads = 24;
+  const std::uint64_t before = ThreadPool::threads_started();
+  const std::vector<ResourceBound> threaded = all_resource_bounds(app, w, opts);
+  EXPECT_EQ(ThreadPool::threads_started() - before, 2u);
+  ASSERT_EQ(threaded.size(), serial.size());
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    expect_bitwise_equal(serial[r], threaded[r], "row " + std::to_string(r));
+  }
 }
 
 }  // namespace

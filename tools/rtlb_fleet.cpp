@@ -20,7 +20,8 @@
 //   --spec FILE           scenario spec JSON (required)
 //   --out FILE            report JSON destination (default: stdout)
 //   --threads N           ThreadPool workers (<=0: one per hardware thread)
-//   --shards S --shard K  process-level sharding (defaults 1 / 0)
+//   --shards S --shard K  process-level sharding (defaults 1 / 0; S >= 1,
+//                         0 <= K < S)
 //   --checkpoint FILE     resumable checkpoint path
 //   --checkpoint-every N  instances per checkpoint chunk (default 512)
 //   --limit N             stop after N instances THIS run (kill -9 stand-in)
@@ -140,6 +141,7 @@ int run_command(int argc, char** argv) {
     }
   }
   if (spec_path.empty()) usage(argv[0]);
+  if (opts.shards < 1 || opts.shard < 0 || opts.shard >= opts.shards) usage(argv[0]);
 
   const ScenarioSpec spec = load_spec(spec_path);
   const FleetRunResult result = run_fleet(spec, opts);

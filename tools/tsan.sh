@@ -6,8 +6,9 @@
 # memoized sessions (tests/test_sensitivity, tests/test_session).
 # RTLB_SESSION_VERIFY is forced on so every session query under TSan is also
 # cross-checked against a cold analyze(), and RTLB_WINDOWS_REFERENCE so every
-# compute_windows() call (including the parallel source/sink rounds) is
-# cross-checked against the verbatim Figure 2/3 reference implementation.
+# compute_windows() call (one serial sweep, inside whichever worker runs the
+# query) is cross-checked against the verbatim Figure 2/3 reference
+# implementation.
 #
 # Usage: tools/tsan.sh [build-dir]   (default: build-tsan)
 set -eu
