@@ -15,7 +15,9 @@
 //      the session re-solves only the covering ILP per variant.
 // Results go to BENCH_session.json (benchutil::export_json) with
 // reps/hardware_concurrency/degraded recorded like BENCH_fleet.json; every
-// timing is best-of-reps. RTLB_BENCH_REPS overrides the rep count.
+// timing is best-of-reps, recorded next to its reps' min, median and max
+// (the cold delta sweep's best alone moves by a third with host state).
+// RTLB_BENCH_REPS overrides the rep count.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -67,9 +69,9 @@ DeltaWorkload make_delta_workload(std::size_t groups, std::size_t per_group) {
 }
 
 struct SweepTiming {
-  double cold_ms = 0;
-  double warm_ms = 0;
-  double speedup() const { return warm_ms > 0 ? cold_ms / warm_ms : 0; }
+  benchutil::RepSpread cold;
+  benchutil::RepSpread warm;
+  double speedup() const { return warm.min_ms > 0 ? cold.min_ms / warm.min_ms : 0; }
 };
 
 /// (a) One-task-deadline deltas: what synthesis and annealing inner loops
@@ -77,7 +79,7 @@ struct SweepTiming {
 SweepTiming time_delta_sweep(const Application& base, int queries, int reps,
                              SessionStats* stats) {
   SweepTiming timing;
-  // `tick` keeps advancing across time_ms reps (and 24 % 5 != 0), so a task
+  // `tick` keeps advancing across the reps (and 24 % 5 != 0), so a task
   // revisited in a later rep gets a DIFFERENT deadline -- every query is a
   // real delta, never a no-op the session could answer as a pure query hit.
   auto deadline_at = [&](int q, int tick) {
@@ -86,7 +88,7 @@ SweepTiming time_delta_sweep(const Application& base, int queries, int reps,
   };
 
   int cold_tick = 0;
-  timing.cold_ms = benchutil::time_ms([&] {
+  timing.cold = benchutil::time_spread_ms([&] {
     for (int q = 0; q < queries; ++q) {
       Application scaled = base;  // the pre-session workflow copies + reanalyzes
       const auto [t, d] = deadline_at(q, cold_tick++);
@@ -98,13 +100,13 @@ SweepTiming time_delta_sweep(const Application& base, int queries, int reps,
   AnalysisSession session(base);
   session.set_verify(false);  // timing run; correctness is ctest's job
   int warm_tick = 0;
-  timing.warm_ms = benchutil::time_ms([&] {
+  timing.warm = benchutil::time_spread_ms([&] {
     for (int q = 0; q < queries; ++q) {
       const auto [t, d] = deadline_at(q, warm_tick++);
       session.set_deadline(t, d);
       benchmark::DoNotOptimize(session.analyze());
     }
-  });
+  }, reps);
   if (stats != nullptr) *stats = session.stats();
   return timing;
 }
@@ -113,7 +115,7 @@ SweepTiming time_delta_sweep(const Application& base, int queries, int reps,
 SweepTiming time_laxity_sweep(const Application& base, const std::vector<double>& factors,
                               int reps) {
   SweepTiming timing;
-  timing.cold_ms = benchutil::time_ms([&] {
+  timing.cold = benchutil::time_spread_ms([&] {
     for (double factor : factors) {
       Application scaled = base;
       for (TaskId i = 0; i < base.num_tasks(); ++i) {
@@ -125,7 +127,7 @@ SweepTiming time_laxity_sweep(const Application& base, const std::vector<double>
       benchmark::DoNotOptimize(analyze(scaled));
     }
   }, reps);
-  timing.warm_ms = benchutil::time_ms(
+  timing.warm = benchutil::time_spread_ms(
       [&] { benchmark::DoNotOptimize(deadline_laxity_sweep(base, factors)); }, reps);
   return timing;
 }
@@ -138,13 +140,13 @@ SweepTiming time_menu_sweep(const Application& app,
   SweepTiming timing;
   AnalysisOptions options;
   options.model = SystemModel::Dedicated;
-  timing.cold_ms = benchutil::time_ms([&] {
+  timing.cold = benchutil::time_spread_ms([&] {
     for (const auto& [name, platform] : menus) {
       benchmark::DoNotOptimize(analyze(app, options, &platform));
     }
   }, reps);
-  timing.warm_ms =
-      benchutil::time_ms([&] { benchmark::DoNotOptimize(menu_variants(app, menus)); }, reps);
+  timing.warm =
+      benchutil::time_spread_ms([&] { benchmark::DoNotOptimize(menu_variants(app, menus)); }, reps);
   return timing;
 }
 
@@ -187,8 +189,8 @@ void run_report() {
   Table t({"sweep", "queries", "cold ms", "warm ms", "speedup"});
   auto add_row = [&](const char* name, std::size_t queries, const SweepTiming& s) {
     char cold[32], warm[32], speed[32];
-    std::snprintf(cold, sizeof cold, "%.2f", s.cold_ms);
-    std::snprintf(warm, sizeof warm, "%.2f", s.warm_ms);
+    std::snprintf(cold, sizeof cold, "%.2f", s.cold.min_ms);
+    std::snprintf(warm, sizeof warm, "%.2f", s.warm.min_ms);
     std::snprintf(speed, sizeof speed, "%.1fx", s.speedup());
     t.add(name, queries, cold, warm, speed);
   };
@@ -205,9 +207,15 @@ void run_report() {
       .set("tasks_per_group", static_cast<std::int64_t>(kPerGroup))
       .set("queries", static_cast<std::int64_t>(kQueries));
   root.set("workload", std::move(workload));
-  auto sweep_json = [](const SweepTiming& s) {
+  auto reps_json = [](const benchutil::RepSpread& r) {
     Json j = Json::object();
-    j.set("cold_ms", s.cold_ms).set("warm_ms", s.warm_ms).set("speedup", s.speedup());
+    j.set("min_ms", r.min_ms).set("median_ms", r.median_ms).set("max_ms", r.max_ms);
+    return j;
+  };
+  auto sweep_json = [&](const SweepTiming& s) {
+    Json j = Json::object();
+    j.set("cold_ms", s.cold.min_ms).set("warm_ms", s.warm.min_ms).set("speedup", s.speedup());
+    j.set("cold_reps", reps_json(s.cold)).set("warm_reps", reps_json(s.warm));
     return j;
   };
   root.set("delta_sweep", sweep_json(delta_t));

@@ -1,11 +1,13 @@
 // Shared helpers for the benchmark binaries.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/common/json.hpp"
 #include "src/common/table.hpp"
@@ -51,18 +53,34 @@ inline int rep_count(int fallback) {
   return fallback;
 }
 
-/// Best-of-`reps` wall-clock milliseconds of fn().
+/// Wall-clock milliseconds of `reps` (at least one) calls of fn(): the
+/// fastest, which the benches report as their best, and the median and
+/// slowest, which show how far the reps spread on a shared host.
+struct RepSpread {
+  double min_ms = 0;
+  double median_ms = 0;
+  double max_ms = 0;
+};
+
 template <typename Fn>
-double time_ms(Fn&& fn, int reps = 3) {
-  double best = -1.0;
-  for (int i = 0; i < reps; ++i) {
+RepSpread time_spread_ms(Fn&& fn, int reps) {
+  std::vector<double> ms;
+  for (int i = 0; i < std::max(reps, 1); ++i) {
     const auto start = std::chrono::steady_clock::now();
     fn();
     const auto stop = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(stop - start).count();
-    if (best < 0 || ms < best) best = ms;
+    ms.push_back(std::chrono::duration<double, std::milli>(stop - start).count());
   }
-  return best;
+  std::sort(ms.begin(), ms.end());
+  const std::size_t mid = ms.size() / 2;
+  const double median = ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2;
+  return {ms.front(), median, ms.back()};
+}
+
+/// Best-of-`reps` wall-clock milliseconds of fn().
+template <typename Fn>
+double time_ms(Fn&& fn, int reps = 3) {
+  return time_spread_ms(fn, reps).min_ms;
 }
 
 }  // namespace rtlb::benchutil

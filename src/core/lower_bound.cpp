@@ -26,9 +26,9 @@ constexpr std::uint64_t kPairsPerUnit = 4096;
 /// of pairs that survive the probe floor (see plan_block_units), which
 /// spreads the real work evenly. The grain is smaller than kPairsPerUnit
 /// because surviving pairs all pay a Theta evaluation (a RowSweep step plus
-/// their row's share of its setup), where nominal pairs are mostly a single
-/// pruned comparison. Unit boundaries reset the unit's own prune incumbent,
-/// so both grains are part of the intervals_evaluated contract.
+/// their row's share of its straddling ramps), where nominal pairs are
+/// mostly cut off unread. Unit boundaries reset the unit's own prune
+/// incumbent, so both grains are part of the intervals_evaluated contract.
 constexpr std::uint64_t kSurvivingPairsPerUnit = 256;
 
 /// What one unit (or a block's probe pass) reports back; merged in
@@ -81,10 +81,17 @@ struct BlockScan {
   std::vector<Time> comp_by_est, est_by_est, lct_by_est;
   std::vector<char> preemptive_by_est;
   Time max_window = 0;  ///< max over tasks of L_i - E_i
+  Time max_comp = 0;    ///< max over tasks of C_i
   /// Per task in *_by_est order, the index in `points` of E_i and of L_i,
   /// and the first index whose point is > L_i - C_i (RowSweep's fixed
   /// breakpoints).
   std::vector<std::size_t> k_est, k_lct, k_slack;
+  /// The *_by_est indices, ascending, of the tasks whose window is narrower
+  /// than C_i > 0 (L_i - C_i < E_i): RowSweep adds their ramps row by row.
+  std::vector<std::size_t> narrow;
+  /// Per left endpoint index l, with pruning on, one past the last right
+  /// endpoint that survives the probe floor (row_cut).
+  std::vector<std::size_t> probe_cut;
   /// Whether scan rows take RowSweep: the total demand did not saturate
   /// (so every Theta fits in Time) and no C_i is negative (Psi = C_i < 0
   /// has no ramp form). Otherwise every pair goes through demand_flat.
@@ -151,8 +158,8 @@ Time demand_flat(const BlockScan& block, Time t1, Time t2) {
   return sum;
 }
 
-/// Theta(t1, ·) along one scan row, from each task's breakpoints instead of
-/// a sum per pair.
+/// Theta(t1, ·) along the scan rows of one unit, from each task's
+/// breakpoints instead of a sum per pair, carried from row to row.
 ///
 /// Fix t1 and let h_i = C_i - max(0, t1 - E_i). For every t2 > t1,
 /// Theorems 3 and 4 reduce to Psi(i, t1, t2) = [t2 > E_i] *
@@ -165,29 +172,48 @@ Time demand_flat(const BlockScan& block, Time t1, Time t2) {
 /// The row's right endpoints are the block's sorted candidate points, so a
 /// ramp enters Theta at the first candidate past max(s_i, E_i) with slope 1
 /// and offset -s_i, and leaves it at the first candidate past q_i with
-/// slope -1 and offset +q_i. start() records those slope and offset changes
-/// per candidate index; next() then walks the row as two running sums:
-/// Theta(t1, t2) = slope * t2 + offset. Most breakpoints (E_i, L_i,
-/// L_i - C_i) sit at indices fixed per block (BlockScan::k_*); only the
-/// ramps of tasks that start before t1 need a binary search. A row costs
-/// O(tasks + candidates) instead of O(candidates * tasks).
+/// slope -1 and offset +q_i. The sweep keeps those slope and offset changes
+/// per candidate index; next() walks a row as two running sums:
+/// Theta(t1, t2) = slope * t2 + offset.
+///
+/// A task with E_i >= t1 whose window holds C_i (L_i - C_i >= E_i) has the
+/// same ramp in every such row, from s_i = L_i - C_i to L_i at indices fixed
+/// per block (BlockScan::k_slack and k_lct): the first row() records the
+/// fixed ramps once, and each later row() drops those of the tasks t1 has
+/// just passed. A row then adds, and the next row undoes, only the ramps of
+/// tasks that straddle t1 (t1 - max C < E_i < t1, where h_i > 0 is still
+/// possible; one binary search each) and of the usually empty list of
+/// windows narrower than C_i with E_i >= t1. A row costs O(points +
+/// straddling ramps * log points); the first also costs O(points + tasks).
 ///
 /// Arithmetic: breakpoints, offsets and the running sums are __int128 (n
 /// terms of magnitude < 2^65); the result is exactly Theta, which lies in
 /// [0, total_demand] and so fits in Time on a block with BlockScan::sweep.
 class RowSweep {
  public:
-  /// Start the row at t1 over the candidates [first, end), where `first`
-  /// is the first candidate point > t1.
-  void start(const BlockScan& block, Time t1, std::size_t first, std::size_t end) {
-    slope_.resize(block.points.size());
-    offset_.resize(block.points.size());
-    std::fill(slope_.begin() + static_cast<std::ptrdiff_t>(first),
-              slope_.begin() + static_cast<std::ptrdiff_t>(end), 0);
-    std::fill(offset_.begin() + static_cast<std::ptrdiff_t>(first),
-              offset_.begin() + static_cast<std::ptrdiff_t>(end), 0);
-    const EstRange range = est_range(block, t1, block.points[end - 1]);
-    for (std::size_t i = range.begin; i < range.end; ++i) add(block, i, t1, first, end);
+  /// Move to the row at t1 over the candidates [first, end) of `block`,
+  /// where `first` is the first candidate point > t1. Every call passes the
+  /// same block, and no row lies left of the first.
+  void row(const BlockScan& block, Time t1, std::size_t first, std::size_t end) {
+    if (block_ == nullptr) start(block, t1);
+    for (const Change& c : undo_) {
+      slope_[c.at] -= c.slope;
+      offset_[c.at] -= c.offset;
+    }
+    undo_.clear();
+    const std::size_t tasks = block.est_by_est.size();
+    for (; passed_ < tasks && block.est_by_est[passed_] < t1; ++passed_) move_fixed(passed_, -1);
+    const __int128 reach = static_cast<__int128>(t1) - block.max_comp;
+    while (straddle_ < passed_ && block.est_by_est[straddle_] <= reach) ++straddle_;
+    for (std::size_t i = straddle_; i < passed_; ++i) add(i, t1, first, end);
+    while (narrow_ < block.narrow.size() && block.est_by_est[block.narrow[narrow_]] < t1) {
+      ++narrow_;
+    }
+    for (std::size_t j = narrow_; j < block.narrow.size(); ++j) {
+      const std::size_t i = block.narrow[j];
+      if (block.k_est[i] + 1 >= end) break;  // the ramp enters past the row
+      add(i, t1, first, end);
+    }
     next_ = first;
     slope_sum_ = 0;
     offset_sum_ = 0;
@@ -202,8 +228,45 @@ class RowSweep {
   }
 
  private:
-  void add(const BlockScan& block, std::size_t i, Time t1, std::size_t first,
-           std::size_t end) {
+  struct Change {
+    std::size_t at;
+    std::int64_t slope;
+    __int128 offset;
+  };
+
+  /// Record the fixed ramps of every task with E_i >= t1.
+  void start(const BlockScan& block, Time t1) {
+    block_ = &block;
+    const std::size_t n = block.points.size();
+    slope_.assign(n + 1, 0);
+    offset_.assign(n + 1, 0);
+    const auto est = block.est_by_est.begin();
+    passed_ = static_cast<std::size_t>(
+        std::lower_bound(est, block.est_by_est.end(), t1) - est);
+    for (std::size_t i = passed_; i < block.est_by_est.size(); ++i) move_fixed(i, 1);
+  }
+
+  /// Add (sign 1) or remove (sign -1) task i's fixed ramp, if it has one.
+  void move_fixed(std::size_t i, int sign) {
+    const BlockScan& block = *block_;
+    const Time c = block.comp_by_est[i];
+    if (c <= 0 || block.k_slack[i] <= block.k_est[i]) return;  // narrow or empty
+    const __int128 l = block.lct_by_est[i];
+    slope_[block.k_slack[i]] += sign;
+    offset_[block.k_slack[i]] -= sign * (l - c);
+    slope_[block.k_lct[i] + 1] -= sign;
+    offset_[block.k_lct[i] + 1] += sign * l;
+  }
+
+  void change(std::size_t at, std::int64_t slope, __int128 offset) {
+    slope_[at] += slope;
+    offset_[at] += offset;
+    undo_.push_back({at, slope, offset});
+  }
+
+  /// Task i's ramp in the row at t1, over the candidates [first, end).
+  void add(std::size_t i, Time t1, std::size_t first, std::size_t end) {
+    const BlockScan& block = *block_;
     const __int128 e = block.est_by_est[i];
     const __int128 l = block.lct_by_est[i];
     const __int128 c = block.comp_by_est[i];
@@ -239,16 +302,19 @@ class RowSweep {
     }
     enter = std::max({enter, block.k_est[i] + 1, first});
     if (enter >= end) return;
-    slope_[enter] += 1;
-    offset_[enter] -= s;
+    change(enter, 1, -s);
     leave = std::max(leave, enter);
     if (leave >= end) return;
-    slope_[leave] -= 1;
-    offset_[leave] += q;
+    change(leave, -1, q);
   }
 
+  const BlockScan* block_ = nullptr;
   std::vector<std::int64_t> slope_;
   std::vector<__int128> offset_;
+  std::vector<Change> undo_;   ///< this row's own ramps, undone by the next row
+  std::size_t passed_ = 0;     ///< first task (EST order) with E_i >= t1
+  std::size_t straddle_ = 0;   ///< first task with E_i > t1 - max C
+  std::size_t narrow_ = 0;     ///< first BlockScan::narrow entry with E_i >= t1
   std::size_t next_ = 0;
   std::int64_t slope_sum_ = 0;
   __int128 offset_sum_ = 0;
@@ -286,11 +352,27 @@ UnitResult probe_block(const BlockScan& block) {
   return res;
 }
 
+/// The first k in [lo, hi) at which row l's best-possible density
+/// total_demand / (points[k] - points[l]) no longer strictly beats `floor`,
+/// or hi. The width grows along the row, so the pairs that beat the floor
+/// form a prefix and one binary search finds its end.
+std::size_t row_cut(const BlockScan& block, std::size_t l, std::size_t lo, std::size_t hi,
+                    const Ratio& floor) {
+  const Time t1 = block.points[l];
+  const auto points = block.points.begin();
+  return static_cast<std::size_t>(
+      std::partition_point(points + static_cast<std::ptrdiff_t>(lo),
+                           points + static_cast<std::ptrdiff_t>(hi),
+                           [&](Time t2) { return Ratio{block.total_demand, t2 - t1} > floor; }) -
+      points);
+}
+
 /// Fill in everything a scan of `block` reads: the candidate points, the
 /// flat arrays in block and EST order, the total demand, RowSweep's fixed
-/// breakpoint indices, and -- with pruning -- the probe. Scan units are
-/// planned afterwards (plan_block_units), because pruned units are sized by
-/// how much work survives the probe floor.
+/// breakpoint indices and narrow windows, and -- with pruning -- the probe
+/// and each row's probe cut. Scan units are planned afterwards
+/// (plan_block_units), because pruned units are sized by how much work
+/// survives the probe floor.
 void prepare_scan(BlockScan& block, const Application& app, const TaskWindows& windows,
                   bool pruning) {
   const std::span<const TaskId> tasks = block.tasks;
@@ -308,6 +390,7 @@ void prepare_scan(BlockScan& block, const Application& app, const TaskWindows& w
     block.lct.push_back(windows.lct[i]);
     block.preemptive.push_back(t.preemptive ? 1 : 0);
     block.max_window = std::max(block.max_window, windows.lct[i] - windows.est[i]);
+    block.max_comp = std::max(block.max_comp, t.comp);
     // Saturating sum: an overflowed total would only weaken pruning, never
     // the bound, but keep it a valid upper bound on Theta anyway.
     if (__builtin_add_overflow(block.total_demand, t.comp, &block.total_demand)) {
@@ -347,31 +430,18 @@ void prepare_scan(BlockScan& block, const Application& app, const TaskWindows& w
         std::upper_bound(block.points.begin(), block.points.end(), slack_start,
                          [](__int128 v, Time p) { return v < p; }) -
         block.points.begin()));
+    if (block.comp_by_est[i] > 0 && block.k_slack[i] <= block.k_est[i]) {
+      block.narrow.push_back(i);
+    }
     block.sweep = block.sweep && block.comp_by_est[i] >= 0;
   }
-  if (pruning) block.probe = probe_block(block);
-}
-
-/// One past the last right endpoint of row l that survives the scan_unit
-/// floor test against the block's probe alone (all of them without
-/// pruning). The width grows along the row, so the survivors are the prefix
-/// [l + 1, row_end) and one binary search finds it; the unit's own
-/// incumbent can only cut the row earlier.
-std::size_t row_end(const BlockScan& block, std::size_t l, bool pruning) {
+  if (!pruning) return;
+  block.probe = probe_block(block);
   const std::size_t n = block.points.size();
-  if (!pruning) return n;
-  const Ratio& floor = block.probe.peak;
-  std::size_t lo = l + 1;
-  std::size_t hi = n;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (Ratio{block.total_demand, block.points[mid] - block.points[l]} > floor) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  block.probe_cut.resize(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    block.probe_cut[l] = row_cut(block, l, l + 1, n, block.probe.peak);
   }
-  return lo;
 }
 
 /// Build the scan units of `block` (index `block_index` in the driver's
@@ -382,25 +452,24 @@ std::size_t row_end(const BlockScan& block, std::size_t l, bool pruning) {
 /// out of row l at the first k whose best-possible density
 /// Ratio{total_demand, points[k] - points[l]} cannot strictly beat the probe
 /// floor, and since the width grows monotonically along the row, the pairs
-/// that survive the probe floor form a prefix whose length one binary search
-/// finds exactly. Pruned rows are therefore grouped by SURVIVING pair count
-/// (the unit's own incumbent can only break earlier, so this is a true upper
-/// bound on the unit's Theta evaluations), which spreads the post-pruning
-/// work evenly across units where nominal grouping collapsed it into one or
-/// two. Rows with zero survivors still join a unit -- they cost one floor
-/// comparison each.
+/// that survive the probe floor form a prefix whose end prepare_scan has
+/// already found (BlockScan::probe_cut). Pruned rows are therefore grouped
+/// by SURVIVING pair count (the unit's own incumbent can only break earlier,
+/// so this is a true upper bound on the unit's Theta evaluations), which
+/// spreads the post-pruning work evenly across units where nominal grouping
+/// collapsed it into one or two. Rows with zero survivors still join a
+/// unit -- they cost one probe_cut lookup each.
 ///
 /// The grouping depends only on the block geometry and the (deterministic)
 /// probe, never on the thread count, so the unit list -- and therefore the
 /// reduced result -- is identical between serial and parallel execution.
-/// MUST run after the block's probe when pruning is on; with an empty probe
-/// (Ratio 0/1) every positive-demand pair "survives" and the grouping
-/// quietly degenerates to nominal.
+/// With an empty probe (Ratio 0/1) every positive-demand pair "survives"
+/// and the grouping quietly degenerates to nominal.
 void plan_block_units(const BlockScan& block, std::size_t block_index, bool pruning,
                       std::vector<ScanUnit>& units) {
   const std::size_t n = block.points.size();
   const auto surviving_pairs = [&](std::size_t l) -> std::uint64_t {
-    return static_cast<std::uint64_t>(row_end(block, l, pruning) - (l + 1));
+    return static_cast<std::uint64_t>((pruning ? block.probe_cut[l] : n) - (l + 1));
   };
   const std::uint64_t grain = pruning ? kSurvivingPairsPerUnit : kPairsPerUnit;
   std::size_t l = 0;
@@ -415,28 +484,31 @@ void plan_block_units(const BlockScan& block, std::size_t block_index, bool prun
   }
 }
 
+/// Scan the rows of one unit with a fresh incumbent.
+///
+/// With pruning, Theta <= total_demand and the width only grows along a
+/// row, so once a pair's best-possible density cannot strictly beat the
+/// prune floor, neither it nor the rest of the row can change the result.
+/// The floor is the better of the unit's own incumbent and the block probe
+/// -- a pair that only TIES the floor is skippable because a witness at that
+/// density is already recorded (by the probe or by this unit). A row
+/// therefore ends at its probe cut, re-cut by binary search whenever the
+/// incumbent rises above the probe peak; that is exactly where a per-pair
+/// floor test would break, so intervals_evaluated counts the same pairs.
 UnitResult scan_unit(const BlockScan& block, const ScanUnit& unit, bool prune) {
   UnitResult res;
   RowSweep sweep;
+  const bool use_sweep = block.sweep;
+  const Ratio& probe = block.probe.peak;
   for (std::size_t l = unit.l_begin; l < unit.l_end; ++l) {
     const Time t1 = block.points[l];
-    const std::size_t end = row_end(block, l, prune);
+    std::size_t end = prune ? block.probe_cut[l] : block.points.size();
+    if (prune && res.peak > probe) end = row_cut(block, l, l + 1, end, res.peak);
     if (end == l + 1) continue;
-    if (block.sweep) sweep.start(block, t1, l + 1, end);
+    if (use_sweep) sweep.row(block, t1, l + 1, end);
     for (std::size_t k = l + 1; k < end; ++k) {
       const Time t2 = block.points[k];
-      // Theta <= total_demand, and the width only grows with k, so once the
-      // best-possible density cannot strictly beat the prune floor neither
-      // this pair nor the rest of the row can change the result. The floor
-      // is the better of the unit's own incumbent and the block probe --
-      // a pair that only TIES the floor is skippable because a witness at
-      // that density is already recorded (by the probe or by this unit).
-      if (prune) {
-        const Ratio& floor =
-            block.probe.peak > res.peak ? block.probe.peak : res.peak;
-        if (!(Ratio{block.total_demand, t2 - t1} > floor)) break;
-      }
-      const Time theta = block.sweep ? sweep.next(t2) : demand_flat(block, t1, t2);
+      const Time theta = use_sweep ? sweep.next(t2) : demand_flat(block, t1, t2);
       ++res.evaluated;
       if (Ratio{theta, t2 - t1} > res.peak) {
         res.peak = Ratio{theta, t2 - t1};
@@ -444,6 +516,7 @@ UnitResult scan_unit(const BlockScan& block, const ScanUnit& unit, bool prune) {
         res.witness_t2 = t2;
         res.witness_demand = theta;
         res.has_witness = true;
+        if (prune && res.peak > probe) end = row_cut(block, l, k + 1, end, res.peak);
       }
     }
   }
@@ -655,7 +728,7 @@ std::vector<std::pair<Time, Time>> row_demand(const Application& app,
   const std::size_t end = block.points.size();
   if (first == end) return out;
   RowSweep sweep;
-  if (block.sweep) sweep.start(block, t1, first, end);
+  if (block.sweep) sweep.row(block, t1, first, end);
   for (std::size_t k = first; k < end; ++k) {
     const Time t2 = block.points[k];
     out.emplace_back(t2, block.sweep ? sweep.next(t2) : demand_flat(block, t1, t2));

@@ -25,17 +25,21 @@
 // The block-level reduction is what makes per-block caching exact.
 //
 // ROW SWEEP. A unit walks its rows (one left endpoint t1 each) with one
-// sweep per row instead of a sum per pair: for fixed t1 every Psi of
-// Theorems 3 and 4 is a clamped ramp in t2, so the row's Theta values come
-// from slope/offset changes recorded at the block's sorted candidate
-// points (RowSweep in lower_bound.cpp; docs/PIPELINE.md, "Bounds-stage
-// internals"). A block costs O(points * n) plus a binary search per ramp
-// that starts before t1 (O(points * n log n) at worst), where the per-pair
-// sum cost O(points^2 * range). The per-pair sum (demand_flat) still runs
-// in two places: the pruning probe, whose intervals [E_k, L_k] are one per
-// task rather than a row, and blocks whose total demand saturates Time,
-// which keep the historical first-overflow throw. The row loop, the prune
-// break and the witness rule are unchanged, so results and
+// sweep carried from row to row instead of a sum per pair: for fixed t1
+// every Psi of Theorems 3 and 4 is a clamped ramp in t2, so the row's Theta
+// values come from slope/offset changes recorded at the block's sorted
+// candidate points (RowSweep in lower_bound.cpp; docs/PIPELINE.md,
+// "Bounds-stage internals"). The ramp of a task with E_i >= t1 and a window
+// of at least C_i is the same in every such row, so the unit's first row
+// records those once and each later row only drops the ones t1 has passed;
+// a row adds (and the next undoes) just the ramps of tasks straddling t1
+// and of windows narrower than C_i. A row costs O(points + straddling
+// ramps * log points), plus O(points + n) per unit, where the per-pair sum
+// cost O(points * range) per row. The per-pair sum (demand_flat) still
+// runs in two places: the pruning probe, whose intervals [E_k, L_k] are one
+// per task rather than a row, and blocks whose total demand saturates
+// Time, which keep the historical first-overflow throw. The row order, the
+// prune break and the witness rule are unchanged, so results and
 // intervals_evaluated are exactly those of the per-pair scan.
 //
 // Pruning (opt-in) skips candidate intervals that provably cannot beat the
@@ -187,9 +191,9 @@ struct BlockScanResult {
 /// geometry -- task identity is deliberately NOT part of it, so identical
 /// blocks are shared across resources (e.g. a {P1}+{r1} task pair produces
 /// the same block under both resources) and even across re-generated
-/// applications. A lookup costs O(block size); a scan costs O(points *
-/// block size) or more; every hit therefore skips the dominant cost of the
-/// query.
+/// applications. A lookup costs O(block size); a scan costs O(points^2)
+/// for its pairs alone, plus the sweep's per-row ramps; every hit therefore
+/// skips the dominant cost of the query.
 class BlockScanCache {
  public:
   /// Flattened exact geometry: [pruning, n, then per task est, lct, comp,

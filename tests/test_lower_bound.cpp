@@ -309,5 +309,99 @@ TEST(RowSweep, EqualsDemandAtEveryCandidateOnRandomBlocks) {
   EXPECT_GT(compared, 10000u);
 }
 
+TEST(RowSweep, WholeScanEqualsRowMajorDemandScan) {
+  // resource_lower_bound against a brute-force scan that evaluates demand()
+  // at every candidate pair in row-major order. Each block holds 100-140
+  // tasks (ST_r unpartitioned), so its rows span several scan units and the
+  // sweep state carried from row to row is exercised across unit
+  // boundaries. Windows mix both models, and a third are narrower than C_i.
+  // The witness is the first pair in scan order that attains the peak; with
+  // pruning the probe (each task's own [E_i, L_i], in block order) comes
+  // first, so a scan pair displaces its witness only by strictly beating it.
+  Rng rng(20261020);
+  for (int trial = 0; trial < 6; ++trial) {
+    ResourceCatalog cat;
+    const ResourceId p = cat.add_processor_type("P", 1);
+    Application app(cat);
+    TaskWindows w;
+    const int n = static_cast<int>(rng.uniform(100, 140));
+    for (int i = 0; i < n; ++i) {
+      Task t;
+      t.name = "t" + std::to_string(i);
+      t.comp = rng.uniform(1, 12);
+      t.proc = p;
+      t.preemptive = rng.chance(0.5);
+      const Time e = rng.uniform(0, 800);
+      const Time slack = rng.chance(1.0 / 3) ? -rng.uniform(1, t.comp) : rng.uniform(0, 30);
+      t.release = e;
+      t.deadline = e + t.comp + slack;
+      w.est.push_back(e);
+      w.lct.push_back(e + t.comp + slack);
+      app.add_task(std::move(t));
+    }
+    const std::vector<TaskId> tasks = app.tasks_using(p);
+    std::vector<Time> points;
+    for (TaskId i : tasks) {
+      points.push_back(w.est[i]);
+      points.push_back(w.lct[i]);
+    }
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+
+    struct Best {
+      Ratio peak{0, 1};
+      Time t1 = 0, t2 = 0, demand = 0;
+      void offer(Time a, Time b, Time theta) {
+        if (Ratio{theta, b - a} > peak) {
+          peak = Ratio{theta, b - a};
+          t1 = a;
+          t2 = b;
+          demand = theta;
+        }
+      }
+    };
+    Best probe;
+    for (TaskId i : tasks) {
+      if (w.est[i] >= w.lct[i]) continue;
+      probe.offer(w.est[i], w.lct[i], demand(app, w, tasks, w.est[i], w.lct[i]));
+    }
+    Best scan;
+    Best probe_then_scan = probe;
+    std::uint64_t pairs = 0;
+    for (std::size_t l = 0; l < points.size(); ++l) {
+      for (std::size_t k = l + 1; k < points.size(); ++k) {
+        const Time theta = demand(app, w, tasks, points[l], points[k]);
+        scan.offer(points[l], points[k], theta);
+        probe_then_scan.offer(points[l], points[k], theta);
+        ++pairs;
+      }
+    }
+    ASSERT_GT(pairs, 3u * 4096u) << "trial " << trial;
+
+    for (bool prune : {false, true}) {
+      const Best& want = prune ? probe_then_scan : scan;
+      for (int threads : {1, 3}) {
+        LowerBoundOptions opts;
+        opts.use_partitioning = false;
+        opts.enable_pruning = prune;
+        opts.num_threads = threads;
+        const ResourceBound got = resource_lower_bound(app, w, p, opts);
+        const std::string ctx = "trial " + std::to_string(trial) +
+                                " prune=" + std::to_string(prune) +
+                                " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.bound, want.peak.ceil()) << ctx;
+        EXPECT_EQ(got.peak_density.num, want.peak.num) << ctx;
+        EXPECT_EQ(got.peak_density.den, want.peak.den) << ctx;
+        EXPECT_EQ(got.witness_t1, want.t1) << ctx;
+        EXPECT_EQ(got.witness_t2, want.t2) << ctx;
+        EXPECT_EQ(got.witness_demand, want.demand) << ctx;
+        if (!prune) {
+          EXPECT_EQ(got.intervals_evaluated, pairs) << ctx;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rtlb
